@@ -28,6 +28,7 @@ from . import __version__
 from .characterize import (
     Classification,
     ClassifyConfig,
+    _normalize_box,
     check_condition,
     classify,
     determinant_identity_residual,
@@ -122,6 +123,17 @@ def _levels(cfg: dict, family: LevelFamily) -> list[float]:
     return levels
 
 
+def _read_config(args):
+    """A subcommand's config, checked up front: (cfg, family, settings, levels)."""
+    cfg = _load_config(args.config)
+    family = _build_family(cfg)
+    try:
+        _normalize_box(_sample_box(cfg), family.n)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad points.box: {exc}") from exc
+    return cfg, family, _build_settings(cfg, args.seed), _levels(cfg, family)
+
+
 def _offsets(cfg: dict) -> list[float] | None:
     off = cfg.get("offsets")
     if off is None:
@@ -178,10 +190,7 @@ def _point_count(cfg: dict) -> int:
 
 
 def cmd_curvature(args) -> int:
-    cfg = _load_config(args.config)
-    family = _build_family(cfg)
-    settings = _build_settings(cfg, args.seed)
-    levels = _levels(cfg, family)
+    cfg, family, settings, levels = _read_config(args)
     n = family.n
     try:
         with _Output(args, cfg) as fh:
@@ -230,14 +239,15 @@ def _measure_rows(family, levels, offsets, cfg, settings, jobs):
 
 
 def cmd_measures(args) -> int:
-    cfg = _load_config(args.config)
-    family = _build_family(cfg)
-    settings = _build_settings(cfg, args.seed)
-    levels = _levels(cfg, family)
+    cfg, family, settings, levels = _read_config(args)
     offsets = _offsets(cfg)
     if not offsets:
         raise ConfigError("measures needs a nonempty offsets list")
-    rows = _measure_rows(family, levels, offsets, cfg, settings, _jobs(args))
+    try:
+        rows = _measure_rows(family, levels, offsets, cfg, settings, _jobs(args))
+    except QuadrixError as exc:  # e.g. fewer than 2 admissible points in the box
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     failures = sum(1 for r in rows if r[2] is None)
     with _Output(args, cfg) as fh:
         _emit_header(fh, cfg, settings.seed)
@@ -260,10 +270,7 @@ def cmd_measures(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg = _load_config(args.config)
-    family = _build_family(cfg)
-    settings = _build_settings(cfg, args.seed)
-    levels = _levels(cfg, family)
+    cfg, family, settings, levels = _read_config(args)
     offsets = _offsets(cfg)
     ccfg = ClassifyConfig(
         point_count=_point_count(cfg),
@@ -290,10 +297,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    family = _build_family(cfg)
-    settings = _build_settings(cfg, args.seed)
-    levels = _levels(cfg, family)
+    cfg, family, settings, levels = _read_config(args)
     offsets = _offsets(cfg)
     if not offsets:
         raise ConfigError("sweep needs a nonempty offsets list")

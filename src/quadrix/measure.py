@@ -58,8 +58,9 @@ class MeasureResult:
 class QuadratureSettings:
     """Knobs for both integrators; directions=None picks the per-dimension default.
 
-    target_rel_error is advisory: results whose reported error estimate
-    exceeds it trigger a warning (default 1e-4 for n <= 3, 1e-3 above).
+    Any other directions value must be at least 2.  target_rel_error is
+    advisory: results whose reported error estimate exceeds it trigger a
+    warning (default 1e-4 for n <= 3, 1e-3 above).
     """
 
     directions: int | None = None
@@ -68,8 +69,12 @@ class QuadratureSettings:
     seed: int = 123456789
     target_rel_error: float | None = None
 
+    def __post_init__(self):
+        if self.directions is not None and not self.directions >= 2:  # NaN fails too
+            raise ValueError(f"directions must be at least 2, got {self.directions!r}")
+
     def direction_count(self, n: int) -> int:
-        return self.directions if self.directions else default_direction_count(n)
+        return default_direction_count(n) if self.directions is None else self.directions
 
     def target_for(self, n: int) -> float:
         if self.target_rel_error is not None:

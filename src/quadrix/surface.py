@@ -7,6 +7,10 @@ invariant K |grad g|^{n+2}, provides the tangent-plane graph chart used by
 the integration routines, and solves the parallel-tangent problem linking
 M_k to nearby levels M_{k+h}.
 
+Both chart solves, heights and section boundary radii, run one vectorized
+safeguarded solver: a per-lane bracket, guarded Newton steps, bisection
+when a step leaves the bracket, iterating only the unconverged lanes.
+
 Everything here is pure and operates on immutable inputs; the batched
 chart solver is safe to call concurrently from several threads.
 """
@@ -247,10 +251,11 @@ class LocalChart:
     """Graph coordinates of M_k over the tangent plane at p.
 
     Chart points are q(y, tau) = p + frame @ y + tau * normal; the surface
-    height w(y) >= 0 solves g(q(y, w)) = k.  Solves are vectorized and
-    safeguarded: Newton from the osculating-quadric guess, bracket growth,
-    bisection fallback.  Leaving the graph region (the chart fold) raises
-    RegionError instead of silently switching branches.
+    height w(y) >= 0 solves g(q(y, w)) = k.  Heights and section boundary
+    radii are roots along a line per lane, found by _safeguarded_roots from
+    the osculating-quadric guess.  Leaving the graph region (the chart fold)
+    raises RegionError instead of silently switching branches.  A chart
+    keeps no solver state, so threads may share it.
     """
 
     def __init__(self, family: LevelFamily, p: SurfacePoint):
@@ -272,20 +277,29 @@ class LocalChart:
         self.trust_radius = 0.9 / float(eigs[-1])
         self._scale = 1.0 + abs(self.k)
 
-    def _chart_points(self, Y: np.ndarray, tau: np.ndarray):
-        q = self.origin[None, :] + Y @ self.frame.T + tau[:, None] * self.normal[None, :]
-        return q[:, :-1], q[:, -1]
+    def _chart_base(self, Y: np.ndarray):
+        """Points p + frame @ y, lane-last: X of shape (n, M), Z of shape (M,)."""
+        n = Y.shape[1]
+        return self.origin[:n, None] + self.frame[:n] @ Y.T, self.origin[n] + Y @ self.frame[n]
 
-    def _residual(self, Y: np.ndarray, tau: np.ndarray):
-        """sigma_g * (g - k) and its tau-derivative; NaN flags off-branch points."""
-        X, Z = self._chart_points(Y, tau)
-        g, grad = self.family.g_values_grads(X, Z)
-        res = self.sigma_g * (g - self.k)
-        slope = self.sigma_g * (grad @ self.normal)
-        return res, slope
+    def _line_residual(self, X0, Z0, dX, dZ, x, sign=1.0):
+        """sign * sigma_g * (g - k) and its x-derivative at (X0 + x dX, Z0 + x dZ).
+
+        Lane-last: X0 and dX are (n, M) or (n, 1), Z0 and dZ are (M,) or
+        scalars.  NaN flags off-branch points.
+        """
+        fam = self.family
+        X = dX * x
+        X += X0
+        fv, fg = eval_value_grad(fam.f, X.T)
+        Z = Z0 + dZ * x
+        s = sign * self.sigma_g
+        res = s * (fam._zpow(Z, fam.alpha) + fam.sf * fv - self.k)
+        gz = fam.alpha * fam._zpow(Z, fam.alpha - 1.0)
+        return res, s * (fam.sf * np.einsum("mi,im->m", fg, dX) + gz * dZ)
 
     def taylor_height(self, Y: np.ndarray) -> np.ndarray:
-        return 0.5 * np.einsum("mi,ij,mj->m", Y, self.second_form, Y)
+        return 0.5 * np.einsum("mi,mi->m", Y @ self.second_form, Y)
 
     def height(self, Y: np.ndarray, on_fail: str = "raise",
                cap: float | None = None, cap_exceed: str = "fail") -> np.ndarray:
@@ -299,52 +313,32 @@ class LocalChart:
         failures into +inf instead of raising.
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        m = Y.shape[0]
-        tol = NEWTON_TOL * self._scale
+        m, n = Y.shape
+        X0, Z0 = self._chart_base(Y)
+        dX, dZ = self.normal[:n, None], self.normal[n]
+
+        def residual(idx, tau):
+            return self._line_residual(_lanes(X0, idx), _lanes(Z0, idx), dX, dZ, tau)
+
+        guess = self.taylor_height(Y)
         failed = np.zeros(m, dtype=bool)
         outside = np.zeros(m, dtype=bool)
         lo = np.zeros(m)
-
         if cap is not None:
             hi = np.full(m, float(cap))
-            res_hi, _ = self._residual(Y, hi)
+            res_hi, _ = self._line_residual(X0, Z0, dX, dZ, hi)
             beyond = ~(res_hi >= 0.0)  # height above cap, or off branch (NaN)
             if cap_exceed == "outside":
                 outside = beyond
             else:
                 failed = beyond
         else:
-            hi = 2.0 * self.taylor_height(Y) + 1e-9
-            need = np.ones(m, dtype=bool)
-            for _ in range(_GROW_MAXITER):
-                if not need.any():
-                    break
-                res_hi, _ = self._residual(Y[need], hi[need])
-                idx = np.flatnonzero(need)
-                below = np.isfinite(res_hi) & (res_hi < 0)
-                lo[idx[below]] = hi[idx[below]]
-                still = idx[~(res_hi >= 0.0)]  # NaN keeps growing until exhaustion
-                hi[still] *= _GROW_FACTOR
-                need = np.zeros(m, dtype=bool)
-                need[still] = True
-            failed |= need
+            hi = 2.0 * guess + 1e-9
+            failed[_grow_bracket(residual, lo, hi)] = True
 
-        skip = failed | outside
-        tau = np.where(skip, 0.0, np.clip(self.taylor_height(Y), lo, hi))
-        done = skip.copy()  # failed/outside lanes are left alone
-        for _ in range(CHART_MAXITER):
-            res, slope = self._residual(Y, tau)
-            done = skip | (np.abs(res) <= tol)
-            if done.all():
-                break
-            lo = np.where(~done & (res < 0), np.maximum(lo, tau), lo)
-            hi = np.where(~done & (res > 0), np.minimum(hi, tau), hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = tau - res / np.where(slope > 0, slope, np.nan)
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            tau = np.where(done, tau, np.where(bad, 0.5 * (lo + hi), cand))
-        failed |= ~done
-
+        tau, unconverged = _safeguarded_roots(residual, lo, hi, guess, NEWTON_TOL * self._scale,
+                                              np.flatnonzero(~(failed | outside)))
+        failed[unconverged] = True
         if failed.any():
             if on_fail != "mask":
                 y0 = Y[int(np.flatnonzero(failed)[0])]
@@ -357,8 +351,12 @@ class LocalChart:
 
     def gradient_at(self, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Exact chart gradient of w at already-solved heights (implicit differentiation)."""
-        X, Z = self._chart_points(np.atleast_2d(Y), np.atleast_1d(w))
-        _, grad = self.family.g_values_grads(X, Z)
+        Y = np.atleast_2d(Y)
+        n = Y.shape[1]
+        X, Z = self._chart_base(Y)
+        X += self.normal[:n, None] * w
+        Z += self.normal[n] * w
+        _, grad = self.family.g_values_grads(X.T, Z)
         denom = grad @ self.normal
         return -(grad @ self.frame) / denom[:, None]
 
@@ -375,65 +373,83 @@ class LocalChart:
         t exceeds the cap height or the section crosses the chart fold.
         """
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        m = U.shape[0]
-        tol = NEWTON_TOL * self._scale
-        dirs = U @ self.frame.T
+        m, n = U.shape
         base = self.origin + t * self.normal
+        X0, Z0 = base[:n, None], base[n]
+        dX, dZ = self.frame[:n] @ U.T, U @ self.frame[n]
 
-        def residual(rho):
-            q = base[None, :] + rho[:, None] * dirs
-            g, grad = self.family.g_values_grads(q[:, :-1], q[:, -1])
-            res = self.sigma_g * (g - self.k)
-            slope = self.sigma_g * np.einsum("mi,mi->m", grad, dirs)
-            return res, slope
+        def residual(idx, rho):  # negated to increase in rho: positive outside the section
+            return self._line_residual(X0, Z0, _lanes(dX, idx), _lanes(dZ, idx), rho, sign=-1.0)
 
-        res0, _ = residual(np.zeros(m))
-        if not np.all(res0 > 0):
+        res0, _ = residual(np.arange(1), np.zeros(1))  # rho = 0 is the same point on every lane
+        if not res0[0] < 0:
             raise RegionError(f"offset t={t:.6g} is not below the cap top at this point")
-
-        kappa = np.einsum("mi,ij,mj->m", U, self.second_form, U)
-        guess = np.sqrt(2.0 * t / kappa)
-        lo = np.zeros(m)
-        hi = guess.copy()
-        need = np.ones(m, dtype=bool)
-        for _ in range(_GROW_MAXITER):
-            if not need.any():
-                break
-            sub_q = base[None, :] + hi[need, None] * dirs[need]
-            g, grad = self.family.g_values_grads(sub_q[:, :-1], sub_q[:, -1])
-            res_hi = self.sigma_g * (g - self.k)
-            idx = np.flatnonzero(need)
-            inside = np.isfinite(res_hi) & (res_hi > 0)
-            lo[idx[inside]] = hi[idx[inside]]
-            still = idx[~(res_hi <= 0.0)]
-            hi[still] *= _GROW_FACTOR
-            need = np.zeros(m, dtype=bool)
-            need[still] = True
-        if need.any():
+        guess = np.sqrt(t / self.taylor_height(U))
+        lo, hi = np.zeros(m), guess.copy()
+        if _grow_bracket(residual, lo, hi).size:
             raise RegionError(f"section boundary not found at t={t:.6g}: region escapes the chart")
-
-        rho = np.clip(guess, lo, hi)
-        done = np.zeros(m, dtype=bool)
-        for _ in range(CHART_MAXITER):
-            res, slope = residual(rho)
-            done = np.abs(res) <= tol
-            if done.all():
-                break
-            lo = np.where(~done & (res > 0), np.maximum(lo, rho), lo)
-            hi = np.where(~done & (res < 0), np.minimum(hi, rho), hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = rho - res / np.where(slope != 0, slope, np.nan)
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            rho = np.where(done, rho, np.where(bad, 0.5 * (lo + hi), cand))
-        if not done.all():
+        rho, unconverged = _safeguarded_roots(residual, lo, hi, guess, NEWTON_TOL * self._scale,
+                                              np.arange(m))
+        if unconverged.size:
             raise RegionError(f"section boundary solve stalled at t={t:.6g}")
 
         # fold check: the surface must still be a graph over the chart there
-        q = base[None, :] + rho[:, None] * dirs
-        _, grad = self.family.g_values_grads(q[:, :-1], q[:, -1])
+        _, grad = self.family.g_values_grads((X0 + dX * rho).T, Z0 + dZ * rho)
         if not np.all(self.sigma_g * (grad @ self.normal) > 0):
             raise RegionError(f"section at t={t:.6g} crosses the chart fold")
         return rho
+
+
+def _lanes(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Lanes idx (sorted, distinct) of a lane-last array; no copy when that is all of them."""
+    return a if idx.size == a.shape[-1] else a.take(idx, axis=-1)
+
+
+def _grow_bracket(residual, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Grow hi in place until residual(hi) >= 0; returns the lanes left unbracketed.
+
+    Finite negative residuals move lo up to hi; NaN (off-branch) lanes keep
+    growing until _GROW_MAXITER is exhausted.
+    """
+    idx = np.arange(hi.size)
+    for _ in range(_GROW_MAXITER):
+        if not idx.size:
+            break
+        res, _ = residual(idx, hi[idx])
+        below = idx[np.isfinite(res) & (res < 0)]
+        lo[below] = hi[below]
+        idx = idx[~(res >= 0.0)]
+        hi[idx] *= _GROW_FACTOR
+    return idx
+
+
+def _safeguarded_roots(residual, lo, hi, x0, tol, idx):
+    """Roots in [lo, hi] of residuals increasing in x, for the lanes idx.
+
+    residual(idx, x) gives the residual and its slope.  From x0 clipped into
+    the bracket, each iteration evaluates only the lanes not yet within tol,
+    takes the Newton step if the slope is positive and the step stays inside
+    the bracket, and bisects otherwise.  Returns the roots and the lanes not
+    converged after CHART_MAXITER evaluations.
+    """
+    x = np.clip(x0, lo, hi)
+    xa, la, ha = x[idx], lo[idx], hi[idx]
+    for _ in range(CHART_MAXITER):
+        if not idx.size:
+            break
+        res, slope = residual(idx, xa)
+        done = np.abs(res) <= tol  # NaN is never done
+        if done.any():
+            x[idx[done]] = xa[done]
+            keep = np.flatnonzero(~done)
+            idx, xa, la, ha, res, slope = (a[keep] for a in (idx, xa, la, ha, res, slope))
+        # xa lies inside [la, ha], so it becomes the new bound on its side
+        la = np.where(res < 0, xa, la)
+        ha = np.where(res > 0, xa, ha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = xa - res / np.where(slope > 0, slope, np.nan)
+        xa = np.where((cand > la) & (cand < ha), cand, 0.5 * (la + ha))  # NaN bisects
+    return x, idx
 
 
 def local_graph(family: LevelFamily, p: SurfacePoint, y: np.ndarray) -> float:

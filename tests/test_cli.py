@@ -99,6 +99,19 @@ class TestMeasures:
         good = [r for r in rows if not r["error"]]
         assert len(bad) == 3 and len(good) == 3
 
+    def test_too_few_admissible_points_exits_one(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            family={"alpha": 2, "sign": "plus", "f": {"kind": "quadratic", "a": [1, 2]}},
+            levels=[0.5],
+            points={"count": 4, "seed": 4242, "box": [5, 6]},  # outside the ellipsoid
+        )
+        with pytest.warns(UserWarning):
+            code = main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: fewer than 2 admissible points")
+
     def test_all_rows_failing_exits_one(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -208,6 +221,23 @@ class TestSweep:
     def test_empty_grid_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, offsets=[])
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 1
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("command", ["measures", "sweep", "classify"])
+    def test_decreasing_box_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, points={"count": 4, "seed": 4242, "box": [1.0, -1.0]})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad points.box")
+        assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("directions", [0, -5])
+    def test_directions_below_two_is_config_error(self, tmp_path, capsys, directions):
+        cfg = write_config(tmp_path, quadrature={"directions": directions})
+        assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad quadrature config")
 
 
 class TestVerify:

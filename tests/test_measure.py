@@ -219,6 +219,17 @@ class TestErrorEstimates:
         assert errs_a[-1] <= 0.02 and errs_v[-1] <= 0.02 and errs_s[-1] <= 0.02
 
 
+class TestQuadratureSettings:
+    @pytest.mark.parametrize("directions", [0, -5, 1])
+    def test_directions_below_two_rejected(self, directions):
+        with pytest.raises(ValueError, match="directions"):
+            QuadratureSettings(directions=directions)
+
+    def test_none_is_the_per_dimension_default(self):
+        assert QuadratureSettings().direction_count(2) == 256
+        assert QuadratureSettings(directions=2).direction_count(2) == 2
+
+
 class TestStarRegion:
     def test_boundary_heights_verified(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.array([0.2, 0.3]))

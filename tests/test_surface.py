@@ -17,6 +17,7 @@ from quadrix import (
     parse_expression,
     point_on_level,
 )
+from quadrix import surface
 from quadrix.surface import LocalChart
 
 from conftest import seeded_xs, trio
@@ -253,3 +254,82 @@ class TestSecondFundamentalForm:
             p = point_on_level(family, 1.0, x)
             eigs = np.linalg.eigvalsh(LocalChart(family, p).second_form)
             assert np.all(eigs > 0)
+
+
+class TestChartSolver:
+    """The one safeguarded root solver behind LocalChart.height and boundary_radius."""
+
+    @staticmethod
+    def _chart():
+        family = trio()["elliptic_hyperboloid"]
+        return LocalChart(family, point_on_level(family, 1.0, np.array([0.7, -0.4])))
+
+    def test_batch_invariance(self, monkeypatch):
+        chart = self._chart()
+        rng = np.random.default_rng(7)
+        U = rng.standard_normal((64, 2))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        Y = U * rng.uniform(0.1, 0.55, 64)[:, None]  # far lanes need more iterations
+        batch_sizes = []
+        inner = surface.eval_value_grad
+
+        def counting(f, X):
+            batch_sizes.append(len(X))
+            return inner(f, X)
+
+        monkeypatch.setattr(surface, "eval_value_grad", counting)
+        w = chart.height(Y)
+        rho = chart.boundary_radius(U, 0.3)
+        # converged lanes drop out, so later iterations evaluate fewer lanes
+        assert len(set(batch_sizes)) > 3 and min(batch_sizes) < len(Y)
+        for i in range(len(Y)):
+            assert chart.height(Y[i:i + 1])[0] == pytest.approx(w[i], rel=1e-13)
+            assert chart.boundary_radius(U[i:i + 1], 0.3)[0] == pytest.approx(rho[i], rel=1e-13)
+
+    @pytest.mark.parametrize("residual, root, start", [
+        # Newton from x = 5 jumps to about -26, outside the bracket
+        (lambda x: (np.arctan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)), 0.3, 5.0),
+        # zero slope at the start: no Newton step is possible
+        (lambda x: (x ** 3 - 0.5, 3.0 * x ** 2), 0.5 ** (1.0 / 3.0), 0.0),
+    ])
+    def test_bisection_fallback(self, residual, root, start):
+        seen = []
+
+        def res(idx, x):
+            seen.extend(x)
+            return residual(x)
+
+        lo, hi = np.full(2, -10.0), np.full(2, 10.0)
+        x, unconverged = surface._safeguarded_roots(res, lo, hi, np.array([start, 20.0]), 1e-14,
+                                                    np.array([0]))
+        assert unconverged.size == 0
+        assert x[0] == pytest.approx(root, abs=1e-13)
+        assert all(-10.0 <= v <= 10.0 for v in seen)  # every evaluation stayed in the bracket
+        assert x[1] == 10.0  # a lane outside idx keeps its clipped start
+
+    def test_unconverged_lanes_reported(self):
+        calls = []
+
+        def res(idx, x):  # a step: |residual| never drops below the tolerance
+            calls.append(len(idx))
+            return np.where(x < 0.3, -1.0, 1.0), np.zeros_like(x)
+
+        lo, hi = np.zeros(3), np.ones(3)
+        _, unconverged = surface._safeguarded_roots(res, lo, hi, np.full(3, 0.5), 1e-12, np.arange(3))
+        assert unconverged.tolist() == [0, 1, 2]
+        assert len(calls) == surface.CHART_MAXITER
+
+    def test_failure_outcomes(self, unit_sphere2):
+        chart = LocalChart(unit_sphere2, point_on_level(unit_sphere2, 1.0, np.zeros(2)))
+        Y = np.array([[0.6, 0.0], [1.2, 0.0], [0.0, 0.9]])  # heights 0.2, past the fold, ~0.56
+        with pytest.raises(RegionError):
+            chart.height(Y)
+        w = chart.height(Y, on_fail="mask")
+        assert w[0] == pytest.approx(0.2, abs=1e-12) and w[1] == np.inf
+        assert w[2] == pytest.approx(1.0 - np.sqrt(1.0 - 0.81), abs=1e-12)
+        with pytest.raises(RegionError):
+            chart.height(Y, cap=0.3)  # cap_exceed="fail": lanes above the cap fail
+        w = chart.height(Y, cap=0.3, cap_exceed="outside")  # no raise
+        assert w[0] == pytest.approx(0.2, abs=1e-12) and w[1] == np.inf and w[2] == np.inf
+        w = chart.height(Y, cap=0.3, on_fail="mask")
+        assert w[0] == pytest.approx(0.2, abs=1e-12) and np.all(np.isinf(w[1:]))
