@@ -40,7 +40,6 @@ from .funcspec import (
 from .measure import (
     MeasureResult,
     QuadratureSettings,
-    StarRegion,
     StarredMeasures,
     cap_volume,
     derivative_check,
@@ -70,7 +69,6 @@ from .surface import (
     TangencyResult,
     curvature_invariant,
     gauss_kronecker,
-    local_graph,
     offset_map_h,
     parallel_tangent,
     point_on_level,

@@ -96,15 +96,27 @@ def _build_family(cfg: dict) -> LevelFamily:
         raise ConfigError(f"bad family config: {exc}") from exc
 
 
+_QUADRATURE_KEYS = ("directions", "mc_samples", "target_rel_error")
+
+
 def _build_settings(cfg: dict, seed_override: int | None) -> QuadratureSettings:
     q = cfg.get("quadrature", {})
     pts = cfg.get("points", {})
-    seed = seed_override if seed_override is not None else int(pts.get("seed", 123456789))
+    for key, section in (("quadrature", q), ("points", pts)):
+        if not isinstance(section, dict):
+            raise ConfigError(f"bad {key} config: must be a JSON object")
+    try:
+        seed = seed_override if seed_override is not None else int(pts.get("seed", 123456789))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad points.seed: {exc}") from exc
+    unknown = sorted(set(q) - set(_QUADRATURE_KEYS))
+    if unknown:
+        raise ConfigError(f"bad quadrature config: unknown keys {unknown}; "
+                          f"known keys are {list(_QUADRATURE_KEYS)}")
     try:
         target = q.get("target_rel_error")
         return QuadratureSettings(
             directions=q.get("directions"),
-            radial_order=int(q.get("radial_order", 16)),
             mc_samples=int(q.get("mc_samples", 1 << 16)),
             seed=seed,
             target_rel_error=float(target) if target is not None else None,
@@ -126,12 +138,14 @@ def _levels(cfg: dict, family: LevelFamily) -> list[float]:
 def _read_config(args):
     """A subcommand's config, checked up front: (cfg, family, settings, levels)."""
     cfg = _load_config(args.config)
+    settings = _build_settings(cfg, args.seed)
     family = _build_family(cfg)
     try:
         _normalize_box(_sample_box(cfg), family.n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad points.box: {exc}") from exc
-    return cfg, family, _build_settings(cfg, args.seed), _levels(cfg, family)
+    _point_count(cfg)  # raises ConfigError on a bad points.count
+    return cfg, family, settings, _levels(cfg, family)
 
 
 def _offsets(cfg: dict) -> list[float] | None:
@@ -181,7 +195,10 @@ def _sample_box(cfg: dict):
 
 
 def _point_count(cfg: dict) -> int:
-    return int(cfg.get("points", {}).get("count", 6))
+    count = cfg.get("points", {}).get("count", 6)
+    if not isinstance(count, int) or count < 2:
+        raise ConfigError(f"bad points.count: need an integer of at least 2, got {count!r}")
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from math import gamma, pi, sqrt
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from ._grids import default_direction_count, radial_nodes, sphere_directions
+from ._grids import default_direction_count, sphere_directions
 
 __all__ = [
     "QUADRIC_KINDS",
@@ -287,7 +288,7 @@ def refutation_domain(q, k: float, h: float) -> DomainEllipsoid:
 def mean_H_over_domain(
     q, a, k: float, h: float,
     directions: int | None = None,
-    radial_order: int = 32,
+    legendre_order: int = 32,
 ) -> float:
     """Mean of H over D_q(k, h) by radial quadrature on the mapped unit ball.
 
@@ -304,7 +305,8 @@ def mean_H_over_domain(
         return val / 2.0
     m = directions or default_direction_count(n)
     u = sphere_directions(n, m)
-    nodes, weights = radial_nodes(radial_order)
+    xg, wg = leggauss(legendre_order)  # Gauss-Legendre on [0, 1]
+    nodes, weights = 0.5 * (xg + 1.0), 0.5 * wg
     # mean over the unit ball: (1/omega_n) * int_{S^{n-1}} int_0^1 H r^{n-1} dr du
     xi = nodes[None, :, None] * u[:, None, :]  # (m, order, n)
     pts = dom.points(xi.reshape(-1, n))

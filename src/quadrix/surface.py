@@ -31,7 +31,6 @@ __all__ = [
     "point_on_level",
     "gauss_kronecker",
     "curvature_invariant",
-    "local_graph",
     "parallel_tangent",
     "offset_map_h",
     "LocalChart",
@@ -450,17 +449,6 @@ def _safeguarded_roots(residual, lo, hi, x0, tol, idx):
             cand = xa - res / np.where(slope > 0, slope, np.nan)
         xa = np.where((cand > la) & (cand < ha), cand, 0.5 * (la + ha))  # NaN bisects
     return x, idx
-
-
-def local_graph(family: LevelFamily, p: SurfacePoint, y: np.ndarray) -> float:
-    """Height w(y) of M_k over its tangent plane at p, at chart offset y.
-
-    w(0) = 0 and grad w(0) = 0; solved by safeguarded 1-D Newton along the
-    convex-side normal from the osculating-quadric initial guess.
-    """
-    chart = LocalChart(family, p)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(chart.height(y[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ def write_config(tmp_path, name="config.json", **overrides):
         "levels": [1.0],
         "offsets": [0.5, 1.0],
         "points": {"count": 4, "seed": 4242},
-        "quadrature": {"directions": 256, "radial_order": 16},
+        "quadrature": {"directions": 256},
     }
     cfg.update(overrides)
     path = tmp_path / name
@@ -238,6 +238,41 @@ class TestConfigValidation:
         assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: bad quadrature config")
+
+
+    @pytest.mark.parametrize("count", [1, "six"])
+    @pytest.mark.parametrize("command", ["curvature", "measures", "classify", "sweep"])
+    def test_bad_point_count_is_config_error(self, tmp_path, capsys, command, count):
+        cfg = write_config(tmp_path, points={"count": count, "seed": 4242})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad points.count")
+        assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("command", ["measures", "verify"])
+    def test_unknown_quadrature_key_is_config_error(self, tmp_path, capsys, command):
+        # the radial rule is fixed, so radial_order is not a setting
+        cfg = write_config(tmp_path, quadrature={"directions": 256, "radial_order": 16})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad quadrature config: unknown keys")
+        assert "radial_order" in err[0]
+        assert not (tmp_path / "x.out").exists()
+
+
+    @pytest.mark.parametrize("section", ["quadrature", "points"])
+    def test_section_not_an_object_is_config_error(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path, **{section: [4, 4242]})
+        assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: bad {section} config: must be a JSON object"]
+
+
+    def test_bad_seed_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, points={"count": 4, "seed": "abc"})
+        assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad points.seed")
 
 
 class TestVerify:

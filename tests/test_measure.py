@@ -5,10 +5,10 @@ import pytest
 
 from quadrix import (
     LevelFamily,
+    LocalChart,
     QuadraticForm,
     QuadratureSettings,
     RegionError,
-    StarRegion,
     cap_volume,
     derivative_check,
     hyperboloid_cap_volume,
@@ -16,9 +16,11 @@ from quadrix import (
     point_on_level,
     section_area,
     starred_measures,
+    starred_oracle,
     unit_ball_volume,
 )
-from quadrix._grids import sphere_directions
+from quadrix._grids import radial_nodes, sphere_directions
+from quadrix.quadrics import hyperboloid_lateral_area
 
 from conftest import seeded_xs, trio
 
@@ -197,8 +199,8 @@ class TestErrorEstimates:
         family = trio()[kind]
         x = np.array([0.2, 0.1]) if family.sign == "plus" else np.array([0.7, 0.4])
         p = point_on_level(family, 1.0, x)
-        coarse = QuadratureSettings(directions=256, radial_order=16)
-        fine = QuadratureSettings(directions=512, radial_order=32)
+        coarse = QuadratureSettings(directions=256)
+        fine = QuadratureSettings(directions=512)
         for op in (section_area, cap_volume, lateral_area):
             r1 = op(family, p, 0.25, coarse)
             r2 = op(family, p, 0.25, fine)
@@ -219,6 +221,57 @@ class TestErrorEstimates:
         assert errs_a[-1] <= 0.02 and errs_v[-1] <= 0.02 and errs_s[-1] <= 0.02
 
 
+class TestRadialRule:
+    def test_kronrod_pair_degrees(self):
+        # K15 integrates x^d exactly on [0, 1] up to d = 22, its Gauss-7 part up to d = 13
+        nodes, kronrod, gauss = radial_nodes()
+        assert nodes.shape == kronrod.shape == gauss.shape == (15,)
+        assert np.all(np.diff(nodes) > 0) and 0.0 < nodes[0] and nodes[-1] < 1.0
+        assert np.count_nonzero(gauss) == 7 and np.all(gauss[0::2] == 0.0)
+        for d in range(23):
+            assert kronrod @ nodes ** d == pytest.approx(1.0 / (d + 1), rel=1e-14)
+            if d <= 13:
+                assert gauss @ nodes ** d == pytest.approx(1.0 / (d + 1), rel=1e-14)
+        assert abs(gauss @ nodes ** 14 - 1.0 / 15) > 1e-10
+
+    # at n = 1 the two-point direction set is exact, so all error is radial;
+    # offsets large enough that the K15 - G7 gap, not the floor, sets the estimate
+    N1_FIXTURES = {
+        "elliptic_hyperboloid": (2.0, "minus", 0.3, 4.0),
+        "ellipsoid": (2.0, "plus", 0.3, -0.7),
+        "elliptic_paraboloid": (1.0, "minus", 0.3, 0.2),
+    }
+
+    @pytest.mark.parametrize("kind", list(N1_FIXTURES))
+    def test_one_dimensional_estimates_bound_the_oracle(self, kind):
+        alpha, sign, x, h = self.N1_FIXTURES[kind]
+        a = (1.3,)
+        family = LevelFamily(QuadraticForm(a), alpha, sign)
+        p = point_on_level(family, 1.0, np.array([x]))
+        sm = starred_measures(family, p, h)
+        checks = [(sm.volume, starred_oracle(kind, a, 1.0, h, p.grad_norm)[0])]
+        if kind == "elliptic_hyperboloid":
+            checks.append((sm.lateral, hyperboloid_lateral_area(a, 1.0, h, np.array([x]))))
+        for res, want in checks:
+            assert res.error_estimate > 1e-9 * abs(res.value)
+            assert abs(res.value - want) <= res.error_estimate
+
+    def test_one_height_solve_per_cell(self, monkeypatch):
+        calls = []
+        height = LocalChart.height
+
+        def counting(self, Y, *args, **kwargs):
+            calls.append(len(Y))
+            return height(self, Y, *args, **kwargs)
+
+        monkeypatch.setattr(LocalChart, "height", counting)
+        family = trio()["elliptic_hyperboloid"]
+        p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
+        sm = starred_measures(family, p, 0.5, QuadratureSettings(directions=64))
+        assert calls == [64 * 15]
+        assert sm.volume.samples == sm.lateral.samples == 64 * 15
+
+
 class TestQuadratureSettings:
     @pytest.mark.parametrize("directions", [0, -5, 1])
     def test_directions_below_two_rejected(self, directions):
@@ -233,11 +286,11 @@ class TestQuadratureSettings:
 class TestStarRegion:
     def test_boundary_heights_verified(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.array([0.2, 0.3]))
-        region = StarRegion(unit_sphere2, p, 0.4)
+        chart = LocalChart(unit_sphere2, p)
         u = sphere_directions(2, 32)
-        rho = region.radius(u)
+        rho = chart.boundary_radius(u, 0.4)
         assert np.all(rho > 0)
-        w = region.chart.height(rho[:, None] * u)
+        w = chart.height(rho[:, None] * u)
         assert np.max(np.abs(w - 0.4)) <= 1e-10
 
     def test_region_escape(self, unit_sphere2):

@@ -11,7 +11,6 @@ from quadrix import (
     curvature_invariant,
     gauss_kronecker,
     invariant_constant,
-    local_graph,
     offset_map_h,
     parallel_tangent,
     parse_expression,
@@ -108,7 +107,7 @@ class TestCurvature:
     @pytest.mark.parametrize("kind", ["elliptic_hyperboloid", "ellipsoid", "elliptic_paraboloid"])
     def test_curvature_matches_chart_hessian(self, kind):
         # independent oracle: K = det(Hessian of the chart height at 0),
-        # by central finite differences of local_graph
+        # by central finite differences of the chart height
         family = trio()[kind]
         half = 0.25 if family.sign == "plus" else 1.0
         step = 1e-4
@@ -134,18 +133,22 @@ class TestCurvature:
 
 
 class TestLocalGraph:
+    @staticmethod
+    def height(family, p, y):
+        return LocalChart(family, p).height(np.atleast_2d(y))[0]
+
     def test_sphere_cap_height(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
-        w = local_graph(unit_sphere2, p, np.array([0.6, 0.0]))
+        w = self.height(unit_sphere2, p, np.array([0.6, 0.0]))
         assert w == pytest.approx(0.2, abs=1e-10)
 
     def test_zero_offset(self, hyperbola1):
         p = point_on_level(hyperbola1, 1.0, np.array([0.4]))
-        assert local_graph(hyperbola1, p, np.array([0.0])) == pytest.approx(0.0, abs=1e-12)
+        assert self.height(hyperbola1, p, np.array([0.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_paraboloid_vertex(self, paraboloid2):
         p = point_on_level(paraboloid2, 0.0, np.zeros(2))
-        assert local_graph(paraboloid2, p, np.array([0.3, 0.4])) == pytest.approx(0.25)
+        assert self.height(paraboloid2, p, np.array([0.3, 0.4])) == pytest.approx(0.25)
 
     def test_gradient_vanishes_at_origin(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.array([0.3, -0.2]))
@@ -160,7 +163,7 @@ class TestLocalGraph:
     def test_escape_raises(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
         with pytest.raises(RegionError):
-            local_graph(unit_sphere2, p, np.array([1.2, 0.0]))
+            self.height(unit_sphere2, p, np.array([1.2, 0.0]))
 
 
 class TestParallelTangent:
