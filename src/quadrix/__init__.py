@@ -15,6 +15,7 @@ from .characterize import (
     check_invariant_constancy,
     classify,
     determinant_identity_residual,
+    evaluate_cells,
     sample_points,
 )
 from .errors import (

@@ -20,7 +20,7 @@ from scipy.stats import qmc
 
 from .errors import QuadrixError
 from .funcspec import FunctionSpec, QuadraticForm, eval_jet2
-from .measure import QuadratureSettings, starred_measures
+from .measure import QuadratureSettings, StarredMeasures, starred_measures
 from .quadrics import invariant_constant
 from .surface import LevelFamily, SurfacePoint, curvature_invariant, point_on_level
 
@@ -30,6 +30,7 @@ __all__ = [
     "Classification",
     "ClassifyConfig",
     "sample_points",
+    "evaluate_cells",
     "check_condition",
     "check_invariant_constancy",
     "check_det_hessian",
@@ -172,6 +173,74 @@ def sample_points(
     return points
 
 
+def evaluate_cells(
+    family: LevelFamily,
+    points: list[SurfacePoint],
+    offsets,
+    settings: QuadratureSettings | None = None,
+    want: tuple[str, ...] = ("area", "volume", "lateral"),
+) -> list[list[StarredMeasures | str]]:
+    """starred_measures on every (point, offset) cell, each cell solved once.
+
+    Returns a points x offsets table; entry [i][j] is the StarredMeasures
+    of point i at offset j, or the message of the QuadrixError it raised.
+    """
+    table = []
+    for p in points:
+        row: list[StarredMeasures | str] = []
+        for h in offsets:
+            try:
+                row.append(starred_measures(family, p, h, settings, want=want))
+            except QuadrixError as exc:
+                row.append(str(exc))
+        table.append(row)
+    return table
+
+
+_MEASURE_OF = {"Vstar": "volume", "Astar": "area", "Sstar": "lateral"}
+
+
+def _starred_report(condition, k, offsets, points, cells, threshold) -> ConstancyReport:
+    """ConstancyReport of one starred condition, read off an evaluate_cells table."""
+    measure_of = _MEASURE_OF[condition]
+    values = np.full((len(points), len(offsets)), np.nan)
+    errors_rel = np.full_like(values, np.nan)
+    cell_errors: list[str] = []
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            if isinstance(cell, str):
+                cell_errors.append(f"point {i}, h={offsets[j]:.6g}: {cell}")
+                continue
+            res = getattr(cell, measure_of)
+            norm = 1.0 if condition == "Vstar" else cell.grad_norm
+            values[i, j] = res.value / norm
+            errors_rel[i, j] = res.error_estimate / abs(res.value) if res.value else np.inf
+
+    for j, h in enumerate(offsets):
+        if np.sum(np.isfinite(values[:, j])) < 2:
+            raise QuadrixError(
+                f"fewer than 2 points survived at h={h:.6g}: " + "; ".join(cell_errors)
+            )
+
+    valid_err = errors_rel[np.isfinite(errors_rel)]
+    eff_threshold = threshold
+    if valid_err.size:
+        eff_threshold = max(threshold, 5.0 * float(np.median(valid_err)))
+    spreads = [_column_spread(values[:, j]) for j in range(len(offsets))]
+    return ConstancyReport(
+        condition=condition,
+        level=k,
+        offsets=offsets,
+        points=[p.x.tolist() for p in points],
+        values=values,
+        value_errors=errors_rel,
+        spreads=spreads,
+        verdict=_verdict(spreads, eff_threshold),
+        threshold=eff_threshold,
+        errors=cell_errors,
+    )
+
+
 def check_condition(
     family: LevelFamily,
     k: float,
@@ -187,53 +256,15 @@ def check_condition(
     by |grad g(p)| first.  The decision threshold is inflated by quadrature
     error: max(threshold, 5 * median relative error estimate).
     """
-    if condition not in ("Vstar", "Astar", "Sstar"):
+    if condition not in _MEASURE_OF:
         raise ValueError(f"condition must be a starred condition, got {condition!r}")
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
         raise ValueError("h_grid must be nonempty")
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-
-    measure_of = {"Vstar": "volume", "Astar": "area", "Sstar": "lateral"}[condition]
-    values = np.full((len(points), len(h_grid)), np.nan)
-    errors_rel = np.full_like(values, np.nan)
-    cell_errors: list[str] = []
-    for i, p in enumerate(points):
-        for j, h in enumerate(h_grid):
-            try:
-                sm = starred_measures(family, p, h, settings, want=(measure_of,))
-            except QuadrixError as exc:
-                cell_errors.append(f"point {i}, h={h:.6g}: {exc}")
-                continue
-            res = getattr(sm, measure_of)
-            norm = 1.0 if condition == "Vstar" else sm.grad_norm
-            values[i, j] = res.value / norm
-            errors_rel[i, j] = res.error_estimate / abs(res.value) if res.value else np.inf
-
-    for j, h in enumerate(h_grid):
-        if np.sum(np.isfinite(values[:, j])) < 2:
-            raise QuadrixError(
-                f"fewer than 2 points survived at h={h:.6g}: " + "; ".join(cell_errors)
-            )
-
-    valid_err = errors_rel[np.isfinite(errors_rel)]
-    eff_threshold = threshold
-    if valid_err.size:
-        eff_threshold = max(threshold, 5.0 * float(np.median(valid_err)))
-    spreads = [_column_spread(values[:, j]) for j in range(len(h_grid))]
-    return ConstancyReport(
-        condition=condition,
-        level=k,
-        offsets=h_grid,
-        points=[p.x.tolist() for p in points],
-        values=values,
-        value_errors=errors_rel,
-        spreads=spreads,
-        verdict=_verdict(spreads, eff_threshold),
-        threshold=eff_threshold,
-        errors=cell_errors,
-    )
+    cells = evaluate_cells(family, points, h_grid, settings, want=(_MEASURE_OF[condition],))
+    return _starred_report(condition, k, h_grid, points, cells, threshold)
 
 
 def check_invariant_constancy(
@@ -410,7 +441,10 @@ def classify(family: LevelFamily, k_list, config: ClassifyConfig | None = None) 
     A positive verdict needs the curvature invariant and both starred
     conditions (cap volume, normalized section area) constant at every
     level, together with the matching normal form (alpha, sign).  The
-    normalized lateral area is never used as positive evidence.
+    normalized lateral area is never used as positive evidence.  Both
+    starred reports of a level are read off one evaluate_cells table, so
+    each (point, offset) cell is solved once and a failed cell counts
+    against both.
     """
     config = config or ClassifyConfig()
     k_list = [float(k) for k in k_list]
@@ -436,13 +470,11 @@ def classify(family: LevelFamily, k_list, config: ClassifyConfig | None = None) 
         verdicts.append(inv.verdict)
         if inv.matched_constant is not None:
             matched[k] = inv.matched_constant
-        offsets = list(config.offsets) if config.offsets else default_offsets(family, k)
+        offsets = [float(h) for h in (config.offsets or default_offsets(family, k))]
+        cells = evaluate_cells(family, points, offsets, config.settings, want=("volume", "area"))
         for condition in ("Vstar", "Astar"):
             try:
-                rep = check_condition(
-                    family, k, condition, offsets, points,
-                    settings=config.settings, threshold=config.threshold,
-                )
+                rep = _starred_report(condition, k, offsets, points, cells, config.threshold)
             except QuadrixError as exc:
                 reasons.append(f"k={k:.6g} {condition}: {exc}")
                 had_errors = True

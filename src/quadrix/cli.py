@@ -18,9 +18,7 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,12 +30,13 @@ from .characterize import (
     check_condition,
     classify,
     determinant_identity_residual,
+    evaluate_cells,
     sample_coordinates,
     sample_points,
 )
 from .errors import BranchError, ConfigError, ConvexityError, QuadrixError
 from .funcspec import PerturbedQuadratic, QuadraticForm, parse_expression
-from .measure import QuadratureSettings, section_area, cap_volume, derivative_check, starred_measures
+from .measure import QuadratureSettings, section_area, cap_volume, derivative_check
 from .quadrics import (
     invariant_constant,
     mean_value_ratio,
@@ -96,7 +95,7 @@ def _build_family(cfg: dict) -> LevelFamily:
         raise ConfigError(f"bad family config: {exc}") from exc
 
 
-_QUADRATURE_KEYS = ("directions", "mc_samples", "target_rel_error")
+_QUADRATURE_KEYS = ("directions", "target_rel_error")
 
 
 def _build_settings(cfg: dict, seed_override: int | None) -> QuadratureSettings:
@@ -117,7 +116,6 @@ def _build_settings(cfg: dict, seed_override: int | None) -> QuadratureSettings:
         target = q.get("target_rel_error")
         return QuadratureSettings(
             directions=q.get("directions"),
-            mc_samples=int(q.get("mc_samples", 1 << 16)),
             seed=seed,
             target_rel_error=float(target) if target is not None else None,
         )
@@ -155,22 +153,8 @@ def _offsets(cfg: dict) -> list[float] | None:
     return [float(h) for h in off]
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("QUADRIX_JOBS")
-    return max(1, int(env)) if env else 1
-
-
-def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 class _Output:
-    """Write to --out / config output path, or stdout; single-threaded, ordered."""
+    """Write to --out / config output path, or stdout."""
 
     def __init__(self, args, cfg):
         self.path = args.out or cfg.get("output", {}).get("path")
@@ -236,23 +220,16 @@ def cmd_curvature(args) -> int:
     return 0
 
 
-def _measure_rows(family, levels, offsets, cfg, settings, jobs):
-    tasks = []
-    for k in levels:
-        points = sample_points(family, k, _point_count(cfg), settings.seed, _sample_box(cfg))
-        for h in offsets:
-            for p in points:
-                tasks.append((k, h, p))
-
-    def run(task):
-        k, h, p = task
-        try:
-            sm = starred_measures(family, p, h, settings)
-        except QuadrixError as exc:
-            return (k, h, None, p, str(exc))
-        return (k, h, sm, p, "")
-
-    return _pmap(run, tasks, jobs)
+def _cell_fields(cell) -> list[str]:
+    """The t, Vstar, Vstar_err, ..., Sstar_err columns of one cell; blank if it failed."""
+    if isinstance(cell, str):
+        return [""] * 7
+    return [
+        _fmt(cell.t),
+        _fmt(cell.volume.value), _fmt(cell.volume.error_estimate),
+        _fmt(cell.area.value), _fmt(cell.area.error_estimate),
+        _fmt(cell.lateral.value), _fmt(cell.lateral.error_estimate),
+    ]
 
 
 def cmd_measures(args) -> int:
@@ -261,28 +238,29 @@ def cmd_measures(args) -> int:
     if not offsets:
         raise ConfigError("measures needs a nonempty offsets list")
     try:
-        rows = _measure_rows(family, levels, offsets, cfg, settings, _jobs(args))
+        level_points = [
+            (k, sample_points(family, k, _point_count(cfg), settings.seed, _sample_box(cfg)))
+            for k in levels
+        ]
     except QuadrixError as exc:  # e.g. fewer than 2 admissible points in the box
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    failures = sum(1 for r in rows if r[2] is None)
+    rows = []  # (k, h, point) order: each level's table read transposed
+    for k, points in level_points:
+        cells = evaluate_cells(family, points, offsets, settings)
+        rows += [(k, h, row[j]) for j, h in enumerate(offsets) for row in cells]
     with _Output(args, cfg) as fh:
         _emit_header(fh, cfg, settings.seed)
         writer = csv.writer(fh)
         writer.writerow(
             "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err grad_norm seed error".split()
         )
-        for k, h, sm, p, err in rows:
-            if sm is None:
-                writer.writerow([_fmt(k), _fmt(h)] + [""] * 8 + [str(settings.seed), err])
-            else:
-                writer.writerow([
-                    _fmt(k), _fmt(h), _fmt(sm.t),
-                    _fmt(sm.volume.value), _fmt(sm.volume.error_estimate),
-                    _fmt(sm.area.value), _fmt(sm.area.error_estimate),
-                    _fmt(sm.lateral.value), _fmt(sm.lateral.error_estimate),
-                    _fmt(sm.grad_norm), str(settings.seed), "",
-                ])
+        for k, h, cell in rows:
+            failed = isinstance(cell, str)
+            writer.writerow([_fmt(k), _fmt(h)] + _cell_fields(cell) + [
+                "" if failed else _fmt(cell.grad_norm), str(settings.seed), cell if failed else "",
+            ])
+    failures = sum(1 for *_, cell in rows if isinstance(cell, str))
     return 1 if rows and failures == len(rows) else 0
 
 
@@ -319,34 +297,20 @@ def cmd_sweep(args) -> int:
     if not offsets:
         raise ConfigError("sweep needs a nonempty offsets list")
     x = np.asarray(cfg.get("sweep", {}).get("x", [0.0] * family.n), dtype=float)
-
-    tasks = [(k, h) for k in levels for h in offsets]
-
-    def run(task):
-        k, h = task
+    rows = []
+    for k in levels:
         try:
-            p = point_on_level(family, k, x)
-            sm = starred_measures(family, p, h, settings)
-        except QuadrixError as exc:
-            return (k, h, None, str(exc))
-        return (k, h, sm, "")
-
-    rows = _pmap(run, tasks, _jobs(args))
+            cells = evaluate_cells(family, [point_on_level(family, k, x)], offsets, settings)[0]
+        except QuadrixError as exc:  # the lift failed: every offset row carries it
+            cells = [str(exc)] * len(offsets)
+        rows += [(k, h, cell) for h, cell in zip(offsets, cells)]
     with _Output(args, cfg) as fh:
         _emit_header(fh, cfg, settings.seed)
         writer = csv.writer(fh)
         writer.writerow("k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err error".split())
-        for k, h, sm, err in rows:
-            if sm is None:
-                writer.writerow([_fmt(k), _fmt(h)] + [""] * 7 + [err])
-            else:
-                writer.writerow([
-                    _fmt(k), _fmt(h), _fmt(sm.t),
-                    _fmt(sm.volume.value), _fmt(sm.volume.error_estimate),
-                    _fmt(sm.area.value), _fmt(sm.area.error_estimate),
-                    _fmt(sm.lateral.value), _fmt(sm.lateral.error_estimate),
-                    "",
-                ])
+        for k, h, cell in rows:
+            writer.writerow([_fmt(k), _fmt(h)] + _cell_fields(cell) +
+                            [cell if isinstance(cell, str) else ""])
     return 0
 
 
@@ -452,7 +416,11 @@ def _suite_scaling(settings, report):
     family = LevelFamily(QuadraticForm((1.0, 1.0)), alpha=1.0, sign="minus")
     p = point_on_level(family, 1.0, np.zeros(2))
     hs = [2.0 ** -j for j in range(1, 7)]
-    vols = [starred_measures(family, p, h, settings).volume.value for h in hs]
+    cells = evaluate_cells(family, [p], hs, settings)[0]
+    failed = [cell for cell in cells if isinstance(cell, str)]
+    if failed:
+        return report("scaling/cells", False, failed[0])
+    vols = [cell.volume.value for cell in cells]
     slope, intercept = np.polyfit(np.log(hs), np.log(vols), 1)
     gamma2 = paraboloid_starred((1.0, 1.0), 1.0, 1.0)[0]
     ok = report("scaling/slope", abs(slope - 2.0) <= 0.01, f"slope={slope:.5f}")
@@ -500,8 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=needs_config, help="path to the JSON run config")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="output path (default: config output.path or stdout)")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="worker threads (default: QUADRIX_JOBS or 1)")
         sp.set_defaults(fn=fn)
     return parser
 

@@ -32,7 +32,6 @@ __all__ = [
     "parse_expression",
     "eval_jet2",
     "eval_value_grad",
-    "to_source",
 ]
 
 
@@ -310,19 +309,6 @@ def parse_expression(source: str, n: int) -> ExpressionSpec:
         raise ParseError("empty expression", 0)
     root = _Parser(tokens, n, len(source)).parse()
     return ExpressionSpec(n=n, source=source, root=root)
-
-
-def to_source(node) -> str:
-    """Print a tree back to parseable infix form (fully parenthesized)."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index + 1}"
-    if isinstance(node, Neg):
-        return f"(-{to_source(node.arg)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({to_source(node.arg)})"
-    return f"({to_source(node.lhs)} {node.op} {to_source(node.rhs)})"
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ direction set and the radial gap |K15 - G7|, where G7 is the Gauss rule
 embedded in the same nodes, so it costs no extra height solve.  A seeded
 rejection Monte Carlo integrator with a different failure profile is kept
 as an independent oracle.  Partial sums reduce in a fixed order, so results
-are bit-stable for a given seed regardless of how callers parallelize over
-measures.
+are bit-stable for a given seed.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, ConvexityError, QuadrixError, RegionError, TangencyError
+from .errors import BranchError, ConvexityError, RegionError, TangencyError
 from .funcspec import FunctionSpec, Jet2, QuadraticForm, eval_jet2, eval_value_grad
 
 __all__ = [
@@ -359,12 +359,6 @@ class LocalChart:
         denom = grad @ self.normal
         return -(grad @ self.frame) / denom[:, None]
 
-    def height_and_gradient(self, Y: np.ndarray):
-        """w and its exact chart gradient, via implicit differentiation."""
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        w = self.height(Y)
-        return w, self.gradient_at(Y, w)
-
     def boundary_radius(self, U: np.ndarray, t: float) -> np.ndarray:
         """Radii rho with w(rho u) = t, solved on the section plane itself.
 
@@ -552,53 +546,20 @@ def parallel_tangent(family: LevelFamily, p: SurfacePoint, h: float) -> Tangency
 def offset_map_h(family: LevelFamily, p: SurfacePoint, t: float) -> float:
     """Level offset h(t) reached at normal distance t from p (h(0) = 0).
 
-    Closed form for alpha = 2 diagonal quadratic families, where
-    h = |grad g|^2 t^2 / (4k) +/- |grad g| t with the sign of the family;
-    otherwise computed by inverting the parallel-tangent distance t(h).
+    Closed form for alpha = 2 diagonal quadratic families:
+    h = |grad g|^2 t^2 / (4k) +/- |grad g| t with the sign of the family.
     """
+    if family.alpha != 2.0 or not isinstance(family.f, QuadraticForm):
+        raise ValueError("offset map applies to alpha = 2 diagonal quadratic families")
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return 0.0
     gnorm = p.grad_norm
-
-    if family.alpha == 2.0 and isinstance(family.f, QuadraticForm):
-        k = p.k
-        if family.sign == "minus":
-            return gnorm ** 2 * t ** 2 / (4.0 * k) + gnorm * t
-        tmax = 2.0 * k / gnorm
-        if t >= tmax:
-            raise RegionError(f"t={t:.6g} beyond the admissible range (max {tmax:.6g})")
-        return gnorm ** 2 * t ** 2 / (4.0 * k) - gnorm * t
-
-    sgn = offset_sign(p)
-
-    def t_of(mu: float) -> float:
-        return parallel_tangent(family, p, sgn * mu).t
-
-    # bracket the monotone map t(|h|) around the first-order guess
-    mu_lo, t_lo = 0.0, 0.0
-    mu = gnorm * t
-    mu_bad = None
-    mu_hi = None
-    for _ in range(200):
-        try:
-            tv = t_of(mu)
-        except QuadrixError:
-            mu_bad = mu
-            mu = 0.5 * (mu_lo + mu)
-            continue
-        if tv >= t:
-            mu_hi = mu
-            break
-        mu_lo, t_lo = mu, tv
-        mu = 2.0 * mu if mu_bad is None else 0.5 * (mu + mu_bad)
-        if mu_bad is not None and mu_bad - mu_lo <= 1e-13 * (1.0 + mu_bad):
-            break
-    if mu_hi is None:
-        raise RegionError(f"t={t:.6g} beyond the admissible offset range for this family")
-
-    from scipy.optimize import brentq
-
-    mu_star = brentq(lambda m: t_of(m) - t, mu_lo, mu_hi, xtol=1e-15, rtol=8.9e-16)
-    return float(sgn * mu_star)
+    k = p.k
+    if family.sign == "minus":
+        return gnorm ** 2 * t ** 2 / (4.0 * k) + gnorm * t
+    tmax = 2.0 * k / gnorm
+    if t >= tmax:
+        raise RegionError(f"t={t:.6g} beyond the admissible range (max {tmax:.6g})")
+    return gnorm ** 2 * t ** 2 / (4.0 * k) - gnorm * t

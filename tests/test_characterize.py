@@ -12,6 +12,7 @@ from quadrix import (
     check_invariant_constancy,
     classify,
     determinant_identity_residual,
+    measure,
     parse_expression,
     point_on_level,
     sample_points,
@@ -195,6 +196,39 @@ class TestClassify:
         assert r1.verdict == r2.verdict
         for a, b in zip(r1.evidence, r2.evidence):
             assert a.spreads == b.spreads
+
+    def test_one_tangent_solve_per_cell(self, monkeypatch):
+        solves = []
+        solve = measure.parallel_tangent
+
+        def counting(family, p, h):
+            solves.append((p.k, tuple(p.x), h))
+            return solve(family, p, h)
+
+        monkeypatch.setattr(measure, "parallel_tangent", counting)
+        config = ClassifyConfig(point_count=3, seed=99)
+        result = classify(trio()["elliptic_hyperboloid"], [0.5, 1.0, 2.0], config)
+        cells = sum(rep.values.size for rep in result.evidence if rep.condition == "Vstar")
+        assert cells == 3 * 3 * 2  # levels x points x default offsets
+        assert len(solves) == len(set(solves)) == cells
+
+    @pytest.mark.parametrize("family", [
+        trio()["elliptic_hyperboloid"],
+        LevelFamily(PerturbedQuadratic((1.0, 1.0), 0.2, "quartic"), 2.0, "minus"),
+    ], ids=["quadric", "perturbed"])
+    def test_starred_evidence_matches_check_condition(self, family):
+        config = ClassifyConfig(point_count=4, seed=99)
+        result = classify(family, [0.5, 1.0], config)
+        starred = [rep for rep in result.evidence if rep.condition in ("Vstar", "Astar")]
+        assert [rep.condition for rep in starred] == ["Vstar", "Astar"] * 2
+        for rep in starred:
+            points = sample_points(family, rep.level, 4, 99)
+            ref = check_condition(family, rep.level, rep.condition, rep.offsets, points,
+                                  config.settings, config.threshold)
+            assert np.array_equal(rep.values, ref.values, equal_nan=True)
+            assert np.array_equal(rep.value_errors, ref.value_errors, equal_nan=True)
+            assert rep.threshold == ref.threshold
+            assert rep.verdict == ref.verdict
 
     def test_monotone_sensitivity_in_perturbation(self):
         # spread of the cap-volume condition grows with the quartic knob

@@ -4,7 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from quadrix.cli import main
+from quadrix import (
+    LevelFamily,
+    QuadraticForm,
+    QuadratureSettings,
+    point_on_level,
+    sample_points,
+    starred_measures,
+)
+from quadrix.cli import _fmt, main
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -30,19 +38,20 @@ def header_lines(path):
     return [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
 
 
+def cell_columns(sm):
+    """The t, Vstar, Vstar_err, ..., Sstar_err columns a CSV row should carry for sm."""
+    return [_fmt(v) for v in (
+        sm.t, sm.volume.value, sm.volume.error_estimate, sm.area.value,
+        sm.area.error_estimate, sm.lateral.value, sm.lateral.error_estimate,
+    )]
+
+
 class TestMeasures:
     def test_reproducible_bytes(self, tmp_path):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
         assert main(["measures", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["measures", "--config", str(cfg), "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out1, out2 = tmp_path / "j1.csv", tmp_path / "j4.csv"
-        assert main(["measures", "--config", str(cfg), "--out", str(out1), "--jobs", "1"]) == 0
-        assert main(["measures", "--config", str(cfg), "--out", str(out2), "--jobs", "4"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_header_metadata_and_columns(self, tmp_path):
@@ -76,13 +85,21 @@ class TestMeasures:
         cfg = write_config(tmp_path, offsets=[])
         assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
 
-    def test_jobs_env_fallback(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        ref, out = tmp_path / "ref.csv", tmp_path / "env.csv"
-        main(["measures", "--config", str(cfg), "--out", str(ref)])
-        monkeypatch.setenv("QUADRIX_JOBS", "3")
+    def test_rows_in_level_offset_point_order(self, tmp_path):
+        cfg = write_config(tmp_path, levels=[0.5, 1.0], points={"count": 3, "seed": 4242})
+        out = tmp_path / "m.csv"
         assert main(["measures", "--config", str(cfg), "--out", str(out)]) == 0
-        assert out.read_bytes() == ref.read_bytes()
+        family = LevelFamily(QuadraticForm((1.0, 2.0)), 2.0, "minus")
+        settings = QuadratureSettings(directions=256, seed=4242)
+        expected = []
+        for k in (0.5, 1.0):
+            points = sample_points(family, k, 3, 4242)
+            for h in (0.5, 1.0):
+                for p in points:
+                    sm = starred_measures(family, p, h, settings)
+                    expected.append([_fmt(k), _fmt(h)] + cell_columns(sm) +
+                                    [_fmt(sm.grad_norm), "4242", ""])
+        assert [list(row.values()) for row in read_rows(out)] == expected
 
     def test_partial_failures_keep_exit_zero(self, tmp_path):
         # one offset lies outside the admissible interval of the plus family
@@ -222,6 +239,27 @@ class TestSweep:
         cfg = write_config(tmp_path, offsets=[])
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_rows_match_direct_cells_and_carry_lift_errors(self, tmp_path):
+        # x = (0.8, 0) lies outside the unit-sphere family's level k = 0.5
+        cfg = write_config(
+            tmp_path,
+            family={"alpha": 2, "sign": "plus", "f": {"kind": "quadratic", "a": [1, 1]}},
+            levels=[0.5, 1.0],
+            offsets=[-0.1, -0.2],
+            sweep={"x": [0.8, 0.0]},
+        )
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [list(row.values()) for row in read_rows(out)]
+        assert [row[:2] for row in rows] == [[_fmt(k), _fmt(h)] for k in (0.5, 1.0)
+                                             for h in (-0.1, -0.2)]
+        assert rows[0][-1] and rows[0][2:] == rows[1][2:] == [""] * 7 + [rows[0][-1]]
+        family = LevelFamily(QuadraticForm((1.0, 1.0)), 2.0, "plus")
+        p = point_on_level(family, 1.0, np.array([0.8, 0.0]))
+        settings = QuadratureSettings(directions=256, seed=4242)
+        for row, h in zip(rows[2:], (-0.1, -0.2)):
+            assert row[2:] == cell_columns(starred_measures(family, p, h, settings)) + [""]
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("command", ["measures", "sweep", "classify"])
@@ -249,14 +287,18 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith("config error: bad points.count")
         assert not (tmp_path / "x.out").exists()
 
-    @pytest.mark.parametrize("command", ["measures", "verify"])
-    def test_unknown_quadrature_key_is_config_error(self, tmp_path, capsys, command):
-        # the radial rule is fixed, so radial_order is not a setting
-        cfg = write_config(tmp_path, quadrature={"directions": 256, "radial_order": 16})
+    # the radial rule is fixed, so radial_order is not a setting, and no
+    # command reaches the Monte Carlo integrator, so neither is mc_samples
+    @pytest.mark.parametrize("command, key", [
+        ("measures", "radial_order"), ("verify", "radial_order"),
+        ("measures", "mc_samples"), ("verify", "mc_samples"),
+    ], ids=["measures", "verify", "measures-mc_samples", "verify-mc_samples"])
+    def test_unknown_quadrature_key_is_config_error(self, tmp_path, capsys, command, key):
+        cfg = write_config(tmp_path, quadrature={"directions": 256, key: 16})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: bad quadrature config: unknown keys")
-        assert "radial_order" in err[0]
+        assert key in err[0]
         assert not (tmp_path / "x.out").exists()
 
 

@@ -15,7 +15,6 @@ from quadrix import (
     eval_value_grad,
     parse_expression,
 )
-from quadrix.funcspec import to_source
 
 
 def test_parse_quadratic_equivalent():
@@ -158,21 +157,6 @@ def test_hessian_symmetric_exactly():
     spec = parse_expression("exp(x1 * x2) + x1^3 * x2^2", 2)
     jet = eval_jet2(spec, np.array([0.7, -0.3]))
     assert np.array_equal(jet.hessian, jet.hessian.T)
-
-
-@pytest.mark.parametrize(
-    "source",
-    ["x1^2 + x2^2", "exp(x1) * x2 - 1", "cosh(x1 - x2) / (x1^2 + 2)", "-x1^3 + sqrt(x2^2 + 1)"],
-)
-def test_parse_print_parse_round_trip(source):
-    spec = parse_expression(source, 2)
-    reparsed = parse_expression(to_source(spec.root), 2)
-    rng = np.random.default_rng(7)
-    xs = rng.uniform(-2.0, 2.0, size=(100, 2))
-    v1, g1 = eval_value_grad(spec, xs)
-    v2, g2 = eval_value_grad(reparsed, xs)
-    assert np.array_equal(v1, v2)
-    assert np.array_equal(g1, g2)
 
 
 @pytest.mark.parametrize(

@@ -153,7 +153,8 @@ class TestLocalGraph:
     def test_gradient_vanishes_at_origin(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.array([0.3, -0.2]))
         chart = LocalChart(unit_sphere2, p)
-        _, gw = chart.height_and_gradient(np.zeros((1, 2)))
+        Y = np.zeros((1, 2))
+        gw = chart.gradient_at(Y, chart.height(Y))
         assert np.max(np.abs(gw)) <= 1e-9
 
     def test_trust_radius_from_largest_curvature(self, unit_sphere2):
@@ -236,11 +237,14 @@ class TestOffsetMap:
                 t = parallel_tangent(family, p, h).t
                 assert offset_map_h(family, p, t) == pytest.approx(h, rel=1e-8)
 
-    def test_numeric_path_round_trip(self):
-        family = LevelFamily(PerturbedQuadratic((1.0, 1.0), 0.2, "quartic"), 2.0, "minus")
+    @pytest.mark.parametrize("family", [
+        LevelFamily(PerturbedQuadratic((1.0, 1.0), 0.2, "quartic"), 2.0, "minus"),
+        LevelFamily(QuadraticForm((1.0, 1.0)), 1.0, "minus"),
+    ], ids=["perturbed", "paraboloid"])
+    def test_other_families_rejected(self, family):
         p = point_on_level(family, 1.0, np.array([0.5, 0.2]))
-        t = parallel_tangent(family, p, 0.7).t
-        assert offset_map_h(family, p, t) == pytest.approx(0.7, rel=1e-8)
+        with pytest.raises(ValueError, match="diagonal quadratic"):
+            offset_map_h(family, p, 0.1)
 
     def test_plus_family_beyond_range(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
