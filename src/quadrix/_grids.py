@@ -1,8 +1,13 @@
-"""Deterministic quadrature grids: sphere direction sets and the radial rule.
+"""Deterministic quadrature grids: Halton sets, sphere direction sets and the radial rule.
+
+`halton` is a numpy radical-inverse Halton set, plain or scrambled with
+Owen's random digit permutations (arXiv:1706.02808); it equals
+`scipy.stats.qmc.Halton` bit for bit without loading scipy.stats.
 
 Direction sets are low-discrepancy and fully deterministic (no RNG):
 the two-point set on S^0, uniform angles on S^1, a Fibonacci lattice on
-S^2 and a Halton-Gaussian construction for higher spheres.  Interleaved
+S^2 and a Halton-Gaussian construction for higher spheres.  Each set is
+built once per process and shared read-only.  Interleaved
 even/odd halves of every set are themselves well distributed, which is
 what the paired error estimates rely on.  The radial rule is the G7/K15
 Gauss-Kronrod pair, whose embedded Gauss rule gives the radial error
@@ -11,12 +16,16 @@ estimate without evaluating any further node.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
-from scipy.stats import norm, qmc
 
 DEFAULT_DIRECTIONS = {1: 2, 2: 256, 3: 4096, 4: 8192, 5: 16384, 6: 16384}
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+_PRIMES = (2, 3, 5, 7, 11, 13)
 
 # G7/K15 Gauss-Kronrod pair on [-1, 1] (Piessens et al., QUADPACK, 1983),
 # the nonnegative half, largest node first; every second Kronrod node,
@@ -53,8 +62,38 @@ def default_direction_count(n: int) -> int:
     return DEFAULT_DIRECTIONS[n]
 
 
+def halton(n: int, count: int, seed: int | None = None) -> np.ndarray:
+    """The first count points of the n-dimensional Halton set, shape (count, n).
+
+    With a seed, each digit of each coordinate goes through its own random
+    permutation of the base's digits, drawn in scipy's order from
+    `np.random.default_rng(seed)`.  Digits are summed in scipy's order too,
+    which is what makes the points equal bit for bit.
+    """
+    rng = None if seed is None else np.random.default_rng(seed)
+    out = np.zeros((n, count))
+    for d, base in enumerate(_PRIMES[:n]):
+        if rng is None:  # identity permutations, as many digits as count - 1 has
+            perms = [np.arange(base)] * next(k for k in range(64) if base ** k >= count)
+        else:  # scipy draws every permutation of a base before the next base's
+            perms = [rng.permutation(base) for _ in range(math.ceil(54 / math.log2(base)) - 1)]
+        quotient, scale = np.arange(count), 1.0 / base
+        for perm in perms:
+            out[d] += perm[quotient % base] * scale
+            quotient //= base
+            scale /= base
+    return out.T
+
+
 def sphere_directions(n: int, count: int) -> np.ndarray:
-    """count unit vectors spread over S^{n-1}, shape (count, n)."""
+    """count unit vectors spread over S^{n-1}, shape (count, n), read-only."""
+    u = _sphere_set(n, count)
+    u.setflags(write=False)  # one array per (n, count) is shared by every caller
+    return u
+
+
+@lru_cache(maxsize=32)
+def _sphere_set(n: int, count: int) -> np.ndarray:
     if n == 1:
         return np.array([[1.0], [-1.0]])
     if n == 2:
@@ -66,10 +105,12 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
         phi = 2.0 * np.pi * i / _GOLDEN
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    sampler = qmc.Halton(d=n, scramble=False)
-    u = sampler.random(count + 1)[1:]  # drop the origin-adjacent first point
+    from scipy.special import ndtri  # equals norm.ppf, without loading scipy.stats
+
+    u = halton(n, count + 1)[1:]  # drop the origin-adjacent first point
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    gauss = norm.ppf(u)
+    # C order, as norm.ppf returned it: the layout sets the rounding of later products
+    gauss = np.ascontiguousarray(ndtri(u))
     return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
 
 

@@ -16,8 +16,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
+from ._grids import halton
 from .errors import QuadrixError
 from .funcspec import FunctionSpec, QuadraticForm, eval_jet2
 from .measure import QuadratureSettings, StarredMeasures, starred_measures
@@ -126,8 +126,7 @@ def _normalize_box(box, n: int) -> list[tuple[float, float]]:
 def sample_coordinates(n: int, count: int, seed: int, box=None) -> np.ndarray:
     """Seeded low-discrepancy base coordinates in the box, shape (count, n)."""
     ranges = _normalize_box(box, n)
-    sampler = qmc.Halton(d=n, scramble=True, seed=seed)
-    raw = sampler.random(count)
+    raw = halton(n, count, seed)
     lo = np.array([r[0] for r in ranges])
     hi = np.array([r[1] for r in ranges])
     return lo + raw * (hi - lo)

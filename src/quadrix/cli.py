@@ -362,6 +362,8 @@ def _suite_derivative(settings, report):
         t = 0.2 + 0.1 * (i % 4) / 4.0
         if family.sign == "plus":
             t = min(t, 0.25)
+        elif name == "elliptic_paraboloid":  # its chart folds from t of about 0.163
+            t = min(t, 0.15)
         worst = max(worst, derivative_check(family, p, t, 1e-3, settings))
     ok &= report("derivative/max_ratio", worst <= 1e-3, f"max={worst:.2e} tol=1e-3")
     return ok
@@ -443,7 +445,10 @@ def cmd_verify(args) -> int:
 
     for suite in (_suite_invariant, _suite_determinant, _suite_lemma7,
                   _suite_derivative, _suite_scaling, _suite_refutation):
-        suite(settings, report)
+        try:
+            suite(settings, report)
+        except QuadrixError as exc:  # e.g. a fixture region that crosses a chart fold
+            report(suite.__name__.removeprefix("_suite_"), False, str(exc))
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing checks")
     return 1 if failures else 0
 

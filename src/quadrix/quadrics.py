@@ -8,7 +8,9 @@ that quantifies why normalized lateral area is never point-independent on
 the hyperboloid family.
 
 Every function here is an oracle: independent of the generic quadrature
-engine except for the deterministic grids it shares with it.
+engine except for the deterministic grids it shares with it.  The 1-D
+integrals use scipy's adaptive `quad`, imported on first use so that
+loading quadrix does not load scipy.integrate.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from math import gamma, pi, sqrt
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from ._grids import default_direction_count, sphere_directions
 
@@ -80,6 +81,8 @@ def hyperboloid_cap_volume(a, k: float, h: float) -> float:
     """
     if k <= 0 or h <= 0:
         raise ValueError("hyperboloid caps need k > 0 and h > 0")
+    from scipy.integrate import quad
+
     n = len(a)
     integral, _ = quad(
         lambda r: sqrt(r * r + k) * r ** (n - 1), 0.0, sqrt(h),
@@ -116,6 +119,8 @@ def _spherical_cap_volume(n: int, radius: float, height: float) -> float:
     """Volume of a height-`height` cap of the ball of given radius in R^{n+1}."""
     if not (0.0 <= height <= 2.0 * radius):
         raise ValueError("cap height must lie in [0, 2R]")
+    from scipy.integrate import quad
+
     omega = unit_ball_volume(n)
     val, _ = quad(
         lambda z: omega * (radius * radius - z * z) ** (n / 2.0),
@@ -298,6 +303,8 @@ def mean_H_over_domain(
     dom = refutation_domain(q, k, h)
     n = dom.q.shape[0]
     if n == 1:
+        from scipy.integrate import quad
+
         val, _ = quad(
             lambda s: refutation_H(np.array([[dom.center[0] + s * dom.semi_axes[0]]]), a, k)[0],
             -1.0, 1.0, epsabs=_QUAD_TOL, epsrel=1e-10,

@@ -8,10 +8,12 @@ from quadrix import (
     LevelFamily,
     QuadraticForm,
     QuadratureSettings,
+    RegionError,
     point_on_level,
     sample_points,
     starred_measures,
 )
+from quadrix import cli
 from quadrix.cli import _fmt, main
 
 
@@ -323,3 +325,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 20
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_seeds_near_the_paraboloid_fold(self, seed, capsys):
+        # these seeds once drew derivative sections across the paraboloid's chart fold
+        assert main(["verify", "--seed", seed]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "OK: 0 failing checks"
+
+    def test_suite_error_is_one_fail_line(self, monkeypatch, capsys):
+        def _suite_derivative(settings, report):
+            raise RegionError("the section crosses the chart fold")
+
+        monkeypatch.setattr(cli, "_suite_derivative", _suite_derivative)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL derivative: the section crosses the chart fold" in out
+        assert any(line.startswith("PASS mean_value/") for line in out)  # later suites ran
+        assert out[-1] == "FAILED: 1 failing checks"
