@@ -11,7 +11,6 @@ from .characterize import (
     ClassifyConfig,
     ConstancyReport,
     check_condition,
-    check_det_hessian,
     check_invariant_constancy,
     classify,
     determinant_identity_residual,
@@ -75,4 +74,4 @@ from .surface import (
     point_on_level,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.1.1"

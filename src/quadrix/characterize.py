@@ -19,13 +19,12 @@ import numpy as np
 
 from ._grids import halton
 from .errors import QuadrixError
-from .funcspec import FunctionSpec, QuadraticForm, eval_jet2
+from .funcspec import QuadraticForm
 from .measure import QuadratureSettings, StarredMeasures, starred_measures
 from .quadrics import invariant_constant
 from .surface import LevelFamily, SurfacePoint, curvature_invariant, point_on_level
 
 __all__ = [
-    "CONDITIONS",
     "ConstancyReport",
     "Classification",
     "ClassifyConfig",
@@ -33,12 +32,9 @@ __all__ = [
     "evaluate_cells",
     "check_condition",
     "check_invariant_constancy",
-    "check_det_hessian",
     "determinant_identity_residual",
     "classify",
 ]
-
-CONDITIONS = ("Vstar", "Astar", "Sstar", "curvature_invariant", "det_hessian")
 
 DEFAULT_BOX = (-2.0, 2.0)
 DEFAULT_THRESHOLD = 1e-3
@@ -105,6 +101,13 @@ def _column_spread(col: np.ndarray) -> float:
     if mean == 0.0:
         return np.inf
     return float((np.max(valid) - np.min(valid)) / abs(mean))
+
+
+def _median(a: np.ndarray) -> float:
+    """np.median of a nonempty 1-d array, bit for bit, without loading numpy.ma."""
+    s = np.sort(a)
+    m = s.size // 2
+    return float(s[m] if s.size % 2 else 0.5 * (s[m - 1] + s[m]))
 
 
 def _normalize_box(box, n: int) -> list[tuple[float, float]]:
@@ -224,7 +227,7 @@ def _starred_report(condition, k, offsets, points, cells, threshold) -> Constanc
     valid_err = errors_rel[np.isfinite(errors_rel)]
     eff_threshold = threshold
     if valid_err.size:
-        eff_threshold = max(threshold, 5.0 * float(np.median(valid_err)))
+        eff_threshold = max(threshold, 5.0 * _median(valid_err))
     spreads = [_column_spread(values[:, j]) for j in range(len(offsets))]
     return ConstancyReport(
         condition=condition,
@@ -296,39 +299,6 @@ def check_invariant_constancy(
         verdict=verdict,
         threshold=threshold,
         errors=cell_errors,
-        matched_constant=matched,
-    )
-
-
-def check_det_hessian(
-    f: FunctionSpec,
-    sample_x,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> ConstancyReport:
-    """Constancy of det(Hessian of f) over a coordinate sample.
-
-    A constant positive determinant is the fingerprint of the diagonal
-    quadratic normal form.
-    """
-    sample_x = [np.atleast_1d(np.asarray(x, dtype=float)) for x in sample_x]
-    if len(sample_x) < 2:
-        raise ValueError("need at least 2 sample points")
-    values = np.full((len(sample_x), 1), np.nan)
-    for i, x in enumerate(sample_x):
-        values[i, 0] = float(np.linalg.det(eval_jet2(f, x).hessian))
-    spreads = [_column_spread(values[:, 0])]
-    verdict = _verdict(spreads, threshold)
-    matched = float(np.nanmean(values)) if verdict == "constant" else None
-    return ConstancyReport(
-        condition="det_hessian",
-        level=None,
-        offsets=[],
-        points=[x.tolist() for x in sample_x],
-        values=values,
-        value_errors=np.zeros_like(values),
-        spreads=spreads,
-        verdict=verdict,
-        threshold=threshold,
         matched_constant=matched,
     )
 

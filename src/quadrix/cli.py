@@ -14,16 +14,19 @@ Exit codes: 0 success (including clean negative classifications),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .characterize import (
+    DEFAULT_THRESHOLD,
     Classification,
     ClassifyConfig,
     _normalize_box,
@@ -98,12 +101,26 @@ def _build_family(cfg: dict) -> LevelFamily:
 _QUADRATURE_KEYS = ("directions", "target_rel_error")
 
 
+def _section(cfg: dict, key: str) -> dict:
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"bad {key} config: must be a JSON object")
+    return section
+
+
+def _floats(key: str, values, length: int | None = None) -> list[float]:
+    """A JSON list of numbers, of the given length if one is given, as floats."""
+    try:
+        if not isinstance(values, list) or length not in (None, len(values)):
+            raise TypeError(f"need a list of {'' if length is None else f'{length} '}numbers, "
+                            f"got {values!r}")
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key}: {exc}") from exc
+
+
 def _build_settings(cfg: dict, seed_override: int | None) -> QuadratureSettings:
-    q = cfg.get("quadrature", {})
-    pts = cfg.get("points", {})
-    for key, section in (("quadrature", q), ("points", pts)):
-        if not isinstance(section, dict):
-            raise ConfigError(f"bad {key} config: must be a JSON object")
+    q, pts = _section(cfg, "quadrature"), _section(cfg, "points")
     try:
         seed = seed_override if seed_override is not None else int(pts.get("seed", 123456789))
     except (TypeError, ValueError) as exc:
@@ -113,59 +130,69 @@ def _build_settings(cfg: dict, seed_override: int | None) -> QuadratureSettings:
         raise ConfigError(f"bad quadrature config: unknown keys {unknown}; "
                           f"known keys are {list(_QUADRATURE_KEYS)}")
     try:
-        target = q.get("target_rel_error")
-        return QuadratureSettings(
-            directions=q.get("directions"),
-            seed=seed,
-            target_rel_error=float(target) if target is not None else None,
-        )
+        directions, target = q.get("directions"), q.get("target_rel_error")
+        if directions is not None and not isinstance(directions, int):
+            raise TypeError(f"directions must be an integer, got {directions!r}")
+        return QuadratureSettings(directions=directions, seed=seed,
+                                  target_rel_error=float(target) if target is not None else None)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad quadrature config: {exc}") from exc
 
 
-def _levels(cfg: dict, family: LevelFamily) -> list[float]:
-    levels = cfg.get("levels")
-    if levels is None:
-        levels = [0.5, 1.0, 2.0] if family.alpha == 2.0 else [1.0]
-    levels = [float(k) for k in levels]
-    if not levels:
-        raise ConfigError("levels must be nonempty")
-    return levels
+@dataclass(frozen=True)
+class _Run:
+    """A subcommand's config with every key parsed and checked up front."""
+
+    cfg: dict
+    family: LevelFamily
+    settings: QuadratureSettings
+    levels: list[float]
+    offsets: list[float] | None
+    count: int
+    box: object
+    threshold: float
+    sweep_x: list[float]
+    out: str | None
 
 
-def _read_config(args):
-    """A subcommand's config, checked up front: (cfg, family, settings, levels)."""
+def _read_config(args) -> _Run:
     cfg = _load_config(args.config)
     settings = _build_settings(cfg, args.seed)
     family = _build_family(cfg)
+    pts = _section(cfg, "points")
     try:
-        _normalize_box(_sample_box(cfg), family.n)
+        _normalize_box(pts.get("box"), family.n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad points.box: {exc}") from exc
-    _point_count(cfg)  # raises ConfigError on a bad points.count
-    return cfg, family, settings, _levels(cfg, family)
+    count = pts.get("count", 6)
+    if not isinstance(count, int) or count < 2:
+        raise ConfigError(f"bad points.count: need an integer of at least 2, got {count!r}")
+    levels = cfg.get("levels")
+    if levels is None:
+        levels = [0.5, 1.0, 2.0] if family.alpha == 2.0 else [1.0]
+    levels = _floats("levels", levels)
+    if not levels:
+        raise ConfigError("levels must be nonempty")
+    offsets = cfg.get("offsets")
+    offsets = None if offsets is None else _floats("offsets", offsets)
+    threshold = _section(cfg, "classify").get("threshold", DEFAULT_THRESHOLD)
+    (threshold,) = _floats("classify.threshold", [threshold])
+    sweep_x = _floats("sweep.x", _section(cfg, "sweep").get("x", [0.0] * family.n), family.n)
+    out = _section(cfg, "output").get("path")
+    if not isinstance(out, (str, type(None))):
+        raise ConfigError(f"bad output.path: need a string, got {out!r}")
+    return _Run(cfg, family, settings, levels, offsets, count, pts.get("box"), threshold, sweep_x,
+                args.out or out)
 
 
-def _offsets(cfg: dict) -> list[float] | None:
-    off = cfg.get("offsets")
-    if off is None:
-        return None
-    return [float(h) for h in off]
-
-
-class _Output:
-    """Write to --out / config output path, or stdout."""
-
-    def __init__(self, args, cfg):
-        self.path = args.out or cfg.get("output", {}).get("path")
-
-    def __enter__(self):
-        self._fh = open(self.path, "w", encoding="utf-8", newline="") if self.path else sys.stdout
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self.path:
-            self._fh.close()
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The output file at path, or stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _emit_header(fh, cfg: dict, seed: int) -> None:
@@ -174,32 +201,21 @@ def _emit_header(fh, cfg: dict, seed: int) -> None:
     fh.write(f"# seed={seed}\n")
 
 
-def _sample_box(cfg: dict):
-    return cfg.get("points", {}).get("box")
-
-
-def _point_count(cfg: dict) -> int:
-    count = cfg.get("points", {}).get("count", 6)
-    if not isinstance(count, int) or count < 2:
-        raise ConfigError(f"bad points.count: need an integer of at least 2, got {count!r}")
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_curvature(args) -> int:
-    cfg, family, settings, levels = _read_config(args)
-    n = family.n
+    run = _read_config(args)
+    family, n = run.family, run.family.n
     try:
-        with _Output(args, cfg) as fh:
-            _emit_header(fh, cfg, settings.seed)
+        with _output(run.out) as fh:
+            _emit_header(fh, run.cfg, run.settings.seed)
             writer = csv.writer(fh)
             writer.writerow(["k"] + [f"x{i+1}" for i in range(n)] + ["z", "K", "grad_norm", "invariant"])
-            for k in levels:
-                xs = sample_coordinates(n, _point_count(cfg), settings.seed, _sample_box(cfg))
+            for k in run.levels:
+                xs = sample_coordinates(n, run.count, run.settings.seed, run.box)
                 for x in xs:
                     try:
                         p = point_on_level(family, k, x)
@@ -233,15 +249,13 @@ def _cell_fields(cell) -> list[str]:
 
 
 def cmd_measures(args) -> int:
-    cfg, family, settings, levels = _read_config(args)
-    offsets = _offsets(cfg)
+    run = _read_config(args)
+    family, settings, offsets = run.family, run.settings, run.offsets
     if not offsets:
         raise ConfigError("measures needs a nonempty offsets list")
     try:
-        level_points = [
-            (k, sample_points(family, k, _point_count(cfg), settings.seed, _sample_box(cfg)))
-            for k in levels
-        ]
+        level_points = [(k, sample_points(family, k, run.count, settings.seed, run.box))
+                        for k in run.levels]
     except QuadrixError as exc:  # e.g. fewer than 2 admissible points in the box
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -249,8 +263,8 @@ def cmd_measures(args) -> int:
     for k, points in level_points:
         cells = evaluate_cells(family, points, offsets, settings)
         rows += [(k, h, row[j]) for j, h in enumerate(offsets) for row in cells]
-    with _Output(args, cfg) as fh:
-        _emit_header(fh, cfg, settings.seed)
+    with _output(run.out) as fh:
+        _emit_header(fh, run.cfg, settings.seed)
         writer = csv.writer(fh)
         writer.writerow(
             "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err grad_norm seed error".split()
@@ -265,25 +279,19 @@ def cmd_measures(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    cfg, family, settings, levels = _read_config(args)
-    offsets = _offsets(cfg)
-    ccfg = ClassifyConfig(
-        point_count=_point_count(cfg),
-        box=_sample_box(cfg),
-        seed=settings.seed,
-        offsets=tuple(offsets) if offsets else None,
-        threshold=float(cfg.get("classify", {}).get("threshold", 1e-3)),
-        settings=settings,
-    )
-    result: Classification = classify(family, levels, ccfg)
+    run = _read_config(args)
+    ccfg = ClassifyConfig(point_count=run.count, box=run.box, seed=run.settings.seed,
+                          offsets=tuple(run.offsets) if run.offsets else None,
+                          threshold=run.threshold, settings=run.settings)
+    result: Classification = classify(run.family, run.levels, ccfg)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "config_sha256": _config_hash(cfg),
-        "seed": settings.seed,
+        "config_sha256": _config_hash(run.cfg),
+        "seed": run.settings.seed,
         "classification": result.to_dict(),
     }
-    with _Output(args, cfg) as fh:
+    with _output(run.out) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if result.verdict == "not_characterized" and result.blocked_by_errors:
@@ -292,20 +300,20 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, family, settings, levels = _read_config(args)
-    offsets = _offsets(cfg)
+    run = _read_config(args)
+    family, settings, offsets = run.family, run.settings, run.offsets
     if not offsets:
         raise ConfigError("sweep needs a nonempty offsets list")
-    x = np.asarray(cfg.get("sweep", {}).get("x", [0.0] * family.n), dtype=float)
+    x = np.asarray(run.sweep_x)
     rows = []
-    for k in levels:
+    for k in run.levels:
         try:
             cells = evaluate_cells(family, [point_on_level(family, k, x)], offsets, settings)[0]
         except QuadrixError as exc:  # the lift failed: every offset row carries it
             cells = [str(exc)] * len(offsets)
         rows += [(k, h, cell) for h, cell in zip(offsets, cells)]
-    with _Output(args, cfg) as fh:
-        _emit_header(fh, cfg, settings.seed)
+    with _output(run.out) as fh:
+        _emit_header(fh, run.cfg, settings.seed)
         writer = csv.writer(fh)
         writer.writerow("k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err error".split())
         for k, h, cell in rows:

@@ -1,11 +1,13 @@
 """Implicit geometry of the level sets of g(x, z) = z^alpha -/+ f(x), z > 0.
 
 A level set M_k = {g = k} is treated as a strictly convex hypersurface in
-R^{n+1}.  This module lifts points onto M_k, orients the unit normal
-toward the convex side, computes Gauss-Kronecker curvature and the scalar
-invariant K |grad g|^{n+2}, provides the tangent-plane graph chart used by
-the integration routines, and solves the parallel-tangent problem linking
-M_k to nearby levels M_{k+h}.
+R^{n+1}.  This module lifts points onto M_k and computes there, once, the
+second fundamental form of M_k toward its convex side: the Cholesky
+certificate of strict convexity, the orientation of the unit normal, the
+Gauss-Kronecker curvature K = det(form), the invariant K |grad g|^{n+2} and
+the osculating quadric of the tangent-plane graph chart all read that one
+form.  The chart serves the integration routines; the parallel-tangent
+solve links M_k to nearby levels M_{k+h}.
 
 Both chart solves, heights and section boundary radii, run one vectorized
 safeguarded solver: a per-lane bracket, guarded Newton steps, bisection
@@ -121,8 +123,9 @@ class SurfacePoint:
     """A point p = (x, z) on M_k with cached gradient, normal and tangent frame.
 
     normal points to the convex side; frame columns are an orthonormal basis
-    of the tangent space.  graph_hessian is the Hessian of z(x) at x, and
-    sigma_up = +1 when the convex side lies above the graph.
+    of the tangent space.  second_form is the second fundamental form of M_k
+    toward normal in frame coordinates, -(frame^T Hess g frame) / <grad g,
+    normal>; point_on_level has certified it positive definite.
     """
 
     x: np.ndarray
@@ -132,8 +135,7 @@ class SurfacePoint:
     normal: np.ndarray
     frame: np.ndarray
     f_jet: Jet2
-    graph_hessian: np.ndarray
-    sigma_up: float
+    second_form: np.ndarray
 
     @property
     def n(self) -> int:
@@ -146,6 +148,11 @@ class SurfacePoint:
     @property
     def grad_norm(self) -> float:
         return float(np.linalg.norm(self.grad_g))
+
+    @property
+    def offset_sign(self) -> float:
+        """Direction of admissible level offsets: sign of <grad g, normal>."""
+        return 1.0 if self.grad_g @ self.normal > 0 else -1.0
 
 
 def _is_positive_definite(m: np.ndarray) -> bool:
@@ -168,72 +175,41 @@ def _complete_frame(normal: np.ndarray) -> np.ndarray:
     return q[:, 1:]
 
 
-def _graph_hessian(family: LevelFamily, jet: Jet2, z: float) -> np.ndarray:
-    """Hessian of the graph z(x) solving g(x, z) = k, from exact f_i, f_ij."""
-    a = family.alpha
-    if a == 1.0:
-        # the z factors cancel exactly; avoid 0/0 at z = 0
-        return -family.sf * jet.hessian
-    outer = np.outer(jet.gradient, jet.gradient)
-    if family.sign == "minus":
-        core = a * z ** a * jet.hessian - (a - 1.0) * outer
-        return core / (a ** 2 * z ** (2 * a - 1.0))
-    # g = z^alpha + f: differentiating the solve flips the sign of f
-    core = a * z ** a * jet.hessian + (a - 1.0) * outer
-    return -core / (a ** 2 * z ** (2 * a - 1.0))
-
-
 def point_on_level(family: LevelFamily, k: float, x: np.ndarray) -> SurfacePoint:
     """Lift x to the z > 0 branch of M_k and certify convexity there.
 
-    The convex-side orientation is chosen from the sign that makes the
-    graph Hessian positive definite (Cholesky certificate); an indefinite
-    Hessian raises ConvexityError.
+    The second fundamental form is taken with respect to the upward graph
+    normal; the convex side is the orientation that makes it positive
+    definite (Cholesky certificate), and an indefinite form raises
+    ConvexityError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     jet = eval_jet2(family.f, x)
     z = family.solve_z(k, jet.value)
     grad_g = family.ambient_gradient(jet, z)
 
-    zhess = _graph_hessian(family, jet, z)
-    if _is_positive_definite(zhess):
-        sigma_up = 1.0
-    elif _is_positive_definite(-zhess):
-        sigma_up = -1.0
+    grad_z = -family.sf * jet.gradient / (family.alpha * z ** (family.alpha - 1.0))
+    up = np.concatenate([-grad_z, [1.0]]) / np.sqrt(1.0 + grad_z @ grad_z)
+    frame = _complete_frame(up)  # the same basis for up and -up
+    form = -(frame.T @ family.ambient_hessian(jet, z) @ frame) / float(grad_g @ up)
+    if _is_positive_definite(form):
+        normal = up
+    elif _is_positive_definite(-form):
+        normal, form = -up, -form
     else:
         raise ConvexityError(
             f"indefinite shape operator at x={x.tolist()}, k={k}: surface not strictly convex there"
         )
-
-    grad_z = -family.sf * jet.gradient / (family.alpha * z ** (family.alpha - 1.0))
-    up = np.concatenate([-grad_z, [1.0]])
-    normal = sigma_up * up / np.sqrt(1.0 + grad_z @ grad_z)
-    frame = _complete_frame(normal)
-    return SurfacePoint(
-        x=x,
-        z=z,
-        k=k,
-        grad_g=grad_g,
-        normal=normal,
-        frame=frame,
-        f_jet=jet,
-        graph_hessian=zhess,
-        sigma_up=sigma_up,
-    )
+    return SurfacePoint(x=x, z=z, k=k, grad_g=grad_g, normal=normal, frame=frame,
+                        f_jet=jet, second_form=form)
 
 
 def gauss_kronecker(family: LevelFamily, p: SurfacePoint) -> float:
-    """Gauss-Kronecker curvature of M_k at p toward the convex side.
-
-    det of the convexly-oriented graph Hessian over (1 + |grad z|^2)^{(n+2)/2},
-    assembled from the exact derivatives of f.
-    """
-    n = p.n
-    det = float(np.linalg.det(p.sigma_up * p.graph_hessian))
+    """Gauss-Kronecker curvature of M_k at p toward the convex side: det of the second form."""
+    det = float(np.linalg.det(p.second_form))
     if det <= 0:
         raise ConvexityError(f"nonpositive curvature at x={p.x.tolist()}: convexity fails")
-    grad_z = -family.sf * p.f_jet.gradient / (family.alpha * p.z ** (family.alpha - 1.0))
-    return det / (1.0 + grad_z @ grad_z) ** ((n + 2) / 2.0)
+    return det
 
 
 def curvature_invariant(family: LevelFamily, p: SurfacePoint) -> float:
@@ -264,16 +240,7 @@ class LocalChart:
         self.normal = p.normal
         self.frame = p.frame
         self.k = p.k
-        gn = float(p.grad_g @ p.normal)
-        self.sigma_g = 1.0 if gn > 0 else -1.0
-        hg = family.ambient_hessian(p.f_jet, p.z)
-        # second fundamental form w.r.t. the convex-side normal, frame coords
-        self.second_form = -(p.frame.T @ hg @ p.frame) / gn
-        if not _is_positive_definite(self.second_form):
-            raise ConvexityError("second fundamental form not positive definite at chart origin")
-        eigs = np.linalg.eigvalsh(self.second_form)
-        # conservative radius inside which the Newton solve needs no safeguard
-        self.trust_radius = 0.9 / float(eigs[-1])
+        self.second_form = p.second_form
         self._scale = 1.0 + abs(self.k)
 
     def _chart_base(self, Y: np.ndarray):
@@ -282,7 +249,7 @@ class LocalChart:
         return self.origin[:n, None] + self.frame[:n] @ Y.T, self.origin[n] + Y @ self.frame[n]
 
     def _line_residual(self, X0, Z0, dX, dZ, x, sign=1.0):
-        """sign * sigma_g * (g - k) and its x-derivative at (X0 + x dX, Z0 + x dZ).
+        """sign * offset_sign * (g - k) and its x-derivative at (X0 + x dX, Z0 + x dZ).
 
         Lane-last: X0 and dX are (n, M) or (n, 1), Z0 and dZ are (M,) or
         scalars.  NaN flags off-branch points.
@@ -292,7 +259,7 @@ class LocalChart:
         X += X0
         fv, fg = eval_value_grad(fam.f, X.T)
         Z = Z0 + dZ * x
-        s = sign * self.sigma_g
+        s = sign * self.p.offset_sign
         res = s * (fam._zpow(Z, fam.alpha) + fam.sf * fv - self.k)
         gz = fam.alpha * fam._zpow(Z, fam.alpha - 1.0)
         return res, s * (fam.sf * np.einsum("mi,im->m", fg, dX) + gz * dZ)
@@ -388,7 +355,7 @@ class LocalChart:
 
         # fold check: the surface must still be a graph over the chart there
         _, grad = self.family.g_values_grads((X0 + dX * rho).T, Z0 + dZ * rho)
-        if not np.all(self.sigma_g * (grad @ self.normal) > 0):
+        if not np.all(self.p.offset_sign * (grad @ self.normal) > 0):
             raise RegionError(f"section at t={t:.6g} crosses the chart fold")
         return rho
 
@@ -465,11 +432,6 @@ class TangencyResult:
     scale: float
 
 
-def offset_sign(p: SurfacePoint) -> float:
-    """Direction of admissible level offsets: sign of <grad g, normal> at p."""
-    return 1.0 if p.grad_g @ p.normal > 0 else -1.0
-
-
 def parallel_tangent(family: LevelFamily, p: SurfacePoint, h: float) -> TangencyResult:
     """Find v on M_{k+h} with grad g(v) = lambda * grad g(p), lambda > 0.
 
@@ -477,7 +439,7 @@ def parallel_tangent(family: LevelFamily, p: SurfacePoint, h: float) -> Tangency
     grad g(p) = 0}, started from the first-order offset of p along its
     normal.  lambda > 0 picks the tangency on the same side as p.
     """
-    if h == 0 or np.sign(h) != offset_sign(p):
+    if h == 0 or np.sign(h) != p.offset_sign:
         raise TangencyError(f"offset h={h:.6g} is outside the admissible interval at this point")
     n = p.n
     q = p.grad_g

@@ -8,7 +8,6 @@ from quadrix import (
     QuadraticForm,
     QuadrixError,
     check_condition,
-    check_det_hessian,
     check_invariant_constancy,
     classify,
     determinant_identity_residual,
@@ -117,19 +116,6 @@ class TestInvariantAndDeterminant:
         rep = check_invariant_constancy(family, 1.0, pts)
         assert rep.verdict == "non_constant"
         assert rep.matched_constant is None
-
-    def test_det_hessian_quadratic(self):
-        rep = check_det_hessian(QuadraticForm((1.0, 2.0)), seeded_xs(2, 6, 43, 1.5))
-        assert rep.verdict == "constant"
-        assert rep.matched_constant == pytest.approx(16.0, rel=1e-12)
-
-    def test_det_hessian_one_dimensional(self):
-        rep = check_det_hessian(QuadraticForm((1.0,)), seeded_xs(1, 5, 43, 1.5))
-        assert rep.matched_constant == pytest.approx(2.0)
-
-    def test_det_hessian_perturbed(self):
-        rep = check_det_hessian(PerturbedQuadratic((1.0, 1.0), 0.1, "quartic"), seeded_xs(2, 6, 43, 1.5))
-        assert rep.verdict == "non_constant"
 
     @pytest.mark.parametrize("kind", ["elliptic_hyperboloid", "ellipsoid"])
     def test_determinant_identity(self, kind):

@@ -312,6 +312,30 @@ class TestConfigValidation:
         assert err == [f"config error: bad {section} config: must be a JSON object"]
 
 
+    # one malformed key on the base config each; the "output" case runs without --out
+    @pytest.mark.parametrize("command, overrides", [
+        ("measures", {"offsets": ["a"]}),
+        ("measures", {"offsets": 0.5}),
+        ("measures", {"levels": ["x"]}),
+        ("measures", {"levels": 1.0}),
+        ("classify", {"classify": 3}),
+        ("classify", {"classify": {"threshold": "abc"}}),
+        ("sweep", {"sweep": [0, 0]}),
+        ("sweep", {"sweep": {"x": [0.1]}}),
+        ("sweep", {"sweep": {"x": "ab"}}),
+        ("measures", {"output": "x.csv"}),
+        ("measures", {"quadrature": {"directions": 256.5}}),
+    ], ids=["offsets-string", "offsets-scalar", "levels-string", "levels-scalar",
+            "classify-scalar", "threshold-string", "sweep-list", "sweep.x-length",
+            "sweep.x-string", "output-string", "directions-fraction"])
+    def test_malformed_key_is_config_error(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        out = [] if "output" in overrides else ["--out", str(tmp_path / "x.out")]
+        assert main([command, "--config", str(cfg)] + out) == 1  # no exception escapes main
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "x.out").exists()
+
     def test_bad_seed_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, points={"count": 4, "seed": "abc"})
         assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1

@@ -76,19 +76,23 @@ _RUN_CLI = textwrap.dedent("""
     from quadrix.cli import main
     codes = [main(args.split()) for args in sys.argv[1:]]
     print(json.dumps({"codes": codes,
-                      "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                      "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                      "numpy_ma": "numpy.ma" in sys.modules}))
 """)
 
 
 def _fresh_cli(tmp_path, *commands):
-    """Run CLI commands in a fresh interpreter; returns (exit codes, loaded scipy modules)."""
+    """Run CLI commands in a fresh interpreter.
+
+    Returns the exit codes, the loaded scipy modules, and whether numpy.ma was loaded.
+    """
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_CLI, *commands],
         env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=tmp_path,
         capture_output=True, text=True, timeout=300, check=True,
     )
     doc = json.loads(proc.stdout.splitlines()[-1])
-    return doc["codes"], doc["scipy"]
+    return doc["codes"], doc["scipy"], doc["numpy_ma"]
 
 
 def _config(tmp_path, name, a, **extra):
@@ -107,7 +111,7 @@ def _config(tmp_path, name, a, **extra):
 class TestLoadPath:
     def test_n2_commands_load_no_scipy(self, tmp_path):
         cfg = _config(tmp_path, "n2.json", [1, 2], quadrature={"directions": 256})
-        codes, scipy_modules = _fresh_cli(
+        codes, scipy_modules, numpy_ma = _fresh_cli(
             tmp_path,
             f"measures --config {cfg} --out m.csv",
             f"classify --config {cfg} --out c.json",
@@ -115,10 +119,11 @@ class TestLoadPath:
         )
         assert codes == [0, 0, 0]
         assert scipy_modules == []
+        assert not numpy_ma  # the threshold median of classify and verify is sort based
 
     def test_n4_measures_loads_only_scipy_special(self, tmp_path):
         cfg = _config(tmp_path, "n4.json", [1, 1.5, 2, 1], quadrature={"directions": 512})
-        codes, scipy_modules = _fresh_cli(tmp_path, f"measures --config {cfg} --out m.csv")
+        codes, scipy_modules, _ = _fresh_cli(tmp_path, f"measures --config {cfg} --out m.csv")
         assert codes == [0]
         assert "scipy.special" in scipy_modules
         assert not [m for m in scipy_modules if m.startswith(("scipy.stats", "scipy.integrate"))]
