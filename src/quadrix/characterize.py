@@ -250,13 +250,12 @@ def check_condition(
     h_grid,
     points: list[SurfacePoint],
     settings: QuadratureSettings | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
 ) -> ConstancyReport:
     """Constancy report for one of the starred conditions over points x offsets.
 
     The cap volume is compared raw; section and lateral areas are divided
     by |grad g(p)| first.  The decision threshold is inflated by quadrature
-    error: max(threshold, 5 * median relative error estimate).
+    error: max(DEFAULT_THRESHOLD, 5 * median relative error estimate).
     """
     if condition not in _MEASURE_OF:
         raise ValueError(f"condition must be a starred condition, got {condition!r}")
@@ -266,7 +265,7 @@ def check_condition(
     if len(points) < 2:
         raise ValueError("need at least 2 points")
     cells = evaluate_cells(family, points, h_grid, settings, want=(_MEASURE_OF[condition],))
-    return _starred_report(condition, k, h_grid, points, cells, threshold)
+    return _starred_report(condition, k, h_grid, points, cells, DEFAULT_THRESHOLD)
 
 
 def check_invariant_constancy(

@@ -98,7 +98,7 @@ def _build_family(cfg: dict) -> LevelFamily:
         raise ConfigError(f"bad family config: {exc}") from exc
 
 
-_QUADRATURE_KEYS = ("directions", "target_rel_error")
+_QUADRATURE_KEYS = ("directions",)
 
 
 def _section(cfg: dict, key: str) -> dict:
@@ -130,12 +130,8 @@ def _build_settings(cfg: dict, seed_override: int | None) -> QuadratureSettings:
         raise ConfigError(f"bad quadrature config: unknown keys {unknown}; "
                           f"known keys are {list(_QUADRATURE_KEYS)}")
     try:
-        directions, target = q.get("directions"), q.get("target_rel_error")
-        if directions is not None and not isinstance(directions, int):
-            raise TypeError(f"directions must be an integer, got {directions!r}")
-        return QuadratureSettings(directions=directions, seed=seed,
-                                  target_rel_error=float(target) if target is not None else None)
-    except (TypeError, ValueError) as exc:
+        return QuadratureSettings(directions=q.get("directions"), seed=seed)
+    except ValueError as exc:
         raise ConfigError(f"bad quadrature config: {exc}") from exc
 
 

@@ -21,6 +21,7 @@ are bit-stable for a given seed.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from ._grids import default_direction_count, radial_nodes, sphere_directions
 from .quadrics import unit_ball_volume, unit_sphere_area
-from .surface import LevelFamily, LocalChart, SurfacePoint, parallel_tangent
+from .surface import LevelFamily, LocalChart, SurfacePoint, height_failure, parallel_tangent
 
 __all__ = [
     "MeasureResult",
@@ -59,27 +60,27 @@ class MeasureResult:
 class QuadratureSettings:
     """Knobs for both integrators; directions=None picks the per-dimension default.
 
-    Any other directions value must be at least 2.  target_rel_error is
-    advisory: results whose reported error estimate exceeds it trigger a
-    warning (default 1e-4 for n <= 3, 1e-3 above).
+    Any other directions value must be an integer of at least 2.
     """
 
     directions: int | None = None
     mc_samples: int = 1 << 16
     seed: int = 123456789
-    target_rel_error: float | None = None
 
     def __post_init__(self):
-        if self.directions is not None and not self.directions >= 2:  # NaN fails too
+        if self.directions is None:
+            return
+        try:
+            if isinstance(self.directions, bool):  # operator.index takes True as 1
+                raise TypeError
+            operator.index(self.directions)
+        except TypeError:
+            raise ValueError(f"directions must be an integer, got {self.directions!r}") from None
+        if self.directions < 2:
             raise ValueError(f"directions must be at least 2, got {self.directions!r}")
 
     def direction_count(self, n: int) -> int:
         return default_direction_count(n) if self.directions is None else self.directions
-
-    def target_for(self, n: int) -> float:
-        if self.target_rel_error is not None:
-            return self.target_rel_error
-        return 1e-4 if n <= 3 else 1e-3
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -101,8 +102,8 @@ def _radial_measures(
 ) -> dict[str, MeasureResult]:
     chart = LocalChart(family, p)
     n = family.n
-    m = settings.direction_count(n)
-    U = sphere_directions(n, m)
+    U = sphere_directions(n, settings.direction_count(n))
+    m = len(U)  # S^0 has two points whatever count is asked for
     rho = chart.boundary_radius(U, t)
     sigma = unit_sphere_area(n - 1)
     out: dict[str, MeasureResult] = {}
@@ -117,12 +118,12 @@ def _radial_measures(
         out["area"] = finish(rho ** n / n, m)
 
     if "volume" in want or "lateral" in want:
-        # radial nodes are strictly inside the region, so w is capped by t
-        cap = t + 1e-9 * (1.0 + abs(t))
         nodes, kronrod, gauss = radial_nodes()
         radii = rho[:, None] * nodes[None, :]
         Y = (radii[..., None] * U[:, None, :]).reshape(-1, n)
-        w = chart.height(Y, cap=cap)
+        w = chart.height(Y, t)
+        if np.isinf(w).any():  # the nodes lie strictly inside the region
+            raise height_failure(Y, np.flatnonzero(np.isinf(w)))
         rpow = radii ** (n - 1)
         samples = m * nodes.size
 
@@ -161,8 +162,7 @@ def _monte_carlo_measures(
     radii = bound * rng.random(count) ** (1.0 / n)
     Y = gauss * radii[:, None]
 
-    cap = t + 1e-9 * (1.0 + abs(t))
-    w = chart.height(Y, cap=cap, cap_exceed="outside")  # above cap or past the fold: outside
+    w = chart.height(Y, t)  # +inf above the plane or past the fold: outside
     inside = w < t
     ball = unit_ball_volume(n) * bound ** n
     out: dict[str, MeasureResult] = {}
@@ -189,22 +189,20 @@ def _measures(family, p, t, settings, method, want):
     if t <= 0:
         raise ValueError("t must be positive")
     settings = settings or DEFAULT_SETTINGS
-    if method == "radial":
-        out = _radial_measures(family, p, t, settings, want)
-    elif method == "monte_carlo":
-        out = _monte_carlo_measures(family, p, t, settings, want)
-    else:
+    if method == "monte_carlo":  # its sampling error is its own gauge
+        return _monte_carlo_measures(family, p, t, settings, want)
+    if method != "radial":
         raise ValueError(f"unknown method {method!r}")
-    if method == "radial":  # the sampling error of the Monte Carlo oracle is its own gauge
-        target = settings.target_for(family.n)
-        for name, res in out.items():
-            if res.value and res.error_estimate > target * abs(res.value):
-                rel = res.error_estimate / abs(res.value)
-                warnings.warn(
-                    f"{name} relative error estimate {rel:.2e} exceeds the target "
-                    f"{target:.0e}; increase directions",
-                    stacklevel=3,
-                )
+    out = _radial_measures(family, p, t, settings, want)
+    target = 1e-4 if family.n <= 3 else 1e-3
+    for name, res in out.items():
+        if res.value and res.error_estimate > target * abs(res.value):
+            rel = res.error_estimate / abs(res.value)
+            warnings.warn(
+                f"{name} relative error estimate {rel:.2e} exceeds the target "
+                f"{target:.0e}; increase directions",
+                stacklevel=3,
+            )
     return out
 
 
@@ -246,7 +244,6 @@ class StarredMeasures:
 
 def starred_measures(family: LevelFamily, p: SurfacePoint, h: float,
                      settings: QuadratureSettings | None = None,
-                     method: str = "radial",
                      want: tuple[str, ...] = ("area", "volume", "lateral")) -> StarredMeasures:
     """Measures of the cap bounded by the parallel tangent plane of M_{k+h}.
 
@@ -254,7 +251,7 @@ def starred_measures(family: LevelFamily, p: SurfacePoint, h: float,
     evaluates the requested cap measures of M_k at that t in one pass.
     """
     tangency = parallel_tangent(family, p, h)
-    res = _measures(family, p, tangency.t, settings, method, tuple(want))
+    res = _measures(family, p, tangency.t, settings, "radial", tuple(want))
     return StarredMeasures(
         area=res.get("area"),
         volume=res.get("volume"),

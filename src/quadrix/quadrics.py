@@ -290,11 +290,7 @@ def refutation_domain(q, k: float, h: float) -> DomainEllipsoid:
     return DomainEllipsoid(q=q, k=k, h=h, center=center, semi_axes=semi, frame=frame)
 
 
-def mean_H_over_domain(
-    q, a, k: float, h: float,
-    directions: int | None = None,
-    legendre_order: int = 32,
-) -> float:
+def mean_H_over_domain(q, a, k: float, h: float) -> float:
     """Mean of H over D_q(k, h) by radial quadrature on the mapped unit ball.
 
     The affine map to the unit ball has constant Jacobian, so the mean over
@@ -310,35 +306,34 @@ def mean_H_over_domain(
             -1.0, 1.0, epsabs=_QUAD_TOL, epsrel=1e-10,
         )
         return val / 2.0
-    m = directions or default_direction_count(n)
-    u = sphere_directions(n, m)
-    xg, wg = leggauss(legendre_order)  # Gauss-Legendre on [0, 1]
+    u = sphere_directions(n, default_direction_count(n))
+    xg, wg = leggauss(32)  # Gauss-Legendre on [0, 1]
     nodes, weights = 0.5 * (xg + 1.0), 0.5 * wg
     # mean over the unit ball: (1/omega_n) * int_{S^{n-1}} int_0^1 H r^{n-1} dr du
-    xi = nodes[None, :, None] * u[:, None, :]  # (m, order, n)
+    xi = nodes[None, :, None] * u[:, None, :]  # (directions, order, n)
     pts = dom.points(xi.reshape(-1, n))
-    vals = refutation_H(pts, a, k).reshape(m, -1)
+    vals = refutation_H(pts, a, k).reshape(len(u), -1)
     radial = vals @ (weights * nodes ** (n - 1))
     return float(np.mean(radial) * unit_sphere_area(n - 1) / unit_ball_volume(n))
 
 
-def refutation_theta(k: float, h: float, a, **kwargs) -> float:
+def refutation_theta(k: float, h: float, a) -> float:
     """Mean of H over the ball of radius sqrt(h) at the origin; always > 1."""
     n = len(a)
-    return mean_H_over_domain(np.zeros(n), a, k, h, **kwargs)
+    return mean_H_over_domain(np.zeros(n), a, k, h)
 
 
-def mean_value_ratio(q, a, k: float, h: float, **kwargs) -> float:
+def mean_value_ratio(q, a, k: float, h: float) -> float:
     """r(q) = (mean of H over D_q(k, h)) / H(q).
 
     Point-independence of normalized lateral area would force r to be
     constant in q; it is not, which is the quantitative contradiction.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    return mean_H_over_domain(q, a, k, h, **kwargs) / refutation_H(q, a, k)
+    return mean_H_over_domain(q, a, k, h) / refutation_H(q, a, k)
 
 
-def hyperboloid_lateral_area(a, k: float, h: float, x, **kwargs) -> float:
+def hyperboloid_lateral_area(a, k: float, h: float, x) -> float:
     """Starred lateral area on the hyperboloid family at base point x.
 
     Equals (1 / prod a_i) * integral of H over D_q(k, h) with q_i = a_i x_i;
@@ -347,5 +342,5 @@ def hyperboloid_lateral_area(a, k: float, h: float, x, **kwargs) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     q = np.asarray(a, dtype=float) * x
     dom = refutation_domain(q, k, h)
-    mean = mean_H_over_domain(q, a, k, h, **kwargs)
+    mean = mean_H_over_domain(q, a, k, h)
     return mean * dom.volume / _coef_product(a)

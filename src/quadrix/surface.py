@@ -228,9 +228,11 @@ class LocalChart:
     Chart points are q(y, tau) = p + frame @ y + tau * normal; the surface
     height w(y) >= 0 solves g(q(y, w)) = k.  Heights and section boundary
     radii are roots along a line per lane, found by _safeguarded_roots from
-    the osculating-quadric guess.  Leaving the graph region (the chart fold)
-    raises RegionError instead of silently switching branches.  A chart
-    keeps no solver state, so threads may share it.
+    the osculating-quadric guess.  Heights are solved only below a section
+    plane: a lane above it, or whose line leaves the graph region (the chart
+    fold) first, comes back +inf instead of silently switching branches.  A
+    section that crosses the fold raises RegionError.  A chart keeps no
+    solver state, so threads may share it.
     """
 
     def __init__(self, family: LevelFamily, p: SurfacePoint):
@@ -267,16 +269,14 @@ class LocalChart:
     def taylor_height(self, Y: np.ndarray) -> np.ndarray:
         return 0.5 * np.einsum("mi,mi->m", Y @ self.second_form, Y)
 
-    def height(self, Y: np.ndarray, on_fail: str = "raise",
-               cap: float | None = None, cap_exceed: str = "fail") -> np.ndarray:
-        """Graph heights w for a batch of chart offsets Y, shape (M, n).
+    def height(self, Y: np.ndarray, t: float) -> np.ndarray:
+        """Graph heights w below the section plane at t for chart offsets Y, shape (M, n).
 
-        When cap is given the root is known to lie in [0, cap], so the
-        bracket is immediate; lanes whose height exceeds the cap are
-        reported +inf if cap_exceed="outside" (rejection-sampling use) and
-        count as failures otherwise.  Without a cap the upper bracket is
-        grown from the osculating-quadric guess.  on_fail="mask" turns
-        failures into +inf instead of raising.
+        The root lies in [0, t] up to a margin of 1e-9 (1 + |t|) for the
+        boundary-radius tolerance, so the bracket is immediate.  A lane whose
+        height exceeds that, or whose line leaves the graph branch first (past
+        the chart fold), comes back +inf; a solve that stalls raises
+        RegionError.
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         m, n = Y.shape
@@ -286,33 +286,13 @@ class LocalChart:
         def residual(idx, tau):
             return self._line_residual(_lanes(X0, idx), _lanes(Z0, idx), dX, dZ, tau)
 
-        guess = self.taylor_height(Y)
-        failed = np.zeros(m, dtype=bool)
-        outside = np.zeros(m, dtype=bool)
-        lo = np.zeros(m)
-        if cap is not None:
-            hi = np.full(m, float(cap))
-            res_hi, _ = self._line_residual(X0, Z0, dX, dZ, hi)
-            beyond = ~(res_hi >= 0.0)  # height above cap, or off branch (NaN)
-            if cap_exceed == "outside":
-                outside = beyond
-            else:
-                failed = beyond
-        else:
-            hi = 2.0 * guess + 1e-9
-            failed[_grow_bracket(residual, lo, hi)] = True
-
-        tau, unconverged = _safeguarded_roots(residual, lo, hi, guess, NEWTON_TOL * self._scale,
-                                              np.flatnonzero(~(failed | outside)))
-        failed[unconverged] = True
-        if failed.any():
-            if on_fail != "mask":
-                y0 = Y[int(np.flatnonzero(failed)[0])]
-                raise RegionError(
-                    f"graph-height solve failed at chart offset y={y0.tolist()} "
-                    f"({int(failed.sum())} of {m} points): region escapes the chart"
-                )
-            outside |= failed
+        hi = np.full(m, t + 1e-9 * (1.0 + abs(t)))
+        res_hi, _ = self._line_residual(X0, Z0, dX, dZ, hi)
+        outside = ~(res_hi >= 0.0)  # height above the plane, or off branch (NaN)
+        tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, self.taylor_height(Y),
+                                              NEWTON_TOL * self._scale, np.flatnonzero(~outside))
+        if unconverged.size:
+            raise height_failure(Y, unconverged)
         return np.where(outside, np.inf, tau)
 
     def gradient_at(self, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -358,6 +338,14 @@ class LocalChart:
         if not np.all(self.p.offset_sign * (grad @ self.normal) > 0):
             raise RegionError(f"section at t={t:.6g} crosses the chart fold")
         return rho
+
+
+def height_failure(Y: np.ndarray, lanes: np.ndarray) -> RegionError:
+    """The RegionError for chart offsets Y whose height solve failed on the sorted lanes."""
+    return RegionError(
+        f"graph-height solve failed at chart offset y={Y[int(lanes[0])].tolist()} "
+        f"({lanes.size} of {len(Y)} points): region escapes the chart"
+    )
 
 
 def _lanes(a: np.ndarray, idx: np.ndarray) -> np.ndarray:

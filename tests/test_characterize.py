@@ -210,7 +210,7 @@ class TestClassify:
         for rep in starred:
             points = sample_points(family, rep.level, 4, 99)
             ref = check_condition(family, rep.level, rep.condition, rep.offsets, points,
-                                  config.settings, config.threshold)
+                                  config.settings)
             assert np.array_equal(rep.values, ref.values, equal_nan=True)
             assert np.array_equal(rep.value_errors, ref.value_errors, equal_nan=True)
             assert rep.threshold == ref.threshold

@@ -140,6 +140,21 @@ class TestMeasures:
         )
         assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 1
 
+    def test_one_dimensional_any_direction_count(self, tmp_path):
+        # S^0 has two points whatever count is asked for
+        rows = []
+        for directions in (None, 256):
+            cfg = write_config(
+                tmp_path,
+                family={"alpha": 2, "sign": "minus", "f": {"kind": "quadratic", "a": [1.3]}},
+                quadrature={"directions": directions},
+            )
+            out = tmp_path / f"n1-{directions}.csv"
+            assert main(["measures", "--config", str(cfg), "--out", str(out)]) == 0
+            rows.append(read_rows(out))
+        assert rows[0] == rows[1] and len(rows[0]) == 8
+        assert not any(row["error"] for row in rows[0])
+
 
 class TestCurvature:
     def test_unit_sphere_rows(self, tmp_path):
@@ -290,11 +305,14 @@ class TestConfigValidation:
         assert not (tmp_path / "x.out").exists()
 
     # the radial rule is fixed, so radial_order is not a setting, and no
-    # command reaches the Monte Carlo integrator, so neither is mc_samples
+    # command reaches the Monte Carlo integrator, so neither is mc_samples;
+    # the error-estimate targets are fixed per dimension
     @pytest.mark.parametrize("command, key", [
         ("measures", "radial_order"), ("verify", "radial_order"),
         ("measures", "mc_samples"), ("verify", "mc_samples"),
-    ], ids=["measures", "verify", "measures-mc_samples", "verify-mc_samples"])
+        ("measures", "target_rel_error"),
+    ], ids=["measures", "verify", "measures-mc_samples", "verify-mc_samples",
+            "measures-target_rel_error"])
     def test_unknown_quadrature_key_is_config_error(self, tmp_path, capsys, command, key):
         cfg = write_config(tmp_path, quadrature={"directions": 256, key: 16})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 1
@@ -325,9 +343,10 @@ class TestConfigValidation:
         ("sweep", {"sweep": {"x": "ab"}}),
         ("measures", {"output": "x.csv"}),
         ("measures", {"quadrature": {"directions": 256.5}}),
+        ("measures", {"quadrature": {"directions": True}}),
     ], ids=["offsets-string", "offsets-scalar", "levels-string", "levels-scalar",
             "classify-scalar", "threshold-string", "sweep-list", "sweep.x-length",
-            "sweep.x-string", "output-string", "directions-fraction"])
+            "sweep.x-string", "output-string", "directions-fraction", "directions-bool"])
     def test_malformed_key_is_config_error(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
         out = [] if "output" in overrides else ["--out", str(tmp_path / "x.out")]

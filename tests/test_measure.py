@@ -271,12 +271,46 @@ class TestRadialRule:
         assert calls == [64 * 15]
         assert sm.volume.samples == sm.lateral.samples == 64 * 15
 
+    def test_escaped_node_raises(self, monkeypatch):
+        # radial nodes lie strictly inside the region, so one +inf height is a failure
+        height = LocalChart.height
+
+        def one_escape(self, Y, t):
+            w = height(self, Y, t)
+            w[17] = np.inf
+            return w
+
+        monkeypatch.setattr(LocalChart, "height", one_escape)
+        family = trio()["elliptic_hyperboloid"]
+        p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
+        with pytest.raises(RegionError, match=r"graph-height solve failed .* \(1 of 960 points\)"):
+            cap_volume(family, p, 0.3, QuadratureSettings(directions=64))
+
+    @pytest.mark.parametrize("directions", [None, 4, 256])
+    def test_one_dimensional_direction_count(self, hyperbola1, directions):
+        # S^0 has two points whatever count is asked for
+        p = point_on_level(hyperbola1, 1.0, np.array([0.4]))
+        settings = QuadratureSettings(directions=directions)
+        sm = starred_measures(hyperbola1, p, 0.5, settings)
+        ref = starred_measures(hyperbola1, p, 0.5)
+        assert (sm.area.samples, sm.volume.samples, sm.lateral.samples) == (2, 30, 30)
+        for name in ("area", "volume", "lateral"):
+            assert getattr(sm, name).value == getattr(ref, name).value
+
 
 class TestQuadratureSettings:
     @pytest.mark.parametrize("directions", [0, -5, 1])
     def test_directions_below_two_rejected(self, directions):
-        with pytest.raises(ValueError, match="directions"):
+        with pytest.raises(ValueError, match="at least 2"):
             QuadratureSettings(directions=directions)
+
+    @pytest.mark.parametrize("directions", [256.5, 256.0, True, "256", float("nan")])
+    def test_non_integer_directions_rejected(self, directions):
+        with pytest.raises(ValueError, match="directions must be an integer"):
+            QuadratureSettings(directions=directions)
+
+    def test_numpy_integer_directions_accepted(self):
+        assert QuadratureSettings(directions=np.int64(64)).direction_count(2) == 64
 
     def test_none_is_the_per_dimension_default(self):
         assert QuadratureSettings().direction_count(2) == 256
@@ -290,7 +324,7 @@ class TestStarRegion:
         u = sphere_directions(2, 32)
         rho = chart.boundary_radius(u, 0.4)
         assert np.all(rho > 0)
-        w = chart.height(rho[:, None] * u)
+        w = chart.height(rho[:, None] * u, 0.4)
         assert np.max(np.abs(w - 0.4)) <= 1e-10
 
     def test_region_escape(self, unit_sphere2):

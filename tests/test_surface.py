@@ -127,7 +127,7 @@ class TestCurvature:
             chart = LocalChart(family, p)
 
             def w(y):
-                return chart.height(np.asarray(y)[None, :])[0]
+                return chart.height(np.asarray(y)[None, :], 0.1)[0]
 
             hess = np.zeros((2, 2))
             for i in range(2):
@@ -145,8 +145,8 @@ class TestCurvature:
 
 class TestLocalGraph:
     @staticmethod
-    def height(family, p, y):
-        return LocalChart(family, p).height(np.atleast_2d(y))[0]
+    def height(family, p, y, t=0.5):
+        return LocalChart(family, p).height(np.atleast_2d(y), t)[0]
 
     def test_sphere_cap_height(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
@@ -165,13 +165,14 @@ class TestLocalGraph:
         p = point_on_level(unit_sphere2, 1.0, np.array([0.3, -0.2]))
         chart = LocalChart(unit_sphere2, p)
         Y = np.zeros((1, 2))
-        gw = chart.gradient_at(Y, chart.height(Y))
+        gw = chart.gradient_at(Y, chart.height(Y, 0.5))
         assert np.max(np.abs(gw)) <= 1e-9
 
-    def test_escape_raises(self, unit_sphere2):
+    def test_escape_is_outside(self, unit_sphere2):
+        # the line misses the sphere; below the plane at 1.5 it also leaves z > 0
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
-        with pytest.raises(RegionError):
-            self.height(unit_sphere2, p, np.array([1.2, 0.0]))
+        for t in (0.5, 1.5):
+            assert self.height(unit_sphere2, p, np.array([1.2, 0.0]), t) == np.inf
 
 
 class TestParallelTangent:
@@ -292,12 +293,12 @@ class TestChartSolver:
             return inner(f, X)
 
         monkeypatch.setattr(surface, "eval_value_grad", counting)
-        w = chart.height(Y)
+        w = chart.height(Y, 0.3)
         rho = chart.boundary_radius(U, 0.3)
         # converged lanes drop out, so later iterations evaluate fewer lanes
         assert len(set(batch_sizes)) > 3 and min(batch_sizes) < len(Y)
         for i in range(len(Y)):
-            assert chart.height(Y[i:i + 1])[0] == pytest.approx(w[i], rel=1e-13)
+            assert chart.height(Y[i:i + 1], 0.3)[0] == pytest.approx(w[i], rel=1e-13)
             assert chart.boundary_radius(U[i:i + 1], 0.3)[0] == pytest.approx(rho[i], rel=1e-13)
 
     @pytest.mark.parametrize("residual, root, start", [
@@ -333,17 +334,14 @@ class TestChartSolver:
         assert unconverged.tolist() == [0, 1, 2]
         assert len(calls) == surface.CHART_MAXITER
 
-    def test_failure_outcomes(self, unit_sphere2):
+    def test_failure_outcomes(self, unit_sphere2, monkeypatch):
         chart = LocalChart(unit_sphere2, point_on_level(unit_sphere2, 1.0, np.zeros(2)))
         Y = np.array([[0.6, 0.0], [1.2, 0.0], [0.0, 0.9]])  # heights 0.2, past the fold, ~0.56
-        with pytest.raises(RegionError):
-            chart.height(Y)
-        w = chart.height(Y, on_fail="mask")
+        w = chart.height(Y, 0.3)  # above the plane: +inf
+        assert w[0] == pytest.approx(0.2, abs=1e-12) and w[1] == np.inf and w[2] == np.inf
+        w = chart.height(Y, 0.9)  # past the fold: +inf whatever the plane
         assert w[0] == pytest.approx(0.2, abs=1e-12) and w[1] == np.inf
         assert w[2] == pytest.approx(1.0 - np.sqrt(1.0 - 0.81), abs=1e-12)
-        with pytest.raises(RegionError):
-            chart.height(Y, cap=0.3)  # cap_exceed="fail": lanes above the cap fail
-        w = chart.height(Y, cap=0.3, cap_exceed="outside")  # no raise
-        assert w[0] == pytest.approx(0.2, abs=1e-12) and w[1] == np.inf and w[2] == np.inf
-        w = chart.height(Y, cap=0.3, on_fail="mask")
-        assert w[0] == pytest.approx(0.2, abs=1e-12) and np.all(np.isinf(w[1:]))
+        monkeypatch.setattr(surface, "CHART_MAXITER", 1)  # a stalled solve raises
+        with pytest.raises(RegionError, match=r"chart offset y=\[0\.6, 0\.0\] \(2 of 3 points\)"):
+            chart.height(Y, 0.9)
