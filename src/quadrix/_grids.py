@@ -1,17 +1,17 @@
-"""Deterministic quadrature grids: Halton sets, sphere direction sets and the radial rule.
+"""Deterministic quadrature grids: Halton sets, the sphere rule and the radial rule.
 
 `halton` is a numpy radical-inverse Halton set, plain or scrambled with
 Owen's random digit permutations (arXiv:1706.02808); it equals
 `scipy.stats.qmc.Halton` bit for bit without loading scipy.stats.
 
-Direction sets are low-discrepancy and fully deterministic (no RNG):
-the two-point set on S^0, uniform angles on S^1, a Fibonacci lattice on
-S^2 and a Halton-Gaussian construction for higher spheres.  Each set is
-built once per process and shared read-only.  Interleaved
-even/odd halves of every set are themselves well distributed, which is
-what the paired error estimates rely on.  The radial rule is the G7/K15
-Gauss-Kronrod pair, whose embedded Gauss rule gives the radial error
-estimate without evaluating any further node.
+`sphere_rule` is a product rule on S^{n-1} in hyperspherical coordinates
+(Stroud, Approximate Calculation of Multiple Integrals, 1971): the
+trapezoid rule in azimuth and Gauss-Gegenbauer nodes per polar angle,
+computed as the eigenvalues of a Jacobi matrix (Golub & Welsch, Math.
+Comp. 23, 1969).  Each rule is built once per process and shared
+read-only.  The radial rule is the G7/K15 Gauss-Kronrod pair, whose
+embedded Gauss rule gives the radial error estimate without evaluating
+any further node.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_DIRECTIONS = {1: 2, 2: 256, 3: 4096, 4: 8192, 5: 16384, 6: 16384}
-
-_GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+# sphere-rule order per dimension; the rule has 2 * order^(n-1) nodes for n >= 2
+DEFAULT_ORDER = {1: 3, 2: 16, 3: 10, 4: 8, 5: 6, 6: 6}
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -58,10 +57,6 @@ _GAUSS_WEIGHTS = (
 )
 
 
-def default_direction_count(n: int) -> int:
-    return DEFAULT_DIRECTIONS[n]
-
-
 def halton(n: int, count: int, seed: int | None = None) -> np.ndarray:
     """The first count points of the n-dimensional Halton set, shape (count, n).
 
@@ -85,33 +80,40 @@ def halton(n: int, count: int, seed: int | None = None) -> np.ndarray:
     return out.T
 
 
-def sphere_directions(n: int, count: int) -> np.ndarray:
-    """count unit vectors spread over S^{n-1}, shape (count, n), read-only."""
-    u = _sphere_set(n, count)
-    u.setflags(write=False)  # one array per (n, count) is shared by every caller
-    return u
-
-
 @lru_cache(maxsize=32)
-def _sphere_set(n: int, count: int) -> np.ndarray:
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    if n == 2:
-        theta = 2.0 * np.pi * (np.arange(count) + 0.5) / count
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    if n == 3:
-        i = np.arange(count)
-        z = 1.0 - (2.0 * i + 1.0) / count
-        phi = 2.0 * np.pi * i / _GOLDEN
-        r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    from scipy.special import ndtri  # equals norm.ppf, without loading scipy.stats
+def sphere_rule(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (N, n) and weights (N,) on the unit sphere S^{n-1}, both read-only.
 
-    u = halton(n, count + 1)[1:]  # drop the origin-adjacent first point
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    # C order, as norm.ppf returned it: the layout sets the rounding of later products
-    gauss = np.ascontiguousarray(ndtri(u))
-    return gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    Exact for polynomials of degree up to 2 * order - 1, with weights summing
+    to the area of S^{n-1}.  S^0 is its two points whatever the order; S^1 is
+    the 2 * order-point midpoint trapezoid rule; higher spheres cross
+    order Gauss-Gegenbauer nodes u of the last coordinate with sqrt(1 - u^2)
+    times the rule on S^{n-2}.
+    """
+    if n == 1:
+        nodes, weights = np.array([[1.0], [-1.0]]), np.ones(2)
+    elif n == 2:
+        theta = np.pi * (np.arange(2 * order) + 0.5) / order
+        nodes = np.column_stack([np.cos(theta), np.sin(theta)])
+        weights = np.full(2 * order, np.pi / order)
+    else:
+        u, wu = _gegenbauer(order, (n - 2) / 2.0)
+        sub, wsub = sphere_rule(n - 1, order)
+        ring = np.sqrt(1.0 - u * u)
+        nodes = np.column_stack([np.kron(ring[:, None], sub), np.repeat(u, len(sub))])
+        weights = np.kron(wu, wsub)
+    nodes.setflags(write=False)  # one rule per (n, order) is shared by every caller
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _gegenbauer(m: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss rule on [-1, 1] for the weight (1 - u^2)^(lam - 1/2), lam > 0."""
+    k = np.arange(1, m)
+    off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
+    u, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0)
+    return u, mu0 * vec[0] ** 2
 
 
 def radial_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

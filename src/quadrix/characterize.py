@@ -59,7 +59,6 @@ class ConstancyReport:
     verdict: str
     threshold: float
     errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
     matched_constant: float | None = None
 
     def to_dict(self) -> dict:
@@ -73,7 +72,6 @@ class ConstancyReport:
             "verdict": self.verdict,
             "threshold": self.threshold,
             "errors": list(self.errors),
-            "warnings": list(self.warnings),
             "matched_constant": self.matched_constant,
         }
 

@@ -98,7 +98,7 @@ def _build_family(cfg: dict) -> LevelFamily:
         raise ConfigError(f"bad family config: {exc}") from exc
 
 
-_QUADRATURE_KEYS = ("directions",)
+_QUADRATURE_KEYS = ("order",)
 
 
 def _section(cfg: dict, key: str) -> dict:
@@ -130,7 +130,7 @@ def _build_settings(cfg: dict, seed_override: int | None) -> QuadratureSettings:
         raise ConfigError(f"bad quadrature config: unknown keys {unknown}; "
                           f"known keys are {list(_QUADRATURE_KEYS)}")
     try:
-        return QuadratureSettings(directions=q.get("directions"), seed=seed)
+        return QuadratureSettings(order=q.get("order"), seed=seed)
     except ValueError as exc:
         raise ConfigError(f"bad quadrature config: {exc}") from exc
 

@@ -9,14 +9,15 @@ chart region {w < t}:
     lateral = integral of sqrt(1 + |grad w|^2),
 
 all in the tangent-plane coordinates of p.  The primary integrator is
-radial: boundary radii along a deterministic low-discrepancy direction set
-and one pass of the 15-node Gauss-Kronrod rule along each ray.  The error
-estimate is the larger of the spread between interleaved halves of the
-direction set and the radial gap |K15 - G7|, where G7 is the Gauss rule
-embedded in the same nodes, so it costs no extra height solve.  A seeded
-rejection Monte Carlo integrator with a different failure profile is kept
-as an independent oracle.  Partial sums reduce in a fixed order, so results
-are bit-stable for a given seed.
+radial along the directions L^{-T} e, for the sphere-rule nodes e and
+S = L L^T the second fundamental form: on a quadric every section is then a
+ball (sections are homothetic to the Dupin indicatrix {y^T S y = 1}), so the
+integrand on the sphere is smooth.  One K15 pass runs along each ray.  The
+error estimate is the larger of the gap to the sphere rule of order m - 2,
+solved in the same calls, and the radial gap |K15 - G7| of the embedded
+Gauss rule.  A seeded rejection Monte Carlo integrator with a different
+failure profile is kept as an independent oracle.  Partial sums reduce in
+a fixed order, so results are bit-stable for a given seed.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grids import default_direction_count, radial_nodes, sphere_directions
-from .quadrics import unit_ball_volume, unit_sphere_area
+from ._grids import DEFAULT_ORDER, radial_nodes, sphere_rule
+from .quadrics import unit_ball_volume
 from .surface import LevelFamily, LocalChart, SurfacePoint, height_failure, parallel_tangent
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 _ERR_FLOOR = 1e-11  # relative floor covering boundary-solve tolerances
+_TARGET = 1e-4  # relative error estimate above which a radial measure warns
 
 
 @dataclass(frozen=True)
@@ -58,39 +60,39 @@ class MeasureResult:
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Knobs for both integrators; directions=None picks the per-dimension default.
+    """Knobs for both integrators; order=None picks the per-dimension DEFAULT_ORDER.
 
-    Any other directions value must be an integer of at least 2.
+    Any other sphere-rule order must be an integer of at least 3: the error
+    estimate compares it with order - 2.
     """
 
-    directions: int | None = None
+    order: int | None = None
     mc_samples: int = 1 << 16
     seed: int = 123456789
 
     def __post_init__(self):
-        if self.directions is None:
+        if self.order is None:
             return
         try:
-            if isinstance(self.directions, bool):  # operator.index takes True as 1
+            if isinstance(self.order, bool):  # operator.index takes True as 1
                 raise TypeError
-            operator.index(self.directions)
+            operator.index(self.order)
         except TypeError:
-            raise ValueError(f"directions must be an integer, got {self.directions!r}") from None
-        if self.directions < 2:
-            raise ValueError(f"directions must be at least 2, got {self.directions!r}")
-
-    def direction_count(self, n: int) -> int:
-        return default_direction_count(n) if self.directions is None else self.directions
+            raise ValueError(f"order must be an integer, got {self.order!r}") from None
+        if self.order < 3:
+            raise ValueError(f"order must be at least 3, got {self.order!r}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
-def _paired_error(per_direction: np.ndarray, sigma: float, total: float) -> float:
-    """Spread between the interleaved half direction sets."""
-    even = sigma * float(np.mean(per_direction[0::2]))
-    odd = sigma * float(np.mean(per_direction[1::2]))
-    return max(abs(total - even), abs(total - odd))
+def _chart_directions(p: SurfacePoint, nodes: np.ndarray) -> tuple[np.ndarray, float]:
+    """Chart directions L^{-T} e for unit sphere nodes e, where S = L L^T at p.
+
+    Returns them, shape (N, n), with the Jacobian 1 / sqrt(det S) of the map.
+    """
+    L = np.linalg.cholesky(p.second_form)
+    return np.linalg.solve(L.T, nodes.T).T, 1.0 / float(np.prod(np.diag(L)))
 
 
 def _radial_measures(
@@ -102,16 +104,18 @@ def _radial_measures(
 ) -> dict[str, MeasureResult]:
     chart = LocalChart(family, p)
     n = family.n
-    U = sphere_directions(n, settings.direction_count(n))
-    m = len(U)  # S^0 has two points whatever count is asked for
-    rho = chart.boundary_radius(U, t)
-    sigma = unit_sphere_area(n - 1)
+    order = settings.order or DEFAULT_ORDER[n]
+    (fine, w_fine), (coarse, w_coarse) = sphere_rule(n, order), sphere_rule(n, order - 2)
+    # both rules solve in one boundary and one height call
+    D, jac = _chart_directions(p, np.concatenate([fine, coarse]))
+    m, split = len(D), len(fine)
+    rho = chart.boundary_radius(D, t)
     out: dict[str, MeasureResult] = {}
 
-    def finish(per_dir: np.ndarray, samples: int, extra_err: float = 0.0) -> MeasureResult:
-        total = sigma * float(np.mean(per_dir))
-        err = _paired_error(per_dir, sigma, total) if n >= 2 else 0.0
-        err = max(err, extra_err, _ERR_FLOOR * abs(total))
+    def finish(per_dir: np.ndarray, samples: int, radial_err: float = 0.0) -> MeasureResult:
+        total = jac * float(w_fine @ per_dir[:split])
+        err = abs(total - jac * float(w_coarse @ per_dir[split:]))
+        err = max(err, radial_err, _ERR_FLOOR * abs(total))
         return MeasureResult(total, err, "radial_quadrature", samples)
 
     if "area" in want:
@@ -120,7 +124,7 @@ def _radial_measures(
     if "volume" in want or "lateral" in want:
         nodes, kronrod, gauss = radial_nodes()
         radii = rho[:, None] * nodes[None, :]
-        Y = (radii[..., None] * U[:, None, :]).reshape(-1, n)
+        Y = (radii[..., None] * D[:, None, :]).reshape(-1, n)
         w = chart.height(Y, t)
         if np.isinf(w).any():  # the nodes lie strictly inside the region
             raise height_failure(Y, np.flatnonzero(np.isinf(w)))
@@ -129,9 +133,10 @@ def _radial_measures(
 
         def ray_measure(integrand: np.ndarray) -> MeasureResult:
             f = integrand * rpow
-            # direction pairing is blind to radial truncation (it is smooth
-            # across directions), so fold in the K15 - G7 difference too
-            radial_err = abs(sigma * float(np.mean(rho * (f @ (kronrod - gauss)))))
+            # the two sphere orders share the radial rule, so their gap is
+            # blind to radial truncation: fold in the K15 - G7 difference too
+            gap = rho[:split] * (f[:split] @ (kronrod - gauss))
+            radial_err = abs(jac * float(w_fine @ gap))
             return finish(rho * (f @ kronrod), samples, radial_err)
 
         if "volume" in want:
@@ -152,8 +157,9 @@ def _monte_carlo_measures(
     """Rejection sampling in a bounding ball around the chart region."""
     chart = LocalChart(family, p)
     n = family.n
-    probe = chart.boundary_radius(sphere_directions(n, settings.direction_count(n)), t)
-    bound = 1.3 * float(np.max(probe))
+    D, _ = _chart_directions(p, sphere_rule(n, settings.order or DEFAULT_ORDER[n])[0])
+    extent = chart.boundary_radius(D, t) * np.linalg.norm(D, axis=1)
+    bound = 1.3 * float(np.max(extent))
 
     rng = np.random.default_rng(settings.seed)
     count = settings.mc_samples
@@ -194,13 +200,12 @@ def _measures(family, p, t, settings, method, want):
     if method != "radial":
         raise ValueError(f"unknown method {method!r}")
     out = _radial_measures(family, p, t, settings, want)
-    target = 1e-4 if family.n <= 3 else 1e-3
     for name, res in out.items():
-        if res.value and res.error_estimate > target * abs(res.value):
+        if res.value and res.error_estimate > _TARGET * abs(res.value):
             rel = res.error_estimate / abs(res.value)
             warnings.warn(
                 f"{name} relative error estimate {rel:.2e} exceeds the target "
-                f"{target:.0e}; increase directions",
+                f"{_TARGET:.0e}; increase the quadrature order",
                 stacklevel=3,
             )
     return out

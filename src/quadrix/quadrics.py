@@ -8,9 +8,10 @@ that quantifies why normalized lateral area is never point-independent on
 the hyperboloid family.
 
 Every function here is an oracle: independent of the generic quadrature
-engine except for the deterministic grids it shares with it.  The 1-D
-integrals use scipy's adaptive `quad`, imported on first use so that
-loading quadrix does not load scipy.integrate.
+engine except for the sphere rule it shares with it, at a finer order of
+its own and on the unit ball rather than on a chart region.  The 1-D
+integrals of the cap volumes use scipy's adaptive `quad`, imported on
+first use so that loading quadrix does not load scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import gamma, pi, sqrt
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._grids import default_direction_count, sphere_directions
+from ._grids import sphere_rule
 
 __all__ = [
     "QUADRIC_KINDS",
@@ -47,6 +48,9 @@ __all__ = [
 QUADRIC_KINDS = ("elliptic_paraboloid", "ellipsoid", "elliptic_hyperboloid")
 
 _QUAD_TOL = 1e-12
+
+# sphere-rule order per dimension of mean_H_over_domain, finer than the engine's
+_ORACLE_ORDER = {1: 64, 2: 64, 3: 64, 4: 16, 5: 12, 6: 8}
 
 
 def unit_ball_volume(n: int) -> float:
@@ -298,23 +302,13 @@ def mean_H_over_domain(q, a, k: float, h: float) -> float:
     """
     dom = refutation_domain(q, k, h)
     n = dom.q.shape[0]
-    if n == 1:
-        from scipy.integrate import quad
-
-        val, _ = quad(
-            lambda s: refutation_H(np.array([[dom.center[0] + s * dom.semi_axes[0]]]), a, k)[0],
-            -1.0, 1.0, epsabs=_QUAD_TOL, epsrel=1e-10,
-        )
-        return val / 2.0
-    u = sphere_directions(n, default_direction_count(n))
+    u, wu = sphere_rule(n, _ORACLE_ORDER[n])
     xg, wg = leggauss(32)  # Gauss-Legendre on [0, 1]
-    nodes, weights = 0.5 * (xg + 1.0), 0.5 * wg
-    # mean over the unit ball: (1/omega_n) * int_{S^{n-1}} int_0^1 H r^{n-1} dr du
-    xi = nodes[None, :, None] * u[:, None, :]  # (directions, order, n)
-    pts = dom.points(xi.reshape(-1, n))
-    vals = refutation_H(pts, a, k).reshape(len(u), -1)
-    radial = vals @ (weights * nodes ** (n - 1))
-    return float(np.mean(radial) * unit_sphere_area(n - 1) / unit_ball_volume(n))
+    # mean over the unit ball: (1/omega_n) * int_{S^{n-1}} int_0^1 H r^{n-1} dr du,
+    # one radial node at a time, which keeps the n = 6 arrays small
+    total = sum(0.5 * w * r ** (n - 1) * float(wu @ refutation_H(dom.points(r * u), a, k))
+                for r, w in zip(0.5 * (xg + 1.0), wg))
+    return float(total) / unit_ball_volume(n)
 
 
 def refutation_theta(k: float, h: float, a) -> float:

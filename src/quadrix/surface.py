@@ -309,7 +309,8 @@ class LocalChart:
     def boundary_radius(self, U: np.ndarray, t: float) -> np.ndarray:
         """Radii rho with w(rho u) = t, solved on the section plane itself.
 
-        U holds unit chart directions, shape (M, n).  Raises RegionError when
+        U holds chart directions of any nonzero length, shape (M, n); rho is in
+        units of each direction's length.  Raises RegionError when
         t exceeds the cap height or the section crosses the chart fold.
         """
         U = np.atleast_2d(np.asarray(U, dtype=float))

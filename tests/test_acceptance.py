@@ -81,8 +81,9 @@ def test_criterion_1_curvature_invariant():
 
 
 def test_criterion_2_oracle_vs_quadrature():
-    """Starred cap volume and section area match the closed-form oracles on 45 fixtures."""
-    coeffs = {1: (1.3,), 2: A2, 3: (1.0, 1.5, 0.7)}
+    """Starred cap volume and section area match the closed-form oracles on 90 fixtures, n = 1..6."""
+    coeffs = {1: (1.3,), 2: A2, 3: (1.0, 1.5, 0.7), 4: (1.0, 1.5, 0.7, 1.2),
+              5: (1.0, 1.5, 0.7, 1.2, 0.9), 6: (1.0, 1.5, 0.7, 1.2, 0.9, 1.4)}
     rel_offsets = {
         "elliptic_hyperboloid": [0.5, 1.0, 0.5, 1.0, 0.75],
         "ellipsoid": [-0.25, -0.5, -0.25, -0.5, -0.4],
@@ -107,24 +108,31 @@ def test_criterion_2_oracle_vs_quadrature():
                     worst = max(worst, dev / abs(want))
                     assert dev <= tol, f"{kind} n={n} k={k} h={h}: {got} vs {want}"
                 checked += 1
-    report(checked >= 45, "criterion-2 oracle agreement",
-           f"{checked} fixtures within max(3 sigma, 1%), worst rel dev {worst:.2e}")
+    report(checked >= 90 and worst <= 1e-8, "criterion-2 oracle agreement",
+           f"{checked} fixtures within max(3 sigma, 1%), worst rel dev {worst:.2e} <= 1e-8")
 
 
 def test_criterion_3_constancy_on_quadrics():
-    """Cap-volume and section-area conditions come back constant with spread <= 1e-3."""
+    """Cap-volume and section-area conditions come back constant with spread <= 1e-3.
+
+    The n = 4 hyperboloid also checks that the decision threshold stays the
+    uninflated 1e-3: its error estimates are far below it.
+    """
     setups = {
-        "elliptic_hyperboloid": (None, [0.5, 1.0]),
-        "ellipsoid": ([(-0.25, 0.25), (-0.125, 0.125)], [-0.25, -0.5]),
-        "elliptic_paraboloid": (None, [0.1, 0.2]),
+        "elliptic_hyperboloid": (A2, None, [0.5, 1.0]),
+        "ellipsoid": (A2, [(-0.25, 0.25), (-0.125, 0.125)], [-0.25, -0.5]),
+        "elliptic_paraboloid": (A2, None, [0.1, 0.2]),
+        "elliptic_hyperboloid n=4": ((1.0, 1.5, 0.7, 1.2), None, [0.5, 1.0]),
     }
     worst = 0.0
-    for kind, (box, offsets) in setups.items():
-        family = family_of(kind)
+    for name, (a, box, offsets) in setups.items():
+        family = family_of(name.split()[0], a)
         pts = sample_points(family, 1.0, 6, seed=301, box=box)
         for condition in ("Vstar", "Astar"):
             rep = check_condition(family, 1.0, condition, offsets, pts)
-            assert rep.verdict == "constant", f"{kind} {condition}: {rep.verdict} {rep.spreads}"
+            assert rep.verdict == "constant", f"{name} {condition}: {rep.verdict} {rep.spreads}"
+            if len(a) == 4:
+                assert rep.threshold == 1e-3, f"{name} {condition}: threshold {rep.threshold}"
             worst = max(worst, max(rep.spreads))
     report(worst <= 1e-3, "criterion-3 quadric constancy",
            f"all verdicts constant, max spread {worst:.2e} <= 1e-3")

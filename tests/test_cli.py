@@ -23,7 +23,7 @@ def write_config(tmp_path, name="config.json", **overrides):
         "levels": [1.0],
         "offsets": [0.5, 1.0],
         "points": {"count": 4, "seed": 4242},
-        "quadrature": {"directions": 256},
+        "quadrature": {"order": 12},
     }
     cfg.update(overrides)
     path = tmp_path / name
@@ -92,7 +92,7 @@ class TestMeasures:
         out = tmp_path / "m.csv"
         assert main(["measures", "--config", str(cfg), "--out", str(out)]) == 0
         family = LevelFamily(QuadraticForm((1.0, 2.0)), 2.0, "minus")
-        settings = QuadratureSettings(directions=256, seed=4242)
+        settings = QuadratureSettings(order=12, seed=4242)
         expected = []
         for k in (0.5, 1.0):
             points = sample_points(family, k, 3, 4242)
@@ -141,15 +141,15 @@ class TestMeasures:
         assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "f.csv")]) == 1
 
     def test_one_dimensional_any_direction_count(self, tmp_path):
-        # S^0 has two points whatever count is asked for
+        # S^0 has two points whatever the sphere-rule order
         rows = []
-        for directions in (None, 256):
+        for order in (None, 256):
             cfg = write_config(
                 tmp_path,
                 family={"alpha": 2, "sign": "minus", "f": {"kind": "quadratic", "a": [1.3]}},
-                quadrature={"directions": directions},
+                quadrature={"order": order},
             )
-            out = tmp_path / f"n1-{directions}.csv"
+            out = tmp_path / f"n1-{order}.csv"
             assert main(["measures", "--config", str(cfg), "--out", str(out)]) == 0
             rows.append(read_rows(out))
         assert rows[0] == rows[1] and len(rows[0]) == 8
@@ -273,7 +273,7 @@ class TestSweep:
         assert rows[0][-1] and rows[0][2:] == rows[1][2:] == [""] * 7 + [rows[0][-1]]
         family = LevelFamily(QuadraticForm((1.0, 1.0)), 2.0, "plus")
         p = point_on_level(family, 1.0, np.array([0.8, 0.0]))
-        settings = QuadratureSettings(directions=256, seed=4242)
+        settings = QuadratureSettings(order=12, seed=4242)
         for row, h in zip(rows[2:], (-0.1, -0.2)):
             assert row[2:] == cell_columns(starred_measures(family, p, h, settings)) + [""]
 
@@ -287,9 +287,10 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith("config error: bad points.box")
         assert not (tmp_path / "x.out").exists()
 
-    @pytest.mark.parametrize("directions", [0, -5])
-    def test_directions_below_two_is_config_error(self, tmp_path, capsys, directions):
-        cfg = write_config(tmp_path, quadrature={"directions": directions})
+    # quadrature.order replaced the direction count; the test name keeps the old word
+    @pytest.mark.parametrize("order", [0, -5, 2])
+    def test_directions_below_two_is_config_error(self, tmp_path, capsys, order):
+        cfg = write_config(tmp_path, quadrature={"order": order})
         assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: bad quadrature config")
@@ -306,15 +307,16 @@ class TestConfigValidation:
 
     # the radial rule is fixed, so radial_order is not a setting, and no
     # command reaches the Monte Carlo integrator, so neither is mc_samples;
-    # the error-estimate targets are fixed per dimension
+    # the error-estimate target is fixed; the sphere rule's order replaced the
+    # direction count, so directions is an unknown key too
     @pytest.mark.parametrize("command, key", [
         ("measures", "radial_order"), ("verify", "radial_order"),
         ("measures", "mc_samples"), ("verify", "mc_samples"),
-        ("measures", "target_rel_error"),
+        ("measures", "target_rel_error"), ("measures", "directions"),
     ], ids=["measures", "verify", "measures-mc_samples", "verify-mc_samples",
-            "measures-target_rel_error"])
+            "measures-target_rel_error", "measures-directions"])
     def test_unknown_quadrature_key_is_config_error(self, tmp_path, capsys, command, key):
-        cfg = write_config(tmp_path, quadrature={"directions": 256, key: 16})
+        cfg = write_config(tmp_path, quadrature={"order": 12, key: 16})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: bad quadrature config: unknown keys")
@@ -342,8 +344,9 @@ class TestConfigValidation:
         ("sweep", {"sweep": {"x": [0.1]}}),
         ("sweep", {"sweep": {"x": "ab"}}),
         ("measures", {"output": "x.csv"}),
-        ("measures", {"quadrature": {"directions": 256.5}}),
-        ("measures", {"quadrature": {"directions": True}}),
+        # the order replaced the direction count; the ids keep the old word
+        ("measures", {"quadrature": {"order": 12.5}}),
+        ("measures", {"quadrature": {"order": True}}),
     ], ids=["offsets-string", "offsets-scalar", "levels-string", "levels-scalar",
             "classify-scalar", "threshold-string", "sweep-list", "sweep.x-length",
             "sweep.x-string", "output-string", "directions-fraction", "directions-bool"])

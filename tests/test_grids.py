@@ -1,6 +1,8 @@
-"""The numpy Halton set, the cached sphere direction sets, and a scipy-free load path."""
+"""The numpy Halton set, the cached sphere rule, and a scipy-free load path."""
 
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
-from quadrix._grids import halton, sphere_directions
+from quadrix import unit_sphere_area
+from quadrix._grids import _gegenbauer, halton, sphere_rule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,22 +56,51 @@ class TestHalton:
         ]
 
 
-class TestSphereDirections:
-    def test_halton_gaussian_set_equals_scipy_construction(self):
-        u = np.clip(qmc.Halton(d=4, scramble=False).random(8193)[1:], 1e-12, 1.0 - 1e-12)
-        gauss = ndtri(u)
-        want = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-        got = sphere_directions(4, 8192)
-        assert got.tobytes() == want.tobytes()
-        assert got.flags.c_contiguous  # the layout, too, sets the rounding of later products
+def sphere_moment(alpha) -> float:
+    """Integral of prod x_i^alpha_i over the unit sphere S^{n-1}, n = len(alpha)."""
+    if any(a % 2 for a in alpha):
+        return 0.0
+    return (2.0 * math.prod(math.gamma((a + 1) / 2.0) for a in alpha)
+            / math.gamma((sum(alpha) + len(alpha)) / 2.0))
 
-    @pytest.mark.parametrize("n, count", [(1, 2), (2, 64), (3, 128), (4, 8192)])
-    def test_cached_read_only(self, n, count):
-        u = sphere_directions(n, count)
-        assert not u.flags.writeable
-        assert sphere_directions(n, count) is u
-        with pytest.raises(ValueError):
-            u[0, 0] = 0.0
+
+class TestSphereRule:
+    @pytest.mark.parametrize("m", [1, 2, 5, 10, 16, 64])
+    def test_gegenbauer_half_is_gauss_legendre(self, m):
+        u, w = _gegenbauer(m, 0.5)
+        x, wx = leggauss(m)
+        assert np.max(np.abs(u - x)) <= 1e-14
+        assert np.max(np.abs(w - wx)) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("order", range(3, 7))
+    def test_exact_to_degree_2_order_minus_1(self, n, order):
+        nodes, weights = sphere_rule(n, order)
+        assert nodes.shape == (2 * order ** (n - 1), n) and weights.shape == (len(nodes),)
+        assert weights.sum() == pytest.approx(unit_sphere_area(n - 1), rel=1e-14)
+        # powers[d, i] is the column x_i ** d
+        powers = np.ascontiguousarray(nodes.T) ** np.arange(2 * order)[:, None, None]
+        for degree in range(1, 2 * order):
+            for bars in itertools.combinations(range(degree + n - 1), n - 1):
+                # stars and bars: the exponents between consecutive bars sum to degree
+                edges = (-1,) + bars + (degree + n - 1,)
+                alpha = [hi - lo - 1 for lo, hi in zip(edges, edges[1:])]
+                got = weights @ math.prod(powers[a, i] for i, a in enumerate(alpha))
+                assert abs(got - sphere_moment(alpha)) <= 1e-13, alpha
+
+    def test_one_dimensional_is_two_points(self):
+        for order in (3, 4, 10):
+            nodes, weights = sphere_rule(1, order)
+            assert nodes.tolist() == [[1.0], [-1.0]] and weights.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("n, order", [(1, 3), (2, 16), (3, 10), (6, 6)])
+    def test_cached_read_only(self, n, order):
+        rule = sphere_rule(n, order)
+        assert sphere_rule(n, order) is rule
+        for arr in rule:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 _RUN_CLI = textwrap.dedent("""
@@ -110,7 +142,7 @@ def _config(tmp_path, name, a, **extra):
 
 class TestLoadPath:
     def test_n2_commands_load_no_scipy(self, tmp_path):
-        cfg = _config(tmp_path, "n2.json", [1, 2], quadrature={"directions": 256})
+        cfg = _config(tmp_path, "n2.json", [1, 2], quadrature={"order": 12})
         codes, scipy_modules, numpy_ma = _fresh_cli(
             tmp_path,
             f"measures --config {cfg} --out m.csv",
@@ -122,8 +154,19 @@ class TestLoadPath:
         assert not numpy_ma  # the threshold median of classify and verify is sort based
 
     def test_n4_measures_loads_only_scipy_special(self, tmp_path):
-        cfg = _config(tmp_path, "n4.json", [1, 1.5, 2, 1], quadrature={"directions": 512})
+        # the sphere rule needs no scipy at any n, so this loads none at all
+        cfg = _config(tmp_path, "n4.json", [1, 1.5, 2, 1], quadrature={"order": 6})
         codes, scipy_modules, _ = _fresh_cli(tmp_path, f"measures --config {cfg} --out m.csv")
         assert codes == [0]
-        assert "scipy.special" in scipy_modules
-        assert not [m for m in scipy_modules if m.startswith(("scipy.stats", "scipy.integrate"))]
+        assert scipy_modules == []
+
+    def test_n6_commands_load_no_scipy(self, tmp_path):
+        cfg = _config(tmp_path, "n6.json", [1, 1.5, 2, 1, 1.2, 0.8])
+        codes, scipy_modules, _ = _fresh_cli(
+            tmp_path,
+            f"measures --config {cfg} --out m.csv",
+            f"sweep --config {cfg} --out s.csv",
+            f"curvature --config {cfg} --out k.csv",
+        )
+        assert codes == [0, 0, 0]
+        assert scipy_modules == []

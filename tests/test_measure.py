@@ -6,6 +6,7 @@ import pytest
 from quadrix import (
     LevelFamily,
     LocalChart,
+    PerturbedQuadratic,
     QuadraticForm,
     QuadratureSettings,
     RegionError,
@@ -19,7 +20,7 @@ from quadrix import (
     starred_oracle,
     unit_ball_volume,
 )
-from quadrix._grids import radial_nodes, sphere_directions
+from quadrix._grids import DEFAULT_ORDER, radial_nodes, sphere_rule
 from quadrix.quadrics import hyperboloid_lateral_area
 
 from conftest import seeded_xs, trio
@@ -199,8 +200,8 @@ class TestErrorEstimates:
         family = trio()[kind]
         x = np.array([0.2, 0.1]) if family.sign == "plus" else np.array([0.7, 0.4])
         p = point_on_level(family, 1.0, x)
-        coarse = QuadratureSettings(directions=256)
-        fine = QuadratureSettings(directions=512)
+        coarse = QuadratureSettings(order=8)
+        fine = QuadratureSettings(order=16)
         for op in (section_area, cap_volume, lateral_area):
             r1 = op(family, p, 0.25, coarse)
             r2 = op(family, p, 0.25, fine)
@@ -267,9 +268,11 @@ class TestRadialRule:
         monkeypatch.setattr(LocalChart, "height", counting)
         family = trio()["elliptic_hyperboloid"]
         p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
-        sm = starred_measures(family, p, 0.5, QuadratureSettings(directions=64))
-        assert calls == [64 * 15]
-        assert sm.volume.samples == sm.lateral.samples == 64 * 15
+        sm = starred_measures(family, p, 0.5, QuadratureSettings(order=6))
+        # the order-6 and order-4 rules on S^1: 12 + 8 directions, 15 nodes per ray
+        assert calls == [20 * 15]
+        assert sm.area.samples == 20
+        assert sm.volume.samples == sm.lateral.samples == 20 * 15
 
     def test_escaped_node_raises(self, monkeypatch):
         # radial nodes lie strictly inside the region, so one +inf height is a failure
@@ -283,45 +286,86 @@ class TestRadialRule:
         monkeypatch.setattr(LocalChart, "height", one_escape)
         family = trio()["elliptic_hyperboloid"]
         p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
-        with pytest.raises(RegionError, match=r"graph-height solve failed .* \(1 of 960 points\)"):
-            cap_volume(family, p, 0.3, QuadratureSettings(directions=64))
+        with pytest.raises(RegionError, match=r"graph-height solve failed .* \(1 of 300 points\)"):
+            cap_volume(family, p, 0.3, QuadratureSettings(order=6))
 
-    @pytest.mark.parametrize("directions", [None, 4, 256])
-    def test_one_dimensional_direction_count(self, hyperbola1, directions):
-        # S^0 has two points whatever count is asked for
+    @pytest.mark.parametrize("order", [None, 4, 256])
+    def test_one_dimensional_direction_count(self, hyperbola1, order):
+        # S^0 has two points whatever the order, for the rule and its order - 2 partner
         p = point_on_level(hyperbola1, 1.0, np.array([0.4]))
-        settings = QuadratureSettings(directions=directions)
+        settings = QuadratureSettings(order=order)
         sm = starred_measures(hyperbola1, p, 0.5, settings)
         ref = starred_measures(hyperbola1, p, 0.5)
-        assert (sm.area.samples, sm.volume.samples, sm.lateral.samples) == (2, 30, 30)
+        assert (sm.area.samples, sm.volume.samples, sm.lateral.samples) == (4, 60, 60)
         for name in ("area", "volume", "lateral"):
             assert getattr(sm, name).value == getattr(ref, name).value
 
 
 class TestQuadratureSettings:
-    @pytest.mark.parametrize("directions", [0, -5, 1])
-    def test_directions_below_two_rejected(self, directions):
-        with pytest.raises(ValueError, match="at least 2"):
-            QuadratureSettings(directions=directions)
+    # the sphere-rule order replaced the direction count; these test names
+    # keep the old word.  Order 2 is refused too: order - 2 must be a rule.
+    @pytest.mark.parametrize("order", [0, -5, 1, 2])
+    def test_directions_below_two_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be at least 3"):
+            QuadratureSettings(order=order)
 
-    @pytest.mark.parametrize("directions", [256.5, 256.0, True, "256", float("nan")])
-    def test_non_integer_directions_rejected(self, directions):
-        with pytest.raises(ValueError, match="directions must be an integer"):
-            QuadratureSettings(directions=directions)
+    @pytest.mark.parametrize("order", [256.5, 256.0, True, "256", float("nan")])
+    def test_non_integer_directions_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            QuadratureSettings(order=order)
 
-    def test_numpy_integer_directions_accepted(self):
-        assert QuadratureSettings(directions=np.int64(64)).direction_count(2) == 64
+    def test_numpy_integer_directions_accepted(self, unit_sphere2):
+        assert QuadratureSettings(order=np.int64(6)).order == 6
+        p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
+        got = section_area(unit_sphere2, p, 0.5, QuadratureSettings(order=np.int64(6)))
+        want = section_area(unit_sphere2, p, 0.5, QuadratureSettings(order=6))
+        assert got == want
 
-    def test_none_is_the_per_dimension_default(self):
-        assert QuadratureSettings().direction_count(2) == 256
-        assert QuadratureSettings(directions=2).direction_count(2) == 2
+    def test_none_is_the_per_dimension_default(self, unit_sphere2):
+        assert QuadratureSettings().order is None
+        p = point_on_level(unit_sphere2, 1.0, np.array([0.2, 0.1]))
+        got = starred_measures(unit_sphere2, p, -0.5, QuadratureSettings())
+        want = starred_measures(unit_sphere2, p, -0.5, QuadratureSettings(order=DEFAULT_ORDER[2]))
+        assert got == want
+        assert got.area.samples == 2 * DEFAULT_ORDER[2] + 2 * (DEFAULT_ORDER[2] - 2)
+
+
+class TestPerturbedFamilies:
+    """Quartic-perturbed hyperboloids, where the whitened sphere rule is not exact."""
+
+    @staticmethod
+    def cells(n):
+        family = LevelFamily(PerturbedQuadratic((1.0, 1.5, 2.0, 1.0)[:n], 0.3, "quartic"), 2.0, "minus")
+        return family, [point_on_level(family, 1.0, x) for x in seeded_xs(n, 2, n, 0.8)]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_estimates_bound_a_higher_order_reference(self, n):
+        family, points = self.cells(n)
+        finer = QuadratureSettings(order=DEFAULT_ORDER[n] + 4)
+        for p in points:
+            sm = starred_measures(family, p, 0.5)
+            ref = starred_measures(family, p, 0.5, finer)
+            for name in ("area", "volume", "lateral"):
+                got, want = getattr(sm, name), getattr(ref, name).value
+                assert got.error_estimate >= abs(got.value - want), (name, p.x)
+                assert got.error_estimate <= 1e-4 * got.value  # no warning at the default order
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_monte_carlo_agrees(self, n):
+        family, points = self.cells(n)
+        settings = QuadratureSettings(mc_samples=1 << 16, seed=20240820)
+        t = starred_measures(family, points[0], 0.5, want=("area",)).t
+        for op in (section_area, cap_volume, lateral_area):
+            rad = op(family, points[0], t, settings)
+            mc = op(family, points[0], t, settings, method="monte_carlo")
+            assert abs(rad.value - mc.value) <= 3.0 * (rad.error_estimate + mc.error_estimate)
 
 
 class TestStarRegion:
     def test_boundary_heights_verified(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.array([0.2, 0.3]))
         chart = LocalChart(unit_sphere2, p)
-        u = sphere_directions(2, 32)
+        u = sphere_rule(2, 16)[0]
         rho = chart.boundary_radius(u, 0.4)
         assert np.all(rho > 0)
         w = chart.height(rho[:, None] * u, 0.4)

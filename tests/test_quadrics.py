@@ -234,7 +234,7 @@ class TestMeanValueMachinery:
         assert abs(r0 - r_far) / r0 >= 0.05
 
     def test_one_dimensional_theta(self):
-        # n=1 path goes through plain adaptive quadrature
+        # S^0 is two points, so n = 1 is two Gauss-Legendre half-lines
         val = refutation_theta(1.0, 0.25, (2.0,))
         assert val > 1.0
 
