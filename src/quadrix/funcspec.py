@@ -122,20 +122,22 @@ class PerturbedQuadratic:
     def _eval(self, X: np.ndarray, want_hessian: bool):
         a2 = np.asarray(self.a) ** 2
         eps = self.epsilon
+        X2 = X * X
         if self.kind == "quartic":
-            vals = X ** 2 @ a2 + eps * np.sum(X ** 4, axis=1)
-            grads = 2.0 * a2 * X + 4.0 * eps * X ** 3
-            diag = 2.0 * a2 + 12.0 * eps * X ** 2
+            vals = X2 @ a2 + eps * np.sum(X2 * X2, axis=1)
+            grads = 2.0 * a2 * X + 4.0 * eps * (X2 * X)
+            curvature, even = 12.0 * eps, X2  # the perturbation's f'' is curvature * even
         else:
-            vals = X ** 2 @ a2 + eps * np.sum(np.cosh(X) - 1.0, axis=1)
+            even = np.cosh(X)
+            vals = X2 @ a2 + eps * np.sum(even - 1.0, axis=1)
             grads = 2.0 * a2 * X + eps * np.sinh(X)
-            diag = 2.0 * a2 + eps * np.cosh(X)
+            curvature = eps
         hess = None
         if want_hessian:
             m, n = X.shape
             hess = np.zeros((m, n, n))
             idx = np.arange(n)
-            hess[:, idx, idx] = diag
+            hess[:, idx, idx] = 2.0 * a2 + curvature * even
         return vals, grads, hess
 
 

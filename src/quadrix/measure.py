@@ -13,7 +13,10 @@ radial along the directions L^{-T} e, for the sphere-rule nodes e and
 S = L L^T the second fundamental form: on a quadric every section is then a
 ball (sections are homothetic to the Dupin indicatrix {y^T S y = 1}), so the
 integrand on the sphere is smooth.  One K15 pass runs along each ray.  The
-error estimate is the larger of the gap to the sphere rule of order m - 2,
+boundary and height solves run in blocks of at most _LANE_BUDGET chart
+points, each height block reduced to per-ray sums before the next, so the
+working memory does not grow with the order.
+The error estimate is the larger of the gap to the sphere rule of order m - 2,
 solved in the same calls, and the radial gap |K15 - G7| of the embedded
 Gauss rule.  A seeded rejection Monte Carlo integrator with a different
 failure profile is kept as an independent oracle.  Partial sums reduce in
@@ -45,6 +48,7 @@ __all__ = [
 
 _ERR_FLOOR = 1e-11  # relative floor covering boundary-solve tolerances
 _TARGET = 1e-4  # relative error estimate above which a radial measure warns
+_LANE_BUDGET = 1 << 14  # chart points per boundary or height solve: a block stays cache-sized
 
 
 @dataclass(frozen=True)
@@ -106,10 +110,11 @@ def _radial_measures(
     n = family.n
     order = settings.order or DEFAULT_ORDER[n]
     (fine, w_fine), (coarse, w_coarse) = sphere_rule(n, order), sphere_rule(n, order - 2)
-    # both rules solve in one boundary and one height call
+    # both rules share the boundary and height blocks
     D, jac = _chart_directions(p, np.concatenate([fine, coarse]))
     m, split = len(D), len(fine)
-    rho = chart.boundary_radius(D, t)
+    rho = np.concatenate([chart.boundary_radius(D[a:a + _LANE_BUDGET], t)
+                          for a in range(0, m, _LANE_BUDGET)])
     out: dict[str, MeasureResult] = {}
 
     def finish(per_dir: np.ndarray, samples: int, radial_err: float = 0.0) -> MeasureResult:
@@ -121,29 +126,43 @@ def _radial_measures(
     if "area" in want:
         out["area"] = finish(rho ** n / n, m)
 
-    if "volume" in want or "lateral" in want:
+    along_rays = [name for name in ("volume", "lateral") if name in want]
+    if along_rays:
         nodes, kronrod, gauss = radial_nodes()
-        radii = rho[:, None] * nodes[None, :]
-        Y = (radii[..., None] * D[:, None, :]).reshape(-1, n)
-        w = chart.height(Y, t)
-        if np.isinf(w).any():  # the nodes lie strictly inside the region
-            raise height_failure(Y, np.flatnonzero(np.isinf(w)))
-        rpow = radii ** (n - 1)
+        gap_rule = kronrod - gauss
+        # per ray the K15 sum, and per ray of the order-m rule the K15 - G7 sum
+        sums = {name: (np.empty(m), np.empty(split)) for name in along_rays}
+        failed, first_failure = 0, None
+        step = max(1, _LANE_BUDGET // nodes.size)
+        for a in range(0, m, step):
+            b = min(a + step, m)
+            radii = rho[a:b, None] * nodes
+            Y = (radii[..., None] * D[a:b, None, :]).reshape(-1, n)
+            w = chart.height(Y, t)
+            if np.isinf(w).any():  # the nodes lie strictly inside the region
+                escaped = np.flatnonzero(np.isinf(w))
+                failed += escaped.size
+                if first_failure is None:
+                    first_failure = Y[escaped[0]]
+                continue
+            rpow = radii ** (n - 1)
+            fine_end = max(a, min(b, split))
+            for name, (kronrod_sums, gap_sums) in sums.items():
+                if name == "volume":
+                    integrand = t - w
+                else:
+                    integrand = np.sqrt(1.0 + np.sum(chart.gradient_at(Y, w) ** 2, axis=1))
+                f = integrand.reshape(b - a, -1) * rpow
+                kronrod_sums[a:b] = rho[a:b] * (f @ kronrod)
+                gap_sums[a:fine_end] = rho[a:fine_end] * (f[:fine_end - a] @ gap_rule)
         samples = m * nodes.size
-
-        def ray_measure(integrand: np.ndarray) -> MeasureResult:
-            f = integrand * rpow
+        if failed:
+            raise height_failure(first_failure, failed, samples)
+        for name, (kronrod_sums, gap_sums) in sums.items():
             # the two sphere orders share the radial rule, so their gap is
             # blind to radial truncation: fold in the K15 - G7 difference too
-            gap = rho[:split] * (f[:split] @ (kronrod - gauss))
-            radial_err = abs(jac * float(w_fine @ gap))
-            return finish(rho * (f @ kronrod), samples, radial_err)
-
-        if "volume" in want:
-            out["volume"] = ray_measure(t - w.reshape(m, -1))
-        if "lateral" in want:
-            gw = chart.gradient_at(Y, w)
-            out["lateral"] = ray_measure(np.sqrt(1.0 + np.sum(gw ** 2, axis=1)).reshape(m, -1))
+            radial_err = abs(jac * float(w_fine @ gap_sums))
+            out[name] = finish(kronrod_sums, samples, radial_err)
     return out
 
 

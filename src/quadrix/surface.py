@@ -292,7 +292,7 @@ class LocalChart:
         tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, self.taylor_height(Y),
                                               NEWTON_TOL * self._scale, np.flatnonzero(~outside))
         if unconverged.size:
-            raise height_failure(Y, unconverged)
+            raise height_failure(Y[unconverged[0]], unconverged.size, m)
         return np.where(outside, np.inf, tau)
 
     def gradient_at(self, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -341,11 +341,11 @@ class LocalChart:
         return rho
 
 
-def height_failure(Y: np.ndarray, lanes: np.ndarray) -> RegionError:
-    """The RegionError for chart offsets Y whose height solve failed on the sorted lanes."""
+def height_failure(y: np.ndarray, failed: int, total: int) -> RegionError:
+    """The RegionError for a height solve that failed on `failed` of `total` points, first at y."""
     return RegionError(
-        f"graph-height solve failed at chart offset y={Y[int(lanes[0])].tolist()} "
-        f"({lanes.size} of {len(Y)} points): region escapes the chart"
+        f"graph-height solve failed at chart offset y={y.tolist()} "
+        f"({failed} of {total} points): region escapes the chart"
     )
 
 

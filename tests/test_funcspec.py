@@ -97,6 +97,30 @@ def test_perturbed_cosh_jet():
     assert jet.hessian[0, 0] == pytest.approx(2.0 + 0.1 * math.cosh(1.0))
 
 
+@pytest.mark.parametrize("kind", ["quartic", "cosh"])
+def test_perturbed_batch_matches_jets_and_formulas(kind):
+    # the batch path builds no Hessian; it must agree with the jet path and
+    # with the closed forms f = sum a^2 x^2 + eps sum p(x), p = x^4 or cosh x - 1
+    a, eps = (0.7, 1.3, 2.0, 0.9), 0.3
+    spec = PerturbedQuadratic(a, eps, kind)
+    xs = np.random.default_rng(11).uniform(-1.5, 1.5, (25, 4))
+    vals, grads = eval_value_grad(spec, xs)
+    a2 = np.asarray(a) ** 2
+    for i, x in enumerate(xs):
+        jet = eval_jet2(spec, x)
+        assert vals[i] == pytest.approx(jet.value, rel=1e-15)  # a dot product of another shape
+        assert np.array_equal(grads[i], jet.gradient)
+        if kind == "quartic":
+            want = (a2 @ x ** 2 + eps * np.sum(x ** 4), 2 * a2 * x + 4 * eps * x ** 3,
+                    2 * a2 + 12 * eps * x ** 2)
+        else:
+            want = (a2 @ x ** 2 + eps * np.sum(np.cosh(x) - 1), 2 * a2 * x + eps * np.sinh(x),
+                    2 * a2 + eps * np.cosh(x))
+        assert jet.value == pytest.approx(want[0], rel=1e-15)
+        np.testing.assert_allclose(jet.gradient, want[1], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(jet.hessian, np.diag(want[2]), rtol=1e-15, atol=0)
+
+
 def _fd_gradient(spec, x, step=1e-5):
     grad = np.zeros_like(x)
     for i in range(len(x)):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quadrix import measure
 from quadrix import (
     LevelFamily,
     LocalChart,
@@ -24,6 +30,8 @@ from quadrix._grids import DEFAULT_ORDER, radial_nodes, sphere_rule
 from quadrix.quadrics import hyperboloid_lateral_area
 
 from conftest import seeded_xs, trio
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # classical closed forms for the unit-sphere cap at plane distance t from the pole
 SPHERE_A = lambda t: math.pi * (1.0 - (1.0 - t) ** 2)
@@ -288,6 +296,82 @@ class TestRadialRule:
         p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
         with pytest.raises(RegionError, match=r"graph-height solve failed .* \(1 of 300 points\)"):
             cap_volume(family, p, 0.3, QuadratureSettings(order=6))
+
+    def test_escaped_node_counts_the_whole_cell(self, monkeypatch):
+        # with two rays per block the escape lands in the second height call;
+        # the message still names its offset and counts over the whole cell
+        height = LocalChart.height
+        offsets = []
+
+        def escape_in_second_block(self, Y, t):
+            w = height(self, Y, t)
+            offsets.append(Y[17].tolist())
+            if len(offsets) == 2:
+                w[17] = np.inf
+            return w
+
+        monkeypatch.setattr(LocalChart, "height", escape_in_second_block)
+        monkeypatch.setattr(measure, "_LANE_BUDGET", 2 * 15)
+        family = trio()["elliptic_hyperboloid"]
+        p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
+        with pytest.raises(RegionError, match=r"\(1 of 300 points\)") as info:
+            cap_volume(family, p, 0.3, QuadratureSettings(order=6))
+        assert len(offsets) == 10 and f"y={offsets[1]}" in str(info.value)
+
+    BLOCK_CELLS = {
+        "elliptic_hyperboloid": 0.5,
+        "ellipsoid": -0.3,
+        "elliptic_paraboloid": 0.1,
+    }
+
+    @pytest.mark.parametrize("kind", list(BLOCK_CELLS))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocks_do_not_change_results(self, monkeypatch, kind, n):
+        family = trio((1.0, 2.0, 1.5)[:n])[kind]
+        p = point_on_level(family, 1.0, np.array([0.2, -0.1, 0.15][:n]))
+        ref = starred_measures(family, p, self.BLOCK_CELLS[kind])
+        calls, boundary_calls = [], []
+        height, boundary_radius = LocalChart.height, LocalChart.boundary_radius
+
+        def counting(self, Y, t):
+            calls.append(len(Y))
+            return height(self, Y, t)
+
+        def counting_boundary(self, U, t):
+            boundary_calls.append(len(U))
+            return boundary_radius(self, U, t)
+
+        monkeypatch.setattr(LocalChart, "height", counting)
+        monkeypatch.setattr(LocalChart, "boundary_radius", counting_boundary)
+        monkeypatch.setattr(measure, "_LANE_BUDGET", 3 * 15)  # three rays per height block
+        got = starred_measures(family, p, self.BLOCK_CELLS[kind])
+        rays = ref.area.samples
+        assert calls == [45] * (rays // 3) + [15 * (rays % 3)] * (rays % 3 > 0)
+        assert boundary_calls == [45] * (rays // 45) + [rays % 45] * (rays % 45 > 0)
+        for name in ("area", "volume", "lateral"):
+            want, res = getattr(ref, name), getattr(got, name)
+            assert res.value == pytest.approx(want.value, rel=1e-13)
+            assert res.error_estimate == pytest.approx(want.error_estimate, rel=1e-13)
+            assert res.samples == want.samples
+
+    def test_n6_high_order_cell_memory(self):
+        # 81 088 rays x 15 nodes at order 8; solved in blocks, the chart
+        # points of a whole cell never exist at once
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from quadrix import LevelFamily, QuadraticForm, QuadratureSettings
+            from quadrix import point_on_level, starred_measures
+            family = LevelFamily(QuadraticForm((1.0, 1.5, 2.0, 1.0, 1.2, 0.8)), 2.0, "minus")
+            p = point_on_level(family, 1.0, np.full(6, 0.1))
+            sm = starred_measures(family, p, 0.5, QuadratureSettings(order=8))
+            assert sm.lateral.samples == (2 * 8 ** 5 + 2 * 6 ** 5) * 15
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)  # KiB
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=300, check=True)
+        peak_mib = int(proc.stdout.split()[-1]) / 1024
+        assert peak_mib < 200, peak_mib
 
     @pytest.mark.parametrize("order", [None, 4, 256])
     def test_one_dimensional_direction_count(self, hyperbola1, order):
