@@ -74,4 +74,4 @@ from .surface import (
     point_on_level,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

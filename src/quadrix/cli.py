@@ -119,7 +119,8 @@ def _floats(key: str, values, length: int | None = None) -> list[float]:
         raise ConfigError(f"bad {key}: {exc}") from exc
 
 
-def _build_settings(cfg: dict, seed_override: int | None) -> QuadratureSettings:
+def _build_settings(cfg: dict, seed_override: int | None) -> tuple[QuadratureSettings, int]:
+    """The quadrature settings and the points seed, which --seed overrides."""
     q, pts = _section(cfg, "quadrature"), _section(cfg, "points")
     try:
         seed = seed_override if seed_override is not None else int(pts.get("seed", 123456789))
@@ -130,7 +131,7 @@ def _build_settings(cfg: dict, seed_override: int | None) -> QuadratureSettings:
         raise ConfigError(f"bad quadrature config: unknown keys {unknown}; "
                           f"known keys are {list(_QUADRATURE_KEYS)}")
     try:
-        return QuadratureSettings(order=q.get("order"), seed=seed)
+        return QuadratureSettings(order=q.get("order")), seed
     except ValueError as exc:
         raise ConfigError(f"bad quadrature config: {exc}") from exc
 
@@ -142,6 +143,7 @@ class _Run:
     cfg: dict
     family: LevelFamily
     settings: QuadratureSettings
+    seed: int
     levels: list[float]
     offsets: list[float] | None
     count: int
@@ -153,7 +155,7 @@ class _Run:
 
 def _read_config(args) -> _Run:
     cfg = _load_config(args.config)
-    settings = _build_settings(cfg, args.seed)
+    settings, seed = _build_settings(cfg, args.seed)
     family = _build_family(cfg)
     pts = _section(cfg, "points")
     try:
@@ -177,7 +179,7 @@ def _read_config(args) -> _Run:
     out = _section(cfg, "output").get("path")
     if not isinstance(out, (str, type(None))):
         raise ConfigError(f"bad output.path: need a string, got {out!r}")
-    return _Run(cfg, family, settings, levels, offsets, count, pts.get("box"), threshold, sweep_x,
+    return _Run(cfg, family, settings, seed, levels, offsets, count, pts.get("box"), threshold, sweep_x,
                 args.out or out)
 
 
@@ -207,11 +209,11 @@ def cmd_curvature(args) -> int:
     family, n = run.family, run.family.n
     try:
         with _output(run.out) as fh:
-            _emit_header(fh, run.cfg, run.settings.seed)
+            _emit_header(fh, run.cfg, run.seed)
             writer = csv.writer(fh)
             writer.writerow(["k"] + [f"x{i+1}" for i in range(n)] + ["z", "K", "grad_norm", "invariant"])
             for k in run.levels:
-                xs = sample_coordinates(n, run.count, run.settings.seed, run.box)
+                xs = sample_coordinates(n, run.count, run.seed, run.box)
                 for x in xs:
                     try:
                         p = point_on_level(family, k, x)
@@ -250,7 +252,7 @@ def cmd_measures(args) -> int:
     if not offsets:
         raise ConfigError("measures needs a nonempty offsets list")
     try:
-        level_points = [(k, sample_points(family, k, run.count, settings.seed, run.box))
+        level_points = [(k, sample_points(family, k, run.count, run.seed, run.box))
                         for k in run.levels]
     except QuadrixError as exc:  # e.g. fewer than 2 admissible points in the box
         print(f"error: {exc}", file=sys.stderr)
@@ -260,7 +262,7 @@ def cmd_measures(args) -> int:
         cells = evaluate_cells(family, points, offsets, settings)
         rows += [(k, h, row[j]) for j, h in enumerate(offsets) for row in cells]
     with _output(run.out) as fh:
-        _emit_header(fh, run.cfg, settings.seed)
+        _emit_header(fh, run.cfg, run.seed)
         writer = csv.writer(fh)
         writer.writerow(
             "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err grad_norm seed error".split()
@@ -268,7 +270,7 @@ def cmd_measures(args) -> int:
         for k, h, cell in rows:
             failed = isinstance(cell, str)
             writer.writerow([_fmt(k), _fmt(h)] + _cell_fields(cell) + [
-                "" if failed else _fmt(cell.grad_norm), str(settings.seed), cell if failed else "",
+                "" if failed else _fmt(cell.grad_norm), str(run.seed), cell if failed else "",
             ])
     failures = sum(1 for *_, cell in rows if isinstance(cell, str))
     return 1 if rows and failures == len(rows) else 0
@@ -276,7 +278,7 @@ def cmd_measures(args) -> int:
 
 def cmd_classify(args) -> int:
     run = _read_config(args)
-    ccfg = ClassifyConfig(point_count=run.count, box=run.box, seed=run.settings.seed,
+    ccfg = ClassifyConfig(point_count=run.count, box=run.box, seed=run.seed,
                           offsets=tuple(run.offsets) if run.offsets else None,
                           threshold=run.threshold, settings=run.settings)
     result: Classification = classify(run.family, run.levels, ccfg)
@@ -284,7 +286,7 @@ def cmd_classify(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "config_sha256": _config_hash(run.cfg),
-        "seed": run.settings.seed,
+        "seed": run.seed,
         "classification": result.to_dict(),
     }
     with _output(run.out) as fh:
@@ -309,7 +311,7 @@ def cmd_sweep(args) -> int:
             cells = [str(exc)] * len(offsets)
         rows += [(k, h, cell) for h, cell in zip(offsets, cells)]
     with _output(run.out) as fh:
-        _emit_header(fh, run.cfg, settings.seed)
+        _emit_header(fh, run.cfg, run.seed)
         writer = csv.writer(fh)
         writer.writerow("k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err error".split())
         for k, h, cell in rows:
@@ -332,7 +334,7 @@ def _verify_fixture_families():
     }
 
 
-def _suite_lemma7(settings, report):
+def _suite_lemma7(settings, seed, report):
     """Small-t ratios of the three measures against their curvature limits."""
     ok = True
     t_small = 2.0 ** -10
@@ -351,10 +353,10 @@ def _suite_lemma7(settings, report):
     return ok
 
 
-def _suite_derivative(settings, report):
+def _suite_derivative(settings, seed, report):
     """Central difference of the cap volume against the section area."""
     ok = True
-    rng = np.random.default_rng(settings.seed)
+    rng = np.random.default_rng(seed)
     fams = list(_verify_fixture_families().items())
     worst = 0.0
     for i in range(10):
@@ -373,7 +375,7 @@ def _suite_derivative(settings, report):
     return ok
 
 
-def _suite_refutation(settings, report):
+def _suite_refutation(settings, seed, report):
     """Lateral-area spread and the mean-value contradiction witnesses."""
     ok = True
     a = (2.0, 1.0)
@@ -395,29 +397,29 @@ def _suite_refutation(settings, report):
     return ok
 
 
-def _suite_invariant(settings, report):
+def _suite_invariant(settings, seed, report):
     ok = True
     for name, family in _verify_fixture_families().items():
         kind_a = family.f.a
         for k in (0.5, 1.0, 2.0):
-            points = sample_points(family, k, 8, settings.seed, box=(-0.3, 0.3))
+            points = sample_points(family, k, 8, seed, box=(-0.3, 0.3))
             target = invariant_constant(name, kind_a, k)
             worst = max(abs(curvature_invariant(family, p) - target) / target for p in points)
             ok &= report(f"invariant/{name}/k={k}", worst <= 1e-8, f"max_rel={worst:.2e}")
     return ok
 
 
-def _suite_determinant(settings, report):
+def _suite_determinant(settings, seed, report):
     ok = True
     for name in ("elliptic_hyperboloid", "ellipsoid"):
         family = _verify_fixture_families()[name]
-        points = sample_points(family, 1.0, 20, settings.seed, box=(-0.3, 0.3))
+        points = sample_points(family, 1.0, 20, seed, box=(-0.3, 0.3))
         worst = max(determinant_identity_residual(family, p) for p in points)
         ok &= report(f"determinant/{name}", worst <= 1e-10, f"max_rel={worst:.2e}")
     return ok
 
 
-def _suite_scaling(settings, report):
+def _suite_scaling(settings, seed, report):
     """Paraboloid cap volumes scale as h^((n+2)/2) with the predicted constant."""
     family = LevelFamily(QuadraticForm((1.0, 1.0)), alpha=1.0, sign="minus")
     p = point_on_level(family, 1.0, np.zeros(2))
@@ -437,7 +439,7 @@ def _suite_scaling(settings, report):
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    settings = _build_settings(cfg, args.seed)
+    settings, seed = _build_settings(cfg, args.seed)
     failures = 0
 
     def report(name: str, passed: bool, detail: str) -> bool:
@@ -450,7 +452,7 @@ def cmd_verify(args) -> int:
     for suite in (_suite_invariant, _suite_determinant, _suite_lemma7,
                   _suite_derivative, _suite_scaling, _suite_refutation):
         try:
-            suite(settings, report)
+            suite(settings, seed, report)
         except QuadrixError as exc:  # e.g. a fixture region that crosses a chart fold
             report(suite.__name__.removeprefix("_suite_"), False, str(exc))
     print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing checks")

@@ -18,9 +18,8 @@ points, each height block reduced to per-ray sums before the next, so the
 working memory does not grow with the order.
 The error estimate is the larger of the gap to the sphere rule of order m - 2,
 solved in the same calls, and the radial gap |K15 - G7| of the embedded
-Gauss rule.  A seeded rejection Monte Carlo integrator with a different
-failure profile is kept as an independent oracle.  Partial sums reduce in
-a fixed order, so results are bit-stable for a given seed.
+Gauss rule.  Partial sums reduce in a fixed order, so results are
+bit-stable.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._grids import DEFAULT_ORDER, radial_nodes, sphere_rule
-from .quadrics import unit_ball_volume
 from .surface import LevelFamily, LocalChart, SurfacePoint, height_failure, parallel_tangent
 
 __all__ = [
@@ -53,26 +51,22 @@ _LANE_BUDGET = 1 << 14  # chart points per boundary or height solve: a block sta
 
 @dataclass(frozen=True)
 class MeasureResult:
-    """A nonnegative measure with an error estimate and method metadata."""
+    """A nonnegative measure with its error estimate and sample count."""
 
     value: float
     error_estimate: float
-    method: str  # "radial_quadrature" | "monte_carlo"
     samples: int
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Knobs for both integrators; order=None picks the per-dimension DEFAULT_ORDER.
+    """The sphere-rule order; None picks the per-dimension DEFAULT_ORDER.
 
-    Any other sphere-rule order must be an integer of at least 3: the error
-    estimate compares it with order - 2.
+    Any other order must be an integer of at least 3: the error estimate
+    compares it with order - 2.
     """
 
     order: int | None = None
-    mc_samples: int = 1 << 16
-    seed: int = 123456789
 
     def __post_init__(self):
         if self.order is None:
@@ -121,7 +115,7 @@ def _radial_measures(
         total = jac * float(w_fine @ per_dir[:split])
         err = abs(total - jac * float(w_coarse @ per_dir[split:]))
         err = max(err, radial_err, _ERR_FLOOR * abs(total))
-        return MeasureResult(total, err, "radial_quadrature", samples)
+        return MeasureResult(total, err, samples)
 
     if "area" in want:
         out["area"] = finish(rho ** n / n, m)
@@ -166,59 +160,10 @@ def _radial_measures(
     return out
 
 
-def _monte_carlo_measures(
-    family: LevelFamily,
-    p: SurfacePoint,
-    t: float,
-    settings: QuadratureSettings,
-    want: tuple[str, ...],
-) -> dict[str, MeasureResult]:
-    """Rejection sampling in a bounding ball around the chart region."""
-    chart = LocalChart(family, p)
-    n = family.n
-    D, _ = _chart_directions(p, sphere_rule(n, settings.order or DEFAULT_ORDER[n])[0])
-    extent = chart.boundary_radius(D, t) * np.linalg.norm(D, axis=1)
-    bound = 1.3 * float(np.max(extent))
-
-    rng = np.random.default_rng(settings.seed)
-    count = settings.mc_samples
-    gauss = rng.standard_normal((count, n))
-    gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-    radii = bound * rng.random(count) ** (1.0 / n)
-    Y = gauss * radii[:, None]
-
-    w = chart.height(Y, t)  # +inf above the plane or past the fold: outside
-    inside = w < t
-    ball = unit_ball_volume(n) * bound ** n
-    out: dict[str, MeasureResult] = {}
-
-    def finish(samples_arr: np.ndarray) -> MeasureResult:
-        mean = float(np.mean(samples_arr))
-        sem = float(np.std(samples_arr, ddof=1)) / np.sqrt(count)
-        return MeasureResult(ball * mean, ball * sem, "monte_carlo", count, settings.seed)
-
-    if "area" in want:
-        out["area"] = finish(inside.astype(float))
-    if "volume" in want:
-        out["volume"] = finish(np.where(inside, t - w, 0.0))
-    if "lateral" in want:
-        vals = np.zeros(count)
-        if np.any(inside):
-            gw = chart.gradient_at(Y[inside], w[inside])
-            vals[inside] = np.sqrt(1.0 + np.sum(gw ** 2, axis=1))
-        out["lateral"] = finish(vals)
-    return out
-
-
-def _measures(family, p, t, settings, method, want):
+def _measures(family, p, t, settings, want):
     if t <= 0:
         raise ValueError("t must be positive")
-    settings = settings or DEFAULT_SETTINGS
-    if method == "monte_carlo":  # its sampling error is its own gauge
-        return _monte_carlo_measures(family, p, t, settings, want)
-    if method != "radial":
-        raise ValueError(f"unknown method {method!r}")
-    out = _radial_measures(family, p, t, settings, want)
+    out = _radial_measures(family, p, t, settings or DEFAULT_SETTINGS, want)
     for name, res in out.items():
         if res.value and res.error_estimate > _TARGET * abs(res.value):
             rel = res.error_estimate / abs(res.value)
@@ -231,24 +176,21 @@ def _measures(family, p, t, settings, method, want):
 
 
 def section_area(family: LevelFamily, p: SurfacePoint, t: float,
-                 settings: QuadratureSettings | None = None,
-                 method: str = "radial") -> MeasureResult:
+                 settings: QuadratureSettings | None = None) -> MeasureResult:
     """n-dimensional area of the section cut at normal distance t from p."""
-    return _measures(family, p, t, settings, method, ("area",))["area"]
+    return _measures(family, p, t, settings, ("area",))["area"]
 
 
 def cap_volume(family: LevelFamily, p: SurfacePoint, t: float,
-               settings: QuadratureSettings | None = None,
-               method: str = "radial") -> MeasureResult:
+               settings: QuadratureSettings | None = None) -> MeasureResult:
     """(n+1)-dimensional volume between M_k and the section plane at distance t."""
-    return _measures(family, p, t, settings, method, ("volume",))["volume"]
+    return _measures(family, p, t, settings, ("volume",))["volume"]
 
 
 def lateral_area(family: LevelFamily, p: SurfacePoint, t: float,
-                 settings: QuadratureSettings | None = None,
-                 method: str = "radial") -> MeasureResult:
+                 settings: QuadratureSettings | None = None) -> MeasureResult:
     """n-dimensional surface area of M_k between the tangent plane and the section plane."""
-    return _measures(family, p, t, settings, method, ("lateral",))["lateral"]
+    return _measures(family, p, t, settings, ("lateral",))["lateral"]
 
 
 @dataclass(frozen=True)
@@ -275,7 +217,7 @@ def starred_measures(family: LevelFamily, p: SurfacePoint, h: float,
     evaluates the requested cap measures of M_k at that t in one pass.
     """
     tangency = parallel_tangent(family, p, h)
-    res = _measures(family, p, tangency.t, settings, "radial", tuple(want))
+    res = _measures(family, p, tangency.t, settings, tuple(want))
     return StarredMeasures(
         area=res.get("area"),
         volume=res.get("volume"),

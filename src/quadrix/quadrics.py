@@ -10,14 +10,15 @@ the hyperboloid family.
 Every function here is an oracle: independent of the generic quadrature
 engine except for the sphere rule it shares with it, at a finer order of
 its own and on the unit ball rather than on a chart region.  The 1-D
-integrals of the cap volumes use scipy's adaptive `quad`, imported on
-first use so that loading quadrix does not load scipy.
+integrals of the cap volumes use a fixed Gauss-Legendre rule after a
+substitution that leaves no cancellation in the integrand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, pi, sqrt
+from functools import lru_cache
+from math import asinh, atan2, gamma, pi, sqrt
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -47,10 +48,21 @@ __all__ = [
 
 QUADRIC_KINDS = ("elliptic_paraboloid", "ellipsoid", "elliptic_hyperboloid")
 
-_QUAD_TOL = 1e-12
-
 # sphere-rule order per dimension of mean_H_over_domain, finer than the engine's
-_ORACLE_ORDER = {1: 64, 2: 64, 3: 64, 4: 16, 5: 12, 6: 8}
+_ORACLE_ORDER = {1: 64, 2: 64, 3: 64, 4: 16, 5: 12, 6: 10}
+_CAP_NODES = 48  # Gauss-Legendre nodes of the cap-volume integrals
+
+
+@lru_cache(maxsize=1)
+def _cap_rule() -> tuple[np.ndarray, np.ndarray]:
+    return leggauss(_CAP_NODES)
+
+
+def _gauss_legendre(f, upper: float) -> float:
+    """Integral of the vectorized f over [0, upper] by the fixed Gauss-Legendre rule."""
+    x, w = _cap_rule()
+    s = 0.5 * upper * (x + 1.0)
+    return 0.5 * upper * float(w @ f(s))
 
 
 def unit_ball_volume(n: int) -> float:
@@ -80,27 +92,28 @@ def _coef_product(a) -> float:
 def hyperboloid_cap_volume(a, k: float, h: float) -> float:
     """Cap volume between M_k and the tangent plane of M_{k+h}, any base point.
 
-    (omega_n / prod a_i) * (sqrt(k+h) h^{n/2} - n * int_0^sqrt(h) sqrt(r^2+k) r^{n-1} dr),
-    with the 1-D integral evaluated adaptively to 1e-12.
+    (omega_n / prod a_i) * n * int_0^sqrt(h) r^{n-1} (sqrt(k+h) - sqrt(r^2+k)) dr.
+    With r = sqrt(k) sinh s the bracket is
+    k sinh(s0-s) sinh(s0+s) / (sqrt(k+h) + sqrt(k) cosh s), s0 = asinh(sqrt(h/k)),
+    which keeps its relative accuracy as h -> 0.
     """
     if k <= 0 or h <= 0:
         raise ValueError("hyperboloid caps need k > 0 and h > 0")
-    from scipy.integrate import quad
+    n, rk = len(a), sqrt(k)
+    s0 = asinh(sqrt(h / k))
 
-    n = len(a)
-    integral, _ = quad(
-        lambda r: sqrt(r * r + k) * r ** (n - 1), 0.0, sqrt(h),
-        epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-    )
-    bracket = sqrt(k + h) * h ** (n / 2.0) - n * integral
-    return unit_ball_volume(n) / _coef_product(a) * bracket
+    def integrand(s):
+        bracket = k * np.sinh(s0 - s) * np.sinh(s0 + s) / (sqrt(k + h) + rk * np.cosh(s))
+        return (rk * np.sinh(s)) ** (n - 1) * bracket * rk * np.cosh(s)
+
+    return unit_ball_volume(n) / _coef_product(a) * n * _gauss_legendre(integrand, s0)
 
 
 def hyperboloid_phi_prime(a, k: float, h: float) -> float:
     """d/dh of hyperboloid_cap_volume.
 
-    Differentiating the bracket termwise, the boundary term of the integral
-    cancels the (n/2) h^{n/2-1} sqrt(k+h) part exactly, leaving
+    Under the integral sign the boundary term vanishes, since the integrand
+    is 0 at r = sqrt(h), and d/dh sqrt(k+h) leaves
     (omega_n / prod a_i) * h^{n/2} / (2 sqrt(k+h)).
     """
     if k <= 0 or h <= 0:
@@ -119,31 +132,21 @@ def hyperboloid_area_relation(a, k: float, h: float, grad_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _spherical_cap_volume(n: int, radius: float, height: float) -> float:
-    """Volume of a height-`height` cap of the ball of given radius in R^{n+1}."""
-    if not (0.0 <= height <= 2.0 * radius):
-        raise ValueError("cap height must lie in [0, 2R]")
-    from scipy.integrate import quad
-
-    omega = unit_ball_volume(n)
-    val, _ = quad(
-        lambda z: omega * (radius * radius - z * z) ** (n / 2.0),
-        radius - height, radius,
-        epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-    )
-    return val
-
-
 def ellipsoid_cap_volume(a, k: float, h: float) -> float:
     """Cap volume for the ellipsoid family, -k < h < 0.
 
-    Reduces by the diagonal scaling x_i -> a_i x_i to a spherical cap of the
-    radius-sqrt(k) sphere cut at height sqrt(k+h), divided by prod a_i.
+    Reduces by the diagonal scaling x_i -> a_i x_i to the cap of the ball of
+    radius R = sqrt(k) above the plane z = sqrt(k+h), divided by prod a_i.
+    With z = R cos phi that cap is omega_n R^{n+1} int_0^phi0 sin^{n+1} phi dphi,
+    where R sin phi0 = sqrt(-h) and R cos phi0 = sqrt(k+h): no cancellation
+    as h -> 0.
     """
     if k <= 0 or not (-k < h < 0):
         raise ValueError("ellipsoid caps need k > 0 and -k < h < 0")
-    cap_height = sqrt(k) - sqrt(k + h)
-    return _spherical_cap_volume(len(a), sqrt(k), cap_height) / _coef_product(a)
+    n = len(a)
+    phi0 = atan2(sqrt(-h), sqrt(k + h))
+    integral = _gauss_legendre(lambda phi: np.sin(phi) ** (n + 1), phi0)
+    return unit_ball_volume(n) * sqrt(k) ** (n + 1) * integral / _coef_product(a)
 
 
 def ellipsoid_area_relation(a, k: float, h: float, grad_norm: float) -> float:

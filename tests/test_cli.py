@@ -92,7 +92,7 @@ class TestMeasures:
         out = tmp_path / "m.csv"
         assert main(["measures", "--config", str(cfg), "--out", str(out)]) == 0
         family = LevelFamily(QuadraticForm((1.0, 2.0)), 2.0, "minus")
-        settings = QuadratureSettings(order=12, seed=4242)
+        settings = QuadratureSettings(order=12)
         expected = []
         for k in (0.5, 1.0):
             points = sample_points(family, k, 3, 4242)
@@ -273,7 +273,7 @@ class TestSweep:
         assert rows[0][-1] and rows[0][2:] == rows[1][2:] == [""] * 7 + [rows[0][-1]]
         family = LevelFamily(QuadraticForm((1.0, 1.0)), 2.0, "plus")
         p = point_on_level(family, 1.0, np.array([0.8, 0.0]))
-        settings = QuadratureSettings(order=12, seed=4242)
+        settings = QuadratureSettings(order=12)
         for row, h in zip(rows[2:], (-0.1, -0.2)):
             assert row[2:] == cell_columns(starred_measures(family, p, h, settings)) + [""]
 
@@ -305,8 +305,8 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith("config error: bad points.count")
         assert not (tmp_path / "x.out").exists()
 
-    # the radial rule is fixed, so radial_order is not a setting, and no
-    # command reaches the Monte Carlo integrator, so neither is mc_samples;
+    # the radial rule is fixed, so radial_order is not a setting, and the
+    # Monte Carlo reference lives in the tests, so neither is mc_samples;
     # the error-estimate target is fixed; the sphere rule's order replaced the
     # direction count, so directions is an unknown key too
     @pytest.mark.parametrize("command, key", [
@@ -379,7 +379,7 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines()[-1] == "OK: 0 failing checks"
 
     def test_suite_error_is_one_fail_line(self, monkeypatch, capsys):
-        def _suite_derivative(settings, report):
+        def _suite_derivative(settings, seed, report):
             raise RegionError("the section crosses the chart fold")
 
         monkeypatch.setattr(cli, "_suite_derivative", _suite_derivative)

@@ -127,6 +127,37 @@ def _fresh_cli(tmp_path, *commands):
     return doc["codes"], doc["scipy"], doc["numpy_ma"]
 
 
+_SCIPY_BLOCKED = textwrap.dedent("""
+    import json, sys
+    sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+    import numpy as np
+    from quadrix import quadrics as q
+    from quadrix.cli import main
+    for n in range(1, 7):
+        a, x, k = tuple(np.linspace(1.0, 2.0, n)), np.full(n, 0.3), 1.0
+        q.unit_ball_volume(n)
+        q.unit_sphere_area(n - 1)
+        for kind, h in (("elliptic_hyperboloid", 0.5), ("ellipsoid", -0.5),
+                        ("elliptic_paraboloid", 0.5)):
+            q.starred_oracle(kind, a, k, h, 2.0)
+            q.invariant_constant(kind, a, k)
+        q.hyperboloid_cap_volume(a, k, 0.5)
+        q.hyperboloid_phi_prime(a, k, 0.5)
+        q.hyperboloid_area_relation(a, k, 0.5, 2.0)
+        q.ellipsoid_cap_volume(a, k, -0.5)
+        q.ellipsoid_area_relation(a, k, -0.5, 2.0)
+        q.paraboloid_starred(a, 0.5, 2.0)
+        q.refutation_H(x, a, k)
+        q.refutation_domain(x, k, 0.5).contains(x)
+        q.hyperboloid_lateral_area(a, k, 0.5, x)
+        if n < 6:  # at n = 6 each is the lateral oracle's mean_H pass again, about 1 s
+            q.mean_H_over_domain(x, a, k, 0.5)
+            q.refutation_theta(k, 0.5, a)
+            q.mean_value_ratio(x, a, k, 0.5)
+    print(json.dumps([main(args.split()) for args in sys.argv[1:]]))
+""")
+
+
 def _config(tmp_path, name, a, **extra):
     cfg = {
         "family": {"alpha": 2, "sign": "minus", "f": {"kind": "quadratic", "a": a}},
@@ -152,6 +183,17 @@ class TestLoadPath:
         assert codes == [0, 0, 0]
         assert scipy_modules == []
         assert not numpy_ma  # the threshold median of classify and verify is sort based
+
+    def test_oracles_and_commands_run_with_scipy_blocked(self, tmp_path):
+        cfg = _config(tmp_path, "n2.json", [1, 2], quadrature={"order": 12})
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_BLOCKED, "verify", f"measures --config {cfg} --out m.csv",
+             f"classify --config {cfg} --out c.json"],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, cwd=tmp_path,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
 
     def test_n4_measures_loads_only_scipy_special(self, tmp_path):
         # the sphere rule needs no scipy at any n, so this loads none at all

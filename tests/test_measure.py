@@ -30,6 +30,7 @@ from quadrix._grids import DEFAULT_ORDER, radial_nodes, sphere_rule
 from quadrix.quadrics import hyperboloid_lateral_area
 
 from conftest import seeded_xs, trio
+from mc_oracle import monte_carlo_measures
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -134,25 +135,21 @@ class TestMonteCarloOracle:
         ]
 
     def test_methods_agree(self):
-        settings = QuadratureSettings(mc_samples=1 << 16, seed=20240820)
         for family, x, t in self.fixtures():
             p = point_on_level(family, 1.0, x)
-            for op in (section_area, cap_volume, lateral_area):
-                rad = op(family, p, t, settings)
-                mc = op(family, p, t, settings, method="monte_carlo")
+            mc_all = monte_carlo_measures(family, p, t, seed=20240820)
+            for op, name in ((section_area, "area"), (cap_volume, "volume"),
+                             (lateral_area, "lateral")):
+                rad, mc = op(family, p, t), mc_all[name]
                 tol = max(3.0 * (rad.error_estimate + mc.error_estimate), 0.01 * abs(rad.value))
                 assert abs(rad.value - mc.value) <= tol
-                assert mc.method == "monte_carlo"
-                assert mc.seed == 20240820
 
     def test_monte_carlo_reproducible(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
-        s = QuadratureSettings(mc_samples=4096, seed=7)
-        v1 = cap_volume(unit_sphere2, p, 0.5, s, method="monte_carlo")
-        v2 = cap_volume(unit_sphere2, p, 0.5, s, method="monte_carlo")
+        v1 = monte_carlo_measures(unit_sphere2, p, 0.5, seed=7, samples=4096)["volume"]
+        v2 = monte_carlo_measures(unit_sphere2, p, 0.5, seed=7, samples=4096)["volume"]
         assert v1.value == v2.value
-        v3 = cap_volume(unit_sphere2, p, 0.5, QuadratureSettings(mc_samples=4096, seed=8),
-                        method="monte_carlo")
+        v3 = monte_carlo_measures(unit_sphere2, p, 0.5, seed=8, samples=4096)["volume"]
         assert v3.value != v1.value
 
 
@@ -437,11 +434,10 @@ class TestPerturbedFamilies:
     @pytest.mark.parametrize("n", [3, 4])
     def test_monte_carlo_agrees(self, n):
         family, points = self.cells(n)
-        settings = QuadratureSettings(mc_samples=1 << 16, seed=20240820)
         t = starred_measures(family, points[0], 0.5, want=("area",)).t
-        for op in (section_area, cap_volume, lateral_area):
-            rad = op(family, points[0], t, settings)
-            mc = op(family, points[0], t, settings, method="monte_carlo")
+        mc_all = monte_carlo_measures(family, points[0], t, seed=20240820)
+        for op, name in ((section_area, "area"), (cap_volume, "volume"), (lateral_area, "lateral")):
+            rad, mc = op(family, points[0], t), mc_all[name]
             assert abs(rad.value - mc.value) <= 3.0 * (rad.error_estimate + mc.error_estimate)
 
 

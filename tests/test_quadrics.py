@@ -108,6 +108,42 @@ class TestHyperboloidOracle:
         assert got == pytest.approx(lim, rel=1e-7)
 
 
+class TestCapVolumeOracles:
+    """Both cap-volume oracles against adaptive references on cancellation-free integrands."""
+
+    @staticmethod
+    def coefs(n):
+        return tuple(1.0 + 0.25 * i for i in range(n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-3, 1.0, 100.0, 1e4])
+    def test_hyperboloid(self, n, k, ratio):
+        from scipy.integrate import quad
+
+        a, h = self.coefs(n), ratio * k
+        # sqrt(k+h) - sqrt(r^2+k) = (h - r^2) / (sqrt(k+h) + sqrt(r^2+k))
+        integral = quad(lambda r: r ** (n - 1) * (h - r * r) / (math.sqrt(k + h) + math.sqrt(r * r + k)),
+                        0.0, math.sqrt(h), epsabs=0.0, epsrel=1e-13)[0]
+        want = unit_ball_volume(n) / math.prod(a) * n * integral
+        assert hyperboloid_cap_volume(a, k, h) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-3, 0.25, 0.5, 0.999999])
+    def test_ellipsoid(self, n, k, ratio):
+        from scipy.integrate import quad
+
+        a, h = self.coefs(n), -ratio * k
+        radius = math.sqrt(k)
+        cap_height = -h / (radius + math.sqrt(k + h))
+        # the section at depth u below the pole has radius sqrt(u (2R - u))
+        integral = quad(lambda u: (u * (2.0 * radius - u)) ** (n / 2.0), 0.0, cap_height,
+                        epsabs=0.0, epsrel=1e-13)[0]
+        want = unit_ball_volume(n) / math.prod(a) * integral
+        assert ellipsoid_cap_volume(a, k, h) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestEllipsoidOracle:
     def test_classical_cap(self):
         # n=2: cap volume pi c^2 (3R - c) / 3 with R = 1, c = 1/2
@@ -257,3 +293,15 @@ class TestLateralOracle:
             want = hyperboloid_lateral_area((2.0, 1.0), 1.0, 0.5, x)
             tol = max(3.0 * sm.lateral.error_estimate, 0.01 * abs(want))
             assert abs(sm.lateral.value - want) <= tol
+
+    # computed once at sphere-rule orders 20, 16 and 12; order 13 moves the
+    # n = 6 value by 1.1e-12
+    @pytest.mark.parametrize("n, want, rel", [
+        (4, 0.9720878562083861, 1e-11),
+        (5, 0.6289176523458054, 1e-11),
+        (6, 0.5464509600023072, 1e-10),
+    ])
+    def test_pinned_high_dimensions(self, n, want, rel):
+        a = (1.0, 1.5, 2.0, 1.0, 1.2, 0.8)[:n]
+        x = np.array([0.6, -0.4, 0.3, 0.5, -0.3, 0.2][:n])
+        assert hyperboloid_lateral_area(a, 1.0, 0.5, x) == pytest.approx(want, rel=rel)
