@@ -13,7 +13,6 @@ from .characterize import (
     check_condition,
     check_invariant_constancy,
     classify,
-    determinant_identity_residual,
     evaluate_cells,
     sample_points,
 )
@@ -42,7 +41,6 @@ from .measure import (
     QuadratureSettings,
     StarredMeasures,
     cap_volume,
-    derivative_check,
     lateral_area,
     section_area,
     starred_measures,
@@ -73,5 +71,6 @@ from .surface import (
     parallel_tangent,
     point_on_level,
 )
+from .verify import derivative_check, determinant_identity_residual
 
 __version__ = "0.3.0"

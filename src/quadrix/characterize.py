@@ -19,9 +19,7 @@ import numpy as np
 
 from ._grids import halton
 from .errors import QuadrixError
-from .funcspec import QuadraticForm
 from .measure import QuadratureSettings, StarredMeasures, starred_measures
-from .quadrics import invariant_constant
 from .surface import LevelFamily, SurfacePoint, curvature_invariant, point_on_level
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "evaluate_cells",
     "check_condition",
     "check_invariant_constancy",
-    "determinant_identity_residual",
     "classify",
 ]
 
@@ -298,27 +295,6 @@ def check_invariant_constancy(
         errors=cell_errors,
         matched_constant=matched,
     )
-
-
-def determinant_identity_residual(family: LevelFamily, p: SurfacePoint) -> float:
-    """Relative residual of the closed-form determinant identity at p.
-
-    For alpha = 2 diagonal quadratic families,
-    det(alpha z^alpha f_ij -/+ (alpha-1) f_i f_j) equals
-    alpha^{n-2} c(k) z^{alpha n - 2 alpha + 2}, where the middle sign
-    follows the family sign and c(k) is the invariant constant.
-    """
-    if family.alpha != 2.0 or not isinstance(family.f, QuadraticForm):
-        raise ValueError("identity check applies to alpha = 2 diagonal quadratic families")
-    kind = "elliptic_hyperboloid" if family.sign == "minus" else "ellipsoid"
-    a = family.alpha
-    n = family.n
-    jet = p.f_jet
-    term = np.outer(jet.gradient, jet.gradient) * (a - 1.0)
-    mat = a * p.z ** a * jet.hessian + (term if family.sign == "plus" else -term)
-    c = invariant_constant(kind, family.f.a, p.k)
-    rhs = a ** (n - 2) * c * p.z ** (a * n - 2.0 * a + 2.0)
-    return abs(float(np.linalg.det(mat)) - rhs) / abs(rhs)
 
 
 # ---------------------------------------------------------------------------

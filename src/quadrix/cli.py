@@ -7,8 +7,9 @@ points and 17 significant digits, and no timestamps, so identical config
 plus seed reproduces identical bytes.
 
 Exit codes: 0 success (including clean negative classifications),
-1 config error or verify-suite failure, 2 convexity-certificate failure in
-`curvature`, 3 classification blocked by errors.
+1 config error, verify-suite failure or any other error (an unwritable
+output path, too few admissible points), 2 convexity-certificate failure
+in `curvature`, 3 classification blocked by errors.
 """
 
 from __future__ import annotations
@@ -18,35 +19,25 @@ import contextlib
 import csv
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, verify
 from .characterize import (
     DEFAULT_THRESHOLD,
     Classification,
     ClassifyConfig,
     _normalize_box,
-    check_condition,
     classify,
-    determinant_identity_residual,
     evaluate_cells,
     sample_coordinates,
     sample_points,
 )
 from .errors import BranchError, ConfigError, ConvexityError, QuadrixError
 from .funcspec import PerturbedQuadratic, QuadraticForm, parse_expression
-from .measure import QuadratureSettings, section_area, cap_volume, derivative_check
-from .quadrics import (
-    invariant_constant,
-    mean_value_ratio,
-    paraboloid_starred,
-    refutation_theta,
-    unit_ball_volume,
-)
+from .measure import QuadratureSettings
 from .surface import LevelFamily, curvature_invariant, gauss_kronecker, point_on_level
 
 SCHEMA_VERSION = 1
@@ -126,6 +117,9 @@ def _build_settings(cfg: dict, seed_override: int | None) -> tuple[QuadratureSet
         seed = seed_override if seed_override is not None else int(pts.get("seed", 123456789))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad points.seed: {exc}") from exc
+    if seed < 0:
+        key = "--seed" if seed_override is not None else "points.seed"
+        raise ConfigError(f"bad {key}: need a non-negative integer, got {seed}")
     unknown = sorted(set(q) - set(_QUADRATURE_KEYS))
     if unknown:
         raise ConfigError(f"bad quadrature config: unknown keys {unknown}; "
@@ -175,6 +169,8 @@ def _read_config(args) -> _Run:
     offsets = None if offsets is None else _floats("offsets", offsets)
     threshold = _section(cfg, "classify").get("threshold", DEFAULT_THRESHOLD)
     (threshold,) = _floats("classify.threshold", [threshold])
+    if not 0.0 < threshold < float("inf"):
+        raise ConfigError(f"bad classify.threshold: need a positive finite number, got {threshold!r}")
     sweep_x = _floats("sweep.x", _section(cfg, "sweep").get("x", [0.0] * family.n), family.n)
     out = _section(cfg, "output").get("path")
     if not isinstance(out, (str, type(None))):
@@ -207,30 +203,23 @@ def _emit_header(fh, cfg: dict, seed: int) -> None:
 def cmd_curvature(args) -> int:
     run = _read_config(args)
     family, n = run.family, run.family.n
-    try:
-        with _output(run.out) as fh:
-            _emit_header(fh, run.cfg, run.seed)
-            writer = csv.writer(fh)
-            writer.writerow(["k"] + [f"x{i+1}" for i in range(n)] + ["z", "K", "grad_norm", "invariant"])
-            for k in run.levels:
-                xs = sample_coordinates(n, run.count, run.seed, run.box)
-                for x in xs:
-                    try:
-                        p = point_on_level(family, k, x)
-                    except BranchError:
-                        continue  # off the admissible set, not a certificate failure
-                    kcurv = gauss_kronecker(family, p)
-                    inv = curvature_invariant(family, p)
-                    writer.writerow(
-                        [_fmt(k)] + [_fmt(c) for c in p.x] +
-                        [_fmt(p.z), _fmt(kcurv), _fmt(p.grad_norm), _fmt(inv)]
-                    )
-    except ConvexityError as exc:
-        print(f"convexity certificate failed: {exc}", file=sys.stderr)
-        return 2
-    except QuadrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _output(run.out) as fh:
+        _emit_header(fh, run.cfg, run.seed)
+        writer = csv.writer(fh)
+        writer.writerow(["k"] + [f"x{i+1}" for i in range(n)] + ["z", "K", "grad_norm", "invariant"])
+        for k in run.levels:
+            xs = sample_coordinates(n, run.count, run.seed, run.box)
+            for x in xs:
+                try:
+                    p = point_on_level(family, k, x)
+                except BranchError:
+                    continue  # off the admissible set, not a certificate failure
+                kcurv = gauss_kronecker(family, p)
+                inv = curvature_invariant(family, p)
+                writer.writerow(
+                    [_fmt(k)] + [_fmt(c) for c in p.x] +
+                    [_fmt(p.z), _fmt(kcurv), _fmt(p.grad_norm), _fmt(inv)]
+                )
     return 0
 
 
@@ -251,12 +240,8 @@ def cmd_measures(args) -> int:
     family, settings, offsets = run.family, run.settings, run.offsets
     if not offsets:
         raise ConfigError("measures needs a nonempty offsets list")
-    try:
-        level_points = [(k, sample_points(family, k, run.count, run.seed, run.box))
-                        for k in run.levels]
-    except QuadrixError as exc:  # e.g. fewer than 2 admissible points in the box
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    level_points = [(k, sample_points(family, k, run.count, run.seed, run.box))
+                    for k in run.levels]
     rows = []  # (k, h, point) order: each level's table read transposed
     for k, points in level_points:
         cells = evaluate_cells(family, points, offsets, settings)
@@ -320,143 +305,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# Verify suites
-# ---------------------------------------------------------------------------
-
-
-def _verify_fixture_families():
-    a = (1.0, 2.0)
-    return {
-        "elliptic_hyperboloid": LevelFamily(QuadraticForm(a), alpha=2.0, sign="minus"),
-        "ellipsoid": LevelFamily(QuadraticForm(a), alpha=2.0, sign="plus"),
-        "elliptic_paraboloid": LevelFamily(QuadraticForm(a), alpha=1.0, sign="minus"),
-    }
-
-
-def _suite_lemma7(settings, seed, report):
-    """Small-t ratios of the three measures against their curvature limits."""
-    ok = True
-    t_small = 2.0 ** -10
-    for name, family in _verify_fixture_families().items():
-        p = point_on_level(family, 1.0, np.zeros(2))
-        kcurv = gauss_kronecker(family, p)
-        n = family.n
-        omega = unit_ball_volume(n)
-        lim_a = 2.0 ** (n / 2.0) * omega / math.sqrt(kcurv)
-        lim_v = 2.0 ** ((n + 2) / 2.0) * omega / ((n + 2) * math.sqrt(kcurv))
-        ratio_a = section_area(family, p, t_small, settings).value / t_small ** (n / 2.0)
-        ratio_v = cap_volume(family, p, t_small, settings).value / t_small ** ((n + 2) / 2.0)
-        for tag, got, lim in (("area", ratio_a, lim_a), ("volume", ratio_v, lim_v)):
-            rel = abs(got - lim) / lim
-            ok &= report(f"small_t/{tag}/{name}", rel <= 0.02, f"ratio={got:.6g} limit={lim:.6g} rel={rel:.2e}")
-    return ok
-
-
-def _suite_derivative(settings, seed, report):
-    """Central difference of the cap volume against the section area."""
-    ok = True
-    rng = np.random.default_rng(seed)
-    fams = list(_verify_fixture_families().items())
-    worst = 0.0
-    for i in range(10):
-        name, family = fams[i % 3]
-        x = rng.uniform(-0.8, 0.8, size=2)
-        if family.sign == "plus":
-            x *= 0.3
-        p = point_on_level(family, 1.0, x)
-        t = 0.2 + 0.1 * (i % 4) / 4.0
-        if family.sign == "plus":
-            t = min(t, 0.25)
-        elif name == "elliptic_paraboloid":  # its chart folds from t of about 0.163
-            t = min(t, 0.15)
-        worst = max(worst, derivative_check(family, p, t, 1e-3, settings))
-    ok &= report("derivative/max_ratio", worst <= 1e-3, f"max={worst:.2e} tol=1e-3")
-    return ok
-
-
-def _suite_refutation(settings, seed, report):
-    """Lateral-area spread and the mean-value contradiction witnesses."""
-    ok = True
-    a = (2.0, 1.0)
-    family = LevelFamily(QuadraticForm(a), alpha=2.0, sign="minus")
-    k, h = 1.0, 0.5
-    xs = [np.array([0.0, 0.0]), np.array([1.5, 0.0]), np.array([0.7, 0.7]), np.array([0.0, 1.2])]
-    points = [point_on_level(family, k, x) for x in xs]
-    rep = check_condition(family, k, "Sstar", [h], points, settings=settings)
-    spread = rep.spreads[0]
-    ok &= report("lateral/spread", spread >= 0.05, f"spread={spread:.4f} (>= 5%)")
-    for kk in (0.5, 1.0):
-        for hh in (0.25, 1.0):
-            theta = refutation_theta(kk, hh, a)
-            ok &= report(f"mean_value/theta(k={kk},h={hh})", theta > 1.0, f"theta={theta:.6f}")
-    r0 = mean_value_ratio(np.zeros(2), a, 1.0, 0.25)
-    r10 = mean_value_ratio(np.array([10.0, 0.0]), a, 1.0, 0.25)
-    diff = abs(r0 - r10) / r0
-    ok &= report("mean_value/ratio_variation", diff >= 0.05, f"r(0)={r0:.4f} r(10,0)={r10:.4f} diff={diff:.2%}")
-    return ok
-
-
-def _suite_invariant(settings, seed, report):
-    ok = True
-    for name, family in _verify_fixture_families().items():
-        kind_a = family.f.a
-        for k in (0.5, 1.0, 2.0):
-            points = sample_points(family, k, 8, seed, box=(-0.3, 0.3))
-            target = invariant_constant(name, kind_a, k)
-            worst = max(abs(curvature_invariant(family, p) - target) / target for p in points)
-            ok &= report(f"invariant/{name}/k={k}", worst <= 1e-8, f"max_rel={worst:.2e}")
-    return ok
-
-
-def _suite_determinant(settings, seed, report):
-    ok = True
-    for name in ("elliptic_hyperboloid", "ellipsoid"):
-        family = _verify_fixture_families()[name]
-        points = sample_points(family, 1.0, 20, seed, box=(-0.3, 0.3))
-        worst = max(determinant_identity_residual(family, p) for p in points)
-        ok &= report(f"determinant/{name}", worst <= 1e-10, f"max_rel={worst:.2e}")
-    return ok
-
-
-def _suite_scaling(settings, seed, report):
-    """Paraboloid cap volumes scale as h^((n+2)/2) with the predicted constant."""
-    family = LevelFamily(QuadraticForm((1.0, 1.0)), alpha=1.0, sign="minus")
-    p = point_on_level(family, 1.0, np.zeros(2))
-    hs = [2.0 ** -j for j in range(1, 7)]
-    cells = evaluate_cells(family, [p], hs, settings)[0]
-    failed = [cell for cell in cells if isinstance(cell, str)]
-    if failed:
-        return report("scaling/cells", False, failed[0])
-    vols = [cell.volume.value for cell in cells]
-    slope, intercept = np.polyfit(np.log(hs), np.log(vols), 1)
-    gamma2 = paraboloid_starred((1.0, 1.0), 1.0, 1.0)[0]
-    ok = report("scaling/slope", abs(slope - 2.0) <= 0.01, f"slope={slope:.5f}")
-    rel = abs(math.exp(intercept) - gamma2) / gamma2
-    ok &= report("scaling/intercept", rel <= 0.01, f"exp(b)={math.exp(intercept):.6f} target={gamma2:.6f}")
-    return ok
-
-
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     settings, seed = _build_settings(cfg, args.seed)
-    failures = 0
-
-    def report(name: str, passed: bool, detail: str) -> bool:
-        nonlocal failures
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-        if not passed:
-            failures += 1
-        return passed
-
-    for suite in (_suite_invariant, _suite_determinant, _suite_lemma7,
-                  _suite_derivative, _suite_scaling, _suite_refutation):
-        try:
-            suite(settings, seed, report)
-        except QuadrixError as exc:  # e.g. a fixture region that crosses a chart fold
-            report(suite.__name__.removeprefix("_suite_"), False, str(exc))
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failing checks")
-    return 1 if failures else 0
+    return verify.run(settings, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +341,12 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except ConvexityError as exc:  # only curvature lets one through
+        print(f"convexity certificate failed: {exc}", file=sys.stderr)
+        return 2
+    except (QuadrixError, OSError) as exc:  # e.g. too few admissible points, an unwritable --out
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "cap_volume",
     "lateral_area",
     "starred_measures",
-    "derivative_check",
 ]
 
 _ERR_FLOOR = 1e-11  # relative floor covering boundary-solve tolerances
@@ -226,18 +225,3 @@ def starred_measures(family: LevelFamily, p: SurfacePoint, h: float,
         h=h,
         grad_norm=p.grad_norm,
     )
-
-
-def derivative_check(family: LevelFamily, p: SurfacePoint, t: float, delta: float,
-                     settings: QuadratureSettings | None = None) -> float:
-    """Relative mismatch between the central difference of the cap volume and the section area.
-
-    Returns |(V(t+delta) - V(t-delta)) / (2 delta) - A(t)| / A(t); the exact
-    quantities satisfy V' = A.
-    """
-    if not (0.0 < delta < t):
-        raise ValueError("need 0 < delta < t")
-    v_plus = cap_volume(family, p, t + delta, settings).value
-    v_minus = cap_volume(family, p, t - delta, settings).value
-    a_mid = section_area(family, p, t, settings).value
-    return abs((v_plus - v_minus) / (2.0 * delta) - a_mid) / a_mid

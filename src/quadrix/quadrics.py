@@ -53,14 +53,14 @@ _ORACLE_ORDER = {1: 64, 2: 64, 3: 64, 4: 16, 5: 12, 6: 10}
 _CAP_NODES = 48  # Gauss-Legendre nodes of the cap-volume integrals
 
 
-@lru_cache(maxsize=1)
-def _cap_rule() -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(_CAP_NODES)
+@lru_cache(maxsize=None)
+def _gauss_legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    return leggauss(nodes)
 
 
 def _gauss_legendre(f, upper: float) -> float:
     """Integral of the vectorized f over [0, upper] by the fixed Gauss-Legendre rule."""
-    x, w = _cap_rule()
+    x, w = _gauss_legendre_rule(_CAP_NODES)
     s = 0.5 * upper * (x + 1.0)
     return 0.5 * upper * float(w @ f(s))
 
@@ -306,7 +306,7 @@ def mean_H_over_domain(q, a, k: float, h: float) -> float:
     dom = refutation_domain(q, k, h)
     n = dom.q.shape[0]
     u, wu = sphere_rule(n, _ORACLE_ORDER[n])
-    xg, wg = leggauss(32)  # Gauss-Legendre on [0, 1]
+    xg, wg = _gauss_legendre_rule(32)  # Gauss-Legendre, mapped to [0, 1] below
     # mean over the unit ball: (1/omega_n) * int_{S^{n-1}} int_0^1 H r^{n-1} dr du,
     # one radial node at a time, which keeps the n = 6 arrays small
     total = sum(0.5 * w * r ** (n - 1) * float(wu @ refutation_H(dom.points(r * u), a, k))

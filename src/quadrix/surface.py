@@ -115,7 +115,12 @@ class LevelFamily:
             raise BranchError(
                 f"no z > 0 branch at level k={k}: z^alpha would be {base:.6g}"
             )
-        return float(base ** (1.0 / self.alpha))
+        try:
+            return float(base ** (1.0 / self.alpha))
+        except OverflowError:  # e.g. a small alpha: z is beyond the floats
+            raise BranchError(
+                f"no finite z at level k={k}: z^alpha = {base:.6g} with alpha = {self.alpha:g}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,14 @@ a verification report (run with -s to see every line).
 
 import json
 import math
-import warnings
 
 import numpy as np
-import pytest
 
 from quadrix import (
-    ClassifyConfig,
     LevelFamily,
     PerturbedQuadratic,
     QuadraticForm,
     QuadratureSettings,
-    cap_volume,
     check_condition,
     curvature_invariant,
     derivative_check,
@@ -26,15 +22,13 @@ from quadrix import (
     gauss_kronecker,
     invariant_constant,
     lateral_area,
-    mean_value_ratio,
     point_on_level,
-    refutation_theta,
     sample_points,
-    section_area,
     starred_measures,
     starred_oracle,
     unit_ball_volume,
 )
+from quadrix import verify
 from quadrix.cli import main
 
 A2 = (1.0, 2.0)
@@ -49,7 +43,8 @@ def family_of(kind: str, a=A2) -> LevelFamily:
     return LevelFamily(QuadraticForm(a), alpha, sign)
 
 
-def report(ok: bool, label: str, detail: str) -> None:
+def report(label: str, ok: bool, detail: str) -> None:
+    """Print one PASS/FAIL line and assert; the verify suites call it too."""
     print(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
     assert ok, f"{label}: {detail}"
 
@@ -77,7 +72,7 @@ def test_criterion_1_curvature_invariant():
             for x in admissible_xs(kind, A2, k, 20, seed=101):
                 p = point_on_level(family, k, x)
                 worst = max(worst, abs(curvature_invariant(family, p) - want) / want)
-    report(worst <= 1e-8, "criterion-1 curvature invariant", f"max rel dev {worst:.2e} <= 1e-8")
+    report("criterion-1 curvature invariant", worst <= 1e-8, f"max rel dev {worst:.2e} <= 1e-8")
 
 
 def test_criterion_2_oracle_vs_quadrature():
@@ -108,7 +103,7 @@ def test_criterion_2_oracle_vs_quadrature():
                     worst = max(worst, dev / abs(want))
                     assert dev <= tol, f"{kind} n={n} k={k} h={h}: {got} vs {want}"
                 checked += 1
-    report(checked >= 90 and worst <= 1e-8, "criterion-2 oracle agreement",
+    report("criterion-2 oracle agreement", checked >= 90 and worst <= 1e-8,
            f"{checked} fixtures within max(3 sigma, 1%), worst rel dev {worst:.2e} <= 1e-8")
 
 
@@ -134,7 +129,7 @@ def test_criterion_3_constancy_on_quadrics():
             if len(a) == 4:
                 assert rep.threshold == 1e-3, f"{name} {condition}: threshold {rep.threshold}"
             worst = max(worst, max(rep.spreads))
-    report(worst <= 1e-3, "criterion-3 quadric constancy",
+    report("criterion-3 quadric constancy", worst <= 1e-3,
            f"all verdicts constant, max spread {worst:.2e} <= 1e-3")
 
 
@@ -150,51 +145,26 @@ def test_criterion_4_perturbation_sensitivity():
     baseline = max(base.spreads)
     spread = max(pert.spreads)
     ok = pert.verdict == "non_constant" and spread >= 10.0 * baseline
-    report(ok, "criterion-4 perturbation sensitivity",
+    report("criterion-4 perturbation sensitivity", ok,
            f"verdict {pert.verdict}, spread {spread:.3e} >= 10 x baseline {baseline:.3e}")
 
 
 def test_criterion_5_lateral_area_refutation():
     """Normalized lateral area is not point-independent, and the mean-value witnesses say why."""
-    a = (2.0, 1.0)
-    family = family_of("elliptic_hyperboloid", a)
-    xs = [np.array([0.0, 0.0]), np.array([1.5, 0.0]), np.array([0.7, 0.7]), np.array([0.0, 1.2])]
-    pts = [point_on_level(family, 1.0, x) for x in xs]
-    rep = check_condition(family, 1.0, "Sstar", [0.5], pts)
-    spread = rep.spreads[0]
-    report(spread >= 0.05, "criterion-5a lateral-area spread",
-           f"spread {spread:.4f} >= 0.05 across points incl. (0,0) and (1.5,0)")
-
-    thetas = {(k, h): refutation_theta(k, h, a) for k in (0.5, 1.0) for h in (0.25, 1.0)}
-    ok = all(v > 1.0 for v in thetas.values())
-    report(ok, "criterion-5b mean-value factor",
-           "theta > 1 at " + ", ".join(f"(k={k},h={h})={v:.4f}" for (k, h), v in thetas.items()))
-
-    r0 = mean_value_ratio(np.zeros(2), a, 1.0, 0.25)
-    r_far = mean_value_ratio(np.array([10.0, 0.0]), a, 1.0, 0.25)
-    diff = abs(r0 - r_far) / r0
-    report(diff >= 0.05, "criterion-5c mean-value ratio variation",
-           f"r(0)={r0:.4f}, r(10,0)={r_far:.4f}, rel diff {diff:.2%} >= 5%")
+    verify.refutation(QuadratureSettings(), 0, report)
 
 
 def test_criterion_6_small_t_limits():
     """Measure ratios converge to the curvature-controlled limits at each vertex."""
+    verify.lemma7(QuadratureSettings(), 0, report)  # section area and cap volume
+    t, n = 2.0 ** -10, 2
     worst = 0.0
-    for kind in ("elliptic_hyperboloid", "ellipsoid", "elliptic_paraboloid"):
-        family = family_of(kind)
-        p = point_on_level(family, 1.0, np.zeros(2))
-        kcurv = gauss_kronecker(family, p)
-        n = 2
-        lim_as = 2.0 ** (n / 2) * unit_ball_volume(n) / math.sqrt(kcurv)
-        lim_v = 2.0 ** ((n + 2) / 2) * unit_ball_volume(n) / ((n + 2) * math.sqrt(kcurv))
-        for op, power, lim in ((section_area, n / 2, lim_as),
-                               (cap_volume, (n + 2) / 2, lim_v),
-                               (lateral_area, n / 2, lim_as)):
-            ratios = [op(family, p, 2.0 ** -j).value / (2.0 ** -j) ** power for j in range(4, 11)]
-            final = abs(ratios[-1] - lim) / lim
-            worst = max(worst, final)
-    report(worst <= 0.02, "criterion-6 small-offset limits",
-           f"final rel error {worst:.2e} <= 2% on all three vertices")
+    for family in verify.FAMILIES.values():
+        p = point_on_level(family, 1.0, np.zeros(n))
+        lim = 2.0 ** (n / 2) * unit_ball_volume(n) / math.sqrt(gauss_kronecker(family, p))
+        worst = max(worst, abs(lateral_area(family, p, t).value / t ** (n / 2) - lim) / lim)
+    report("criterion-6 small-offset lateral-area limit", worst <= 0.02,
+           f"rel error {worst:.2e} <= 2% at t = 2^-10 on all three vertices")
 
 
 def test_criterion_7_volume_derivative_identity():
@@ -210,22 +180,13 @@ def test_criterion_7_volume_derivative_identity():
         if kind == "elliptic_paraboloid":
             t = min(t, 0.1)
         worst = max(worst, derivative_check(family, p, t, 1e-3))
-    report(worst <= 1e-3, "criterion-7 derivative identity",
+    report("criterion-7 derivative identity", worst <= 1e-3,
            f"max rel mismatch {worst:.2e} <= 1e-3 over 10 fixtures")
 
 
 def test_criterion_8_paraboloid_scaling():
     """Cap volumes on the round paraboloid follow gamma_2 h^2."""
-    family = LevelFamily(QuadraticForm((1.0, 1.0)), 1.0, "minus")
-    p = point_on_level(family, 1.0, np.zeros(2))
-    hs = np.array([2.0 ** -j for j in range(6, 0, -1)])
-    vols = np.array([starred_measures(family, p, h).volume.value for h in hs])
-    slope, intercept = np.polyfit(np.log(hs), np.log(vols), 1)
-    gamma2 = math.pi / 2.0
-    rel = abs(math.exp(intercept) - gamma2) / gamma2
-    ok = abs(slope - 2.0) <= 0.01 and rel <= 0.01
-    report(ok, "criterion-8 paraboloid scaling",
-           f"slope {slope:.4f} within 2 +- 0.01, intercept off by {rel:.2e} <= 1%")
+    verify.scaling(QuadratureSettings(), 0, report)
 
 
 def test_criterion_9_determinant_identity():
@@ -236,7 +197,7 @@ def test_criterion_9_determinant_identity():
         for x in admissible_xs(kind, A2, 1.0, 20, seed=901):
             p = point_on_level(family, 1.0, x)
             worst = max(worst, determinant_identity_residual(family, p))
-    report(worst <= 1e-10, "criterion-9 determinant identity",
+    report("criterion-9 determinant identity", worst <= 1e-10,
            f"max rel residual {worst:.2e} <= 1e-10 at 20 points per family")
 
 
@@ -254,5 +215,5 @@ def test_criterion_10_reproducibility(tmp_path):
     assert main(["measures", "--config", str(path), "--out", str(out1)]) == 0
     assert main(["measures", "--config", str(path), "--out", str(out2)]) == 0
     ok = out1.read_bytes() == out2.read_bytes()
-    report(ok, "criterion-10 reproducibility",
+    report("criterion-10 reproducibility", ok,
            f"two runs produced identical bytes ({len(out1.read_bytes())} bytes)")

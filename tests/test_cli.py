@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from quadrix import (
     sample_points,
     starred_measures,
 )
-from quadrix import cli
+from quadrix import verify
 from quadrix.cli import _fmt, main
 
 
@@ -340,6 +341,8 @@ class TestConfigValidation:
         ("measures", {"levels": 1.0}),
         ("classify", {"classify": 3}),
         ("classify", {"classify": {"threshold": "abc"}}),
+        ("classify", {"classify": {"threshold": -1}}),
+        ("classify", {"classify": {"threshold": 0}}),
         ("sweep", {"sweep": [0, 0]}),
         ("sweep", {"sweep": {"x": [0.1]}}),
         ("sweep", {"sweep": {"x": "ab"}}),
@@ -348,8 +351,9 @@ class TestConfigValidation:
         ("measures", {"quadrature": {"order": 12.5}}),
         ("measures", {"quadrature": {"order": True}}),
     ], ids=["offsets-string", "offsets-scalar", "levels-string", "levels-scalar",
-            "classify-scalar", "threshold-string", "sweep-list", "sweep.x-length",
-            "sweep.x-string", "output-string", "directions-fraction", "directions-bool"])
+            "classify-scalar", "threshold-string", "threshold-negative", "threshold-zero",
+            "sweep-list", "sweep.x-length", "sweep.x-string", "output-string",
+            "directions-fraction", "directions-bool"])
     def test_malformed_key_is_config_error(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
         out = [] if "output" in overrides else ["--out", str(tmp_path / "x.out")]
@@ -359,10 +363,43 @@ class TestConfigValidation:
         assert not (tmp_path / "x.out").exists()
 
     def test_bad_seed_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, points={"count": 4, "seed": "abc"})
-        assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        for seed in ("abc", -5):
+            cfg = write_config(tmp_path, points={"count": 4, "seed": seed})
+            assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: bad points.seed"), (seed, err)
+
+    def test_negative_seed_flag_is_config_error(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["config error: bad --seed: need a non-negative integer, got -1"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["measures", "curvature", "classify"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "missing" / "x")]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: bad points.seed")
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    # z = (2 + f)^1000 overflows a float wherever f > 0.03: every sampled point
+    # is off the admissible set
+    @pytest.mark.parametrize("command, code", [("measures", 1), ("classify", 3), ("curvature", 0)])
+    def test_overflowing_branch_exit_codes(self, tmp_path, capsys, command, code):
+        cfg = write_config(
+            tmp_path,
+            family={"alpha": 0.001, "sign": "minus", "f": {"kind": "quadratic", "a": [1, 2]}},
+            levels=[2.0],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # measures and classify warn of the skipped points
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err == (["error: fewer than 2 admissible points at level k=2.0"] if code == 1 else [])
+        if command == "curvature":  # every point skipped
+            assert read_rows(tmp_path / "x") == []
 
 
 class TestVerify:
@@ -379,10 +416,10 @@ class TestVerify:
         assert capsys.readouterr().out.splitlines()[-1] == "OK: 0 failing checks"
 
     def test_suite_error_is_one_fail_line(self, monkeypatch, capsys):
-        def _suite_derivative(settings, seed, report):
+        def derivative(settings, seed, report):
             raise RegionError("the section crosses the chart fold")
 
-        monkeypatch.setattr(cli, "_suite_derivative", _suite_derivative)
+        monkeypatch.setattr(verify, "derivative", derivative)
         assert main(["verify"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert "FAIL derivative: the section crosses the chart fold" in out

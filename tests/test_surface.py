@@ -77,6 +77,15 @@ class TestPointOnLevel:
         with pytest.raises(BranchError):
             point_on_level(unit_sphere2, 1.0, np.array([2.0, 0.0]))
 
+    def test_overflowing_branch_rejected(self):
+        # z = 3^1000 is beyond the floats; 2^1000 is not
+        from quadrix import BranchError
+
+        family = LevelFamily(QuadraticForm((1.0, 2.0)), alpha=0.001, sign="minus")
+        assert family.solve_z(2.0, 0.0) == 2.0 ** 1000
+        with pytest.raises(BranchError, match="no finite z"):
+            family.solve_z(2.0, 1.0)
+
     def test_saddle_fails_certificate(self):
         family = LevelFamily(parse_expression("x1^2 - x2^2", 2), alpha=1.0, sign="minus")
         with pytest.raises(ConvexityError):
