@@ -7,9 +7,9 @@ points and 17 significant digits, and no timestamps, so identical config
 plus seed reproduces identical bytes.
 
 Exit codes: 0 success (including clean negative classifications),
-1 config error, verify-suite failure or any other error (an unwritable
-output path, too few admissible points), 2 convexity-certificate failure
-in `curvature`, 3 classification blocked by errors.
+1 config error, verify-suite failure, every measures or sweep row failing
+or any other error (an unwritable output path, too few admissible points),
+2 convexity-certificate failure in `curvature`, 3 classification blocked.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .characterize import (
     sample_coordinates,
     sample_points,
 )
-from .errors import BranchError, ConfigError, ConvexityError, QuadrixError
+from .errors import BranchError, ConfigError, ConvexityError, ParseError, QuadrixError
 from .funcspec import PerturbedQuadratic, QuadraticForm, parse_expression
 from .measure import QuadratureSettings
 from .surface import LevelFamily, curvature_invariant, gauss_kronecker, point_on_level
@@ -68,24 +68,23 @@ def _config_hash(cfg: dict) -> str:
 def _build_family(cfg: dict) -> LevelFamily:
     try:
         fam = cfg["family"]
-        alpha = float(fam["alpha"])
+        (alpha,) = _numbers("family.alpha", [fam["alpha"]])
         sign = fam.get("sign", "minus")
         fspec = fam["f"]
         kind = fspec["kind"]
         if kind == "quadratic":
-            f = QuadraticForm(tuple(fspec["a"]))
+            f = QuadraticForm(tuple(_numbers("family.f.a", fspec["a"])))
         elif kind == "perturbed_quadratic":
-            f = PerturbedQuadratic(
-                tuple(fspec["a"]),
-                float(fspec.get("epsilon", 0.0)),
-                fspec.get("perturbation", "quartic"),
-            )
+            (epsilon,) = _numbers("family.f.epsilon", [fspec.get("epsilon", 0.0)])
+            f = PerturbedQuadratic(tuple(_numbers("family.f.a", fspec["a"])), epsilon,
+                                   fspec.get("perturbation", "quartic"))
         elif kind == "expression":
-            f = parse_expression(fspec["source"], int(fspec["n"]))
+            (n,) = _numbers("family.f.n", [fspec["n"]], integer=True)
+            f = parse_expression(fspec["source"], n)
         else:
-            raise ConfigError(f"unknown function kind {kind!r}")
+            raise ConfigError(f"bad family config: unknown function kind {kind!r}")
         return LevelFamily(f=f, alpha=alpha, sign=sign)
-    except (KeyError, TypeError, ValueError, QuadrixError) as exc:
+    except (KeyError, TypeError, ValueError, ParseError) as exc:
         raise ConfigError(f"bad family config: {exc}") from exc
 
 
@@ -99,24 +98,28 @@ def _section(cfg: dict, key: str) -> dict:
     return section
 
 
-def _floats(key: str, values, length: int | None = None) -> list[float]:
-    """A JSON list of numbers, of the given length if one is given, as floats."""
-    try:
-        if not isinstance(values, list) or length not in (None, len(values)):
-            raise TypeError(f"need a list of {'' if length is None else f'{length} '}numbers, "
-                            f"got {values!r}")
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key}: {exc}") from exc
+def _numbers(key: str, values, length: int | None = None, integer: bool = False) -> list:
+    """A JSON list of finite numbers, of the given length if one is given, as floats.
+
+    With integer the numbers must be JSON integers, kept as ints.  Bools, NaN
+    and infinities are no numbers here.
+    """
+    if not isinstance(values, list) or length not in (None, len(values)):
+        raise ConfigError(f"bad {key}: need a list of {'' if length is None else f'{length} '}numbers, "
+                          f"got {values!r}")
+    for v in values:
+        if (isinstance(v, bool) or not isinstance(v, int if integer else (int, float))
+                or not -sys.float_info.max <= v <= sys.float_info.max):
+            raise ConfigError(f"bad {key}: need {'an integer' if integer else 'a finite number'}, got {v!r}")
+    return values if integer else [float(v) for v in values]
 
 
 def _build_settings(cfg: dict, seed_override: int | None) -> tuple[QuadratureSettings, int]:
     """The quadrature settings and the points seed, which --seed overrides."""
     q, pts = _section(cfg, "quadrature"), _section(cfg, "points")
-    try:
-        seed = seed_override if seed_override is not None else int(pts.get("seed", 123456789))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad points.seed: {exc}") from exc
+    seed = seed_override
+    if seed is None:
+        (seed,) = _numbers("points.seed", [pts.get("seed", 123456789)], integer=True)
     if seed < 0:
         key = "--seed" if seed_override is not None else "points.seed"
         raise ConfigError(f"bad {key}: need a non-negative integer, got {seed}")
@@ -152,30 +155,34 @@ def _read_config(args) -> _Run:
     settings, seed = _build_settings(cfg, args.seed)
     family = _build_family(cfg)
     pts = _section(cfg, "points")
+    box = pts.get("box")
+    if isinstance(box, list):  # one [lo, hi] pair, or one per coordinate
+        for pair in box if box and isinstance(box[0], list) else [box]:
+            _numbers("points.box", pair, 2)
     try:
-        _normalize_box(pts.get("box"), family.n)
+        _normalize_box(box, family.n)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad points.box: {exc}") from exc
-    count = pts.get("count", 6)
-    if not isinstance(count, int) or count < 2:
+    (count,) = _numbers("points.count", [pts.get("count", 6)], integer=True)
+    if count < 2:
         raise ConfigError(f"bad points.count: need an integer of at least 2, got {count!r}")
     levels = cfg.get("levels")
     if levels is None:
         levels = [0.5, 1.0, 2.0] if family.alpha == 2.0 else [1.0]
-    levels = _floats("levels", levels)
+    levels = _numbers("levels", levels)
     if not levels:
         raise ConfigError("levels must be nonempty")
     offsets = cfg.get("offsets")
-    offsets = None if offsets is None else _floats("offsets", offsets)
+    offsets = None if offsets is None else _numbers("offsets", offsets)
     threshold = _section(cfg, "classify").get("threshold", DEFAULT_THRESHOLD)
-    (threshold,) = _floats("classify.threshold", [threshold])
-    if not 0.0 < threshold < float("inf"):
+    (threshold,) = _numbers("classify.threshold", [threshold])
+    if not threshold > 0.0:
         raise ConfigError(f"bad classify.threshold: need a positive finite number, got {threshold!r}")
-    sweep_x = _floats("sweep.x", _section(cfg, "sweep").get("x", [0.0] * family.n), family.n)
+    sweep_x = _numbers("sweep.x", _section(cfg, "sweep").get("x", [0.0] * family.n), family.n)
     out = _section(cfg, "output").get("path")
     if not isinstance(out, (str, type(None))):
         raise ConfigError(f"bad output.path: need a string, got {out!r}")
-    return _Run(cfg, family, settings, seed, levels, offsets, count, pts.get("box"), threshold, sweep_x,
+    return _Run(cfg, family, settings, seed, levels, offsets, count, box, threshold, sweep_x,
                 args.out or out)
 
 
@@ -257,8 +264,7 @@ def cmd_measures(args) -> int:
             writer.writerow([_fmt(k), _fmt(h)] + _cell_fields(cell) + [
                 "" if failed else _fmt(cell.grad_norm), str(run.seed), cell if failed else "",
             ])
-    failures = sum(1 for *_, cell in rows if isinstance(cell, str))
-    return 1 if rows and failures == len(rows) else 0
+    return 1 if rows and all(isinstance(cell, str) for *_, cell in rows) else 0
 
 
 def cmd_classify(args) -> int:
@@ -302,7 +308,7 @@ def cmd_sweep(args) -> int:
         for k, h, cell in rows:
             writer.writerow([_fmt(k), _fmt(h)] + _cell_fields(cell) +
                             [cell if isinstance(cell, str) else ""])
-    return 0
+    return 1 if rows and all(isinstance(cell, str) for *_, cell in rows) else 0
 
 
 def cmd_verify(args) -> int:

@@ -1,13 +1,13 @@
 """Implicit geometry of the level sets of g(x, z) = z^alpha -/+ f(x), z > 0.
 
-A level set M_k = {g = k} is treated as a strictly convex hypersurface in
-R^{n+1}.  This module lifts points onto M_k and computes there, once, the
-second fundamental form of M_k toward its convex side: the Cholesky
-certificate of strict convexity, the orientation of the unit normal, the
-Gauss-Kronecker curvature K = det(form), the invariant K |grad g|^{n+2} and
-the osculating quadric of the tangent-plane graph chart all read that one
-form.  The chart serves the integration routines; the parallel-tangent
-solve links M_k to nearby levels M_{k+h}.
+A level set M_c = {g = c} is the graph z = Z_c(x) of one branch, treated as
+a strictly convex hypersurface in R^{n+1}.  One graph jet, Z_c with its
+gradient and Hessian, serves point_on_level, which computes once the second
+fundamental form toward the convex side (read by the Cholesky convexity
+certificate, the normal orientation, K = det(form), the invariant
+K |grad g|^{n+2} and the chart's osculating quadric), and parallel_tangent,
+which links M_k to a nearby level M_{k+h} by matching the slopes of the two
+graphs.  The tangent-plane graph chart serves the integration routines.
 
 Both chart solves, heights and section boundary radii, run one vectorized
 safeguarded solver: a per-lane bracket, guarded Newton steps, bisection
@@ -20,6 +20,7 @@ chart solver is safe to call concurrently from several threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,18 +89,6 @@ class LevelFamily:
         grad = np.concatenate([self.sf * fg, gz[:, None]], axis=1)
         return g, grad
 
-    def ambient_gradient(self, jet: Jet2, z: float) -> np.ndarray:
-        gz = self.alpha * z ** (self.alpha - 1.0)
-        return np.concatenate([self.sf * jet.gradient, [gz]])
-
-    def ambient_hessian(self, jet: Jet2, z: float) -> np.ndarray:
-        n = self.n
-        h = np.zeros((n + 1, n + 1))
-        h[:n, :n] = self.sf * jet.hessian
-        if self.alpha != 1.0:
-            h[n, n] = self.alpha * (self.alpha - 1.0) * z ** (self.alpha - 2.0)
-        return h
-
     def solve_z(self, k: float, fval: float) -> float:
         """The real branch solution of g(x, z) = k given f(x).
 
@@ -111,7 +100,7 @@ class LevelFamily:
         alpha = float(self.alpha)
         if alpha.is_integer() and int(alpha) % 2 == 1:
             return float(np.sign(base) * abs(base) ** (1.0 / alpha))
-        if base <= 0:
+        if not base > 0:  # NaN too
             raise BranchError(
                 f"no z > 0 branch at level k={k}: z^alpha would be {base:.6g}"
             )
@@ -180,23 +169,43 @@ def _complete_frame(normal: np.ndarray) -> np.ndarray:
     return q[:, 1:]
 
 
+class _GraphJet(NamedTuple):
+    """M_c near x as the graph z = Z(x) of its branch (z > 0 unless alpha is odd), to second order."""
+
+    f_jet: Jet2
+    z: float
+    gz: float  # g_z = alpha z^(alpha-1)
+    slope: np.ndarray  # grad Z = -sf grad f / g_z
+    hessian: np.ndarray  # Hess Z = -(sf Hess f + g_zz grad Z grad Z^T) / g_z
+
+
+def _graph_jet(family: LevelFamily, c: float, x: np.ndarray) -> _GraphJet:
+    """Z, grad Z and Hess Z of the branch of M_c over x; BranchError off the branch."""
+    jet = eval_jet2(family.f, x)
+    z = family.solve_z(c, jet.value)
+    a = family.alpha
+    gz = a * z ** (a - 1.0)
+    gzz = 0.0 if a == 1.0 else a * (a - 1.0) * z ** (a - 2.0)  # z may be 0 when a == 1
+    slope = -family.sf * jet.gradient / gz
+    hessian = -(family.sf * jet.hessian + gzz * np.outer(slope, slope)) / gz
+    return _GraphJet(jet, z, gz, slope, hessian)
+
+
 def point_on_level(family: LevelFamily, k: float, x: np.ndarray) -> SurfacePoint:
     """Lift x to the z > 0 branch of M_k and certify convexity there.
 
-    The second fundamental form is taken with respect to the upward graph
-    normal; the convex side is the orientation that makes it positive
-    definite (Cholesky certificate), and an indefinite form raises
-    ConvexityError.
+    The second fundamental form toward the upward graph normal is
+    A^T Hess Z A / sqrt(1 + |grad Z|^2), A the x-rows of the frame; the convex
+    side is the orientation that makes it positive definite (Cholesky
+    certificate), and an indefinite form raises ConvexityError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    jet = eval_jet2(family.f, x)
-    z = family.solve_z(k, jet.value)
-    grad_g = family.ambient_gradient(jet, z)
-
-    grad_z = -family.sf * jet.gradient / (family.alpha * z ** (family.alpha - 1.0))
-    up = np.concatenate([-grad_z, [1.0]]) / np.sqrt(1.0 + grad_z @ grad_z)
+    jet, z, gz, slope, hessian = _graph_jet(family, k, x)
+    grad_g = np.concatenate([family.sf * jet.gradient, [gz]])
+    lift = np.sqrt(1.0 + slope @ slope)
+    up = np.concatenate([-slope, [1.0]]) / lift
     frame = _complete_frame(up)  # the same basis for up and -up
-    form = -(frame.T @ family.ambient_hessian(jet, z) @ frame) / float(grad_g @ up)
+    form = frame[:-1].T @ hessian @ frame[:-1] / lift
     if _is_positive_definite(form):
         normal = up
     elif _is_positive_definite(-form):
@@ -416,8 +425,8 @@ class TangencyResult:
     """Tangency point v on M_{k+h} whose tangent plane is parallel to the one at p.
 
     t is the distance from p to that tangent plane, measured along the
-    convex-side normal at p; scale is the positive gradient ratio picking
-    the near tangency over the antipodal one.
+    convex-side normal at p; scale is the gradient ratio g_z(v) / g_z(p), so
+    that grad g(v) = scale * grad g(p).
     """
 
     v: SurfacePoint
@@ -429,65 +438,57 @@ class TangencyResult:
 def parallel_tangent(family: LevelFamily, p: SurfacePoint, h: float) -> TangencyResult:
     """Find v on M_{k+h} with grad g(v) = lambda * grad g(p), lambda > 0.
 
-    Newton on the (n+2)-unknown system {g(v) = k + h, grad g(v) - lambda
-    grad g(p) = 0}, started from the first-order offset of p along its
-    normal.  lambda > 0 picks the tangency on the same side as p.
+    On the z > 0 graphs of the two levels this is Newton on the slope gap
+    grad Z_{k+h}(x) - grad Z_k(x_p), with Jacobian Hess Z_{k+h}; lambda is
+    g_z(v) / g_z(p).  It starts from the x of the first-order offset of p
+    along its normal, or, off the graph, from the center of f's osculating
+    quadratic at x_p; steps off the graph or not shrinking the gap are halved.
     """
     if h == 0 or np.sign(h) != p.offset_sign:
         raise TangencyError(f"offset h={h:.6g} is outside the admissible interval at this point")
-    n = p.n
-    q = p.grad_g
     target = p.k + h
+    slope_p = -p.grad_g[:-1] / p.grad_g[-1]
 
-    gn = float(q @ p.normal)
-    v = p.ambient + (h / gn) * p.normal
-    if v[-1] <= 0:
-        v = p.ambient.copy()
-        v[-1] = 0.5 * p.z
-    lam = 1.0
-
-    scale = max(1.0, abs(target), float(np.max(np.abs(q))))
-
-    def residual(vv, ll):
-        jet = eval_jet2(family.f, vv[:n])
-        gval = vv[-1] ** family.alpha + family.sf * jet.value
-        grad = family.ambient_gradient(jet, vv[-1])
-        return np.concatenate([[gval - target], grad - ll * q]), jet, grad
-
-    res, jet, grad = residual(v, lam)
-    iterations = 0
-    for iterations in range(1, NEWTON_MAXITER + 1):
-        if np.max(np.abs(res)) <= NEWTON_TOL * scale:
-            break
-        jac = np.zeros((n + 2, n + 2))
-        jac[0, : n + 1] = grad
-        jac[1:, : n + 1] = family.ambient_hessian(jet, v[-1])
-        jac[1:, n + 1] = -q
+    def graph_jet(x):  # the jet of M_{k+h} over x on its z > 0 graph, else None
         try:
-            step = np.linalg.solve(jac, res)
+            jet = _graph_jet(family, target, x)
+        except BranchError:
+            return None
+        return jet if jet.z > 0 else None
+
+    x = p.x + (h / float(p.grad_g @ p.normal)) * p.normal[:-1]
+    jet = graph_jet(x)
+    if jet is None:  # start instead from the center of f's osculating quadratic
+        x = p.x - np.linalg.lstsq(p.f_jet.hessian, p.f_jet.gradient, rcond=None)[0]
+        jet = graph_jet(x)
+    if jet is None:
+        raise TangencyError(f"no start on the z > 0 graph of level k={target:.6g} for h={h:.6g}")
+    tol = NEWTON_TOL * (1.0 + np.max(np.abs(slope_p)))
+    for iterations in range(1, NEWTON_MAXITER + 1):
+        gap = jet.slope - slope_p
+        if np.max(np.abs(gap)) <= tol:
+            break
+        try:
+            step = np.linalg.solve(jet.hessian, gap)
         except np.linalg.LinAlgError as exc:
             raise TangencyError("singular Jacobian in parallel-tangent solve") from exc
-        # damped step: keep z positive and do not let the residual grow
-        norm_old = float(np.linalg.norm(res))
         damp = 1.0
-        while damp > 1e-10 and v[-1] - damp * step[n] <= 0:
-            damp *= 0.5
-        for _ in range(40):
-            v_new = v - damp * step[: n + 1]
-            lam_new = lam - damp * step[n + 1]
-            res_new, jet_new, grad_new = residual(v_new, lam_new)
-            if np.all(np.isfinite(res_new)) and np.linalg.norm(res_new) <= (1.0 - 0.25 * damp) * norm_old:
+        while True:  # backtrack off-branch steps and steps that do not shrink the gap
+            jet_new = graph_jet(x - damp * step)
+            if jet_new is not None and (np.linalg.norm(jet_new.slope - slope_p)
+                                        <= (1.0 - 0.25 * damp) * np.linalg.norm(gap)):
                 break
             damp *= 0.5
-            if v_new[-1] <= 0 or damp <= 1e-10:
+            if damp <= 1e-10:
                 raise TangencyError(f"parallel-tangent iteration stalled for h={h:.6g}")
-        v, lam, res, jet, grad = v_new, lam_new, res_new, jet_new, grad_new
+        x, jet = x - damp * step, jet_new
     else:
         raise TangencyError(f"parallel-tangent Newton did not converge for h={h:.6g}")
 
-    if lam <= 0:
+    scale = jet.gz / p.grad_g[-1]
+    if scale <= 0:
         raise TangencyError("wrong branch: tangency found with opposite gradient direction")
-    vp = point_on_level(family, target, v[:n])
+    vp = point_on_level(family, target, x)
     # sine of the angle between the normals; arccos of the dot product
     # cannot resolve angles this small
     angle = float(np.linalg.norm(vp.normal - (vp.normal @ p.normal) * p.normal))
@@ -496,7 +497,7 @@ def parallel_tangent(family: LevelFamily, p: SurfacePoint, h: float) -> Tangency
     t = float((vp.ambient - p.ambient) @ p.normal)
     if t <= 0:
         raise TangencyError("tangency distance came out nonpositive")
-    return TangencyResult(v=vp, t=t, newton_iterations=iterations, scale=float(lam))
+    return TangencyResult(v=vp, t=t, newton_iterations=iterations, scale=float(scale))
 
 
 def offset_map_h(family: LevelFamily, p: SurfacePoint, t: float) -> float:

@@ -350,10 +350,27 @@ class TestConfigValidation:
         # the order replaced the direction count; the ids keep the old word
         ("measures", {"quadrature": {"order": 12.5}}),
         ("measures", {"quadrature": {"order": True}}),
+        # every number is finite, no bool, and an integer where one is meant
+        ("curvature", {"levels": [float("nan")]}),
+        ("measures", {"offsets": [float("inf")]}),
+        ("curvature", {"family": {"alpha": float("nan"), "f": {"kind": "quadratic", "a": [1, 2]}}}),
+        ("curvature", {"family": {"alpha": True, "f": {"kind": "quadratic", "a": [1, 2]}}}),
+        ("measures", {"family": {"alpha": 2, "f": {"kind": "quadratic", "a": [1, float("nan")]}}}),
+        ("measures", {"family": {"alpha": 2, "f": {"kind": "perturbed_quadratic", "a": [1, 2],
+                                                   "epsilon": float("nan")}}}),
+        ("curvature", {"family": {"alpha": 2, "f": {"kind": "expression", "source": "x1^2 + x2^2",
+                                                    "n": 2.7}}}),
+        ("classify", {"classify": {"threshold": float("inf")}}),
+        ("sweep", {"sweep": {"x": [0.1, True]}}),
+        ("measures", {"points": {"count": 4.0, "seed": 4242}}),
+        ("measures", {"points": {"count": 4, "box": [float("-inf"), 1]}}),
+        ("curvature", {"points": {"count": 4, "box": [[True, 2], [-1, 1]]}}),
     ], ids=["offsets-string", "offsets-scalar", "levels-string", "levels-scalar",
             "classify-scalar", "threshold-string", "threshold-negative", "threshold-zero",
             "sweep-list", "sweep.x-length", "sweep.x-string", "output-string",
-            "directions-fraction", "directions-bool"])
+            "directions-fraction", "directions-bool",
+            "levels-nan", "offsets-inf", "alpha-nan", "alpha-bool", "a-nan", "epsilon-nan",
+            "n-fraction", "threshold-inf", "sweep.x-bool", "count-float", "box-inf", "box-bool"])
     def test_malformed_key_is_config_error(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
         out = [] if "output" in overrides else ["--out", str(tmp_path / "x.out")]
@@ -363,7 +380,7 @@ class TestConfigValidation:
         assert not (tmp_path / "x.out").exists()
 
     def test_bad_seed_is_config_error(self, tmp_path, capsys):
-        for seed in ("abc", -5):
+        for seed in ("abc", -5, 1.7, True, float("nan")):
             cfg = write_config(tmp_path, points={"count": 4, "seed": seed})
             assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
             err = capsys.readouterr().err.splitlines()
@@ -383,6 +400,18 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "missing" / "x")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    # plus-sign offsets must be negative: every row fails, and both commands
+    # that write one row per (k, h) say so with exit 1
+    @pytest.mark.parametrize("command", ["measures", "sweep"])
+    def test_every_row_failing_exits_one(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, family={"alpha": 2, "sign": "plus",
+                                             "f": {"kind": "quadratic", "a": [1, 1]}},
+                           points={"count": 4, "seed": 6, "box": [-0.3, 0.3]}, offsets=[0.1, 0.2])
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == ""
+        rows = read_rows(tmp_path / "x.csv")
+        assert rows and all("outside the admissible interval" in row["error"] for row in rows)
 
     # z = (2 + f)^1000 overflows a float wherever f > 0.03: every sampled point
     # is off the admissible set

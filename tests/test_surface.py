@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quadrix import (
+    BranchError,
     ConvexityError,
     LevelFamily,
     PerturbedQuadratic,
@@ -72,19 +73,20 @@ class TestPointOnLevel:
             assert abs(abs(p.grad_g @ p.normal) - p.grad_norm) <= 1e-12 * p.grad_norm
 
     def test_branchless_point_rejected(self, unit_sphere2):
-        from quadrix import BranchError
-
         with pytest.raises(BranchError):
             point_on_level(unit_sphere2, 1.0, np.array([2.0, 0.0]))
 
     def test_overflowing_branch_rejected(self):
         # z = 3^1000 is beyond the floats; 2^1000 is not
-        from quadrix import BranchError
-
         family = LevelFamily(QuadraticForm((1.0, 2.0)), alpha=0.001, sign="minus")
         assert family.solve_z(2.0, 0.0) == 2.0 ** 1000
         with pytest.raises(BranchError, match="no finite z"):
             family.solve_z(2.0, 1.0)
+
+    def test_nan_level_rejected(self):
+        family = trio()["elliptic_hyperboloid"]
+        with pytest.raises(BranchError):
+            family.solve_z(float("nan"), 0.5)
 
     def test_saddle_fails_certificate(self):
         family = LevelFamily(parse_expression("x1^2 - x2^2", 2), alpha=1.0, sign="minus")
@@ -184,26 +186,104 @@ class TestLocalGraph:
             assert self.height(unit_sphere2, p, np.array([1.2, 0.0]), t) == np.inf
 
 
+# coefficients at n = 1..6; n = 2 keeps trio()'s (1, 2)
+_A6 = (1.0, 2.0, 1.5, 1.2, 0.8, 1.1)
+
+# families off the quadric normal forms, at n = 1..6: the family and its
+# sampling half-width at n = 2 (shrunk as sqrt(2 / n) at other n)
+_TANGENCY_CASES = {
+    "quartic-minus": (lambda a: LevelFamily(PerturbedQuadratic(a, 0.3, "quartic"), 2.0, "minus"), 0.8),
+    "cosh-plus": (lambda a: LevelFamily(PerturbedQuadratic(a, 0.3, "cosh"), 2.0, "plus"), 0.35),
+    "expression-minus": (lambda a: LevelFamily(parse_expression(" + ".join(
+        f"{ai ** 2} * x{i + 1}^2 + 0.2 * (cosh(x{i + 1}) - 1)" for i, ai in enumerate(a)), len(a)),
+        2.0, "minus"), 0.8),
+    "alpha1.5-minus": (lambda a: LevelFamily(QuadraticForm(a), 1.5, "minus"), 0.8),
+    "alpha1.5-plus": (lambda a: LevelFamily(QuadraticForm(a), 1.5, "plus"), 0.3),
+}
+
+
 class TestParallelTangent:
     def test_hyperboloid_homothety(self):
-        family = trio()["elliptic_hyperboloid"]
         k, h = 1.0, 1.0
-        for x in seeded_xs(2, 6, 3, 1.2):
-            p = point_on_level(family, k, x)
-            res = parallel_tangent(family, p, h)
-            want = np.sqrt((k + h) / k) * p.ambient
-            assert np.max(np.abs(res.v.ambient - want)) <= 1e-9
-            assert res.scale > 0
-            assert res.t > 0
+        for n in range(1, 7):
+            family = trio(_A6[:n])["elliptic_hyperboloid"]
+            for x in seeded_xs(n, 6, 3, 1.2 * np.sqrt(2 / n)):
+                p = point_on_level(family, k, x)
+                res = parallel_tangent(family, p, h)
+                want = np.sqrt((k + h) / k) * p.ambient
+                assert np.max(np.abs(res.v.ambient - want)) <= 1e-9
+                assert res.scale > 0
+                assert res.t > 0
 
     def test_ellipsoid_homothety(self):
-        family = trio()["ellipsoid"]
         k, h = 1.0, -0.19
-        for x in seeded_xs(2, 6, 4, 0.3):
-            p = point_on_level(family, k, x)
-            res = parallel_tangent(family, p, h)
-            want = np.sqrt((k + h) / k) * p.ambient
-            assert np.max(np.abs(res.v.ambient - want)) <= 1e-9
+        for n in range(1, 7):
+            family = trio(_A6[:n])["ellipsoid"]
+            for x in seeded_xs(n, 6, 4, 0.3 * np.sqrt(2 / n)):
+                p = point_on_level(family, k, x)
+                res = parallel_tangent(family, p, h)
+                want = np.sqrt((k + h) / k) * p.ambient
+                assert np.max(np.abs(res.v.ambient - want)) <= 1e-9
+
+    @pytest.mark.parametrize("kind", list(_TANGENCY_CASES))
+    def test_defining_equations(self, kind):
+        # v lies on M_{k+h}, its convex-side normal equals p's, and the
+        # plane through v lies beyond p
+        make, half = _TANGENCY_CASES[kind]
+        k = 1.0
+        for n in range(1, 7):
+            family = make(_A6[:n])
+            for x in seeded_xs(n, 3, 40 + n, half * np.sqrt(2 / n)):
+                p = point_on_level(family, k, x)
+                for h in (0.1, 0.6) if family.sign == "minus" else (-0.1, -0.4):
+                    res = parallel_tangent(family, p, h)
+                    v = res.v
+                    assert surface_residual(family, v) <= 1e-10 * (1 + abs(k + h))
+                    assert v.k == k + h
+                    assert np.linalg.norm(v.normal - p.normal) <= 1e-9
+                    assert res.t > 0
+
+    def test_paraboloid_tangency_is_vertical(self):
+        # alpha = 1: every level is the same graph shifted in z, so the
+        # tangency sits straight above p at distance h along z
+        for n in range(1, 7):
+            family = trio(_A6[:n])["elliptic_paraboloid"]
+            for x in seeded_xs(n, 3, 50 + n, 1.0):
+                p = point_on_level(family, 1.0, x)
+                res = parallel_tangent(family, p, 0.5)
+                assert np.max(np.abs(res.v.x - p.x)) <= 1e-12
+                assert res.v.z == pytest.approx(p.z + 0.5, rel=1e-12)
+                assert res.scale == 1.0
+
+    def test_iterates_stay_on_the_upper_sheet(self):
+        # alpha = -1: z = 1 / (k - f) is a real root past the pole f = k too,
+        # with z < 0; a full Newton step from p crosses the pole
+        family = LevelFamily(QuadraticForm(_A6[:2]), -1.0, "plus")
+        p = point_on_level(family, 1.0, np.array([0.17, -0.06]))
+        res = parallel_tangent(family, p, -0.9)
+        assert res.v.z > 0 and res.t > 0
+        assert np.linalg.norm(res.v.normal - p.normal) <= 1e-9
+
+    def test_start_off_the_branch(self):
+        # a deep ellipsoid cap: the first-order offset of p lies outside the
+        # small level k + h = 0.1, and so does x_p; the solve starts from the
+        # center of f's osculating quadratic instead
+        family = trio(_A6[:5])["ellipsoid"]
+        k, h = 1.0, -0.9
+        x = np.array([-0.3, 0.2, 0.2, -0.3, -0.3])
+        p = point_on_level(family, k, x)
+        first_order = p.x + h / (p.grad_g @ p.normal) * p.normal[:-1]
+        for off in (first_order, p.x):
+            with pytest.raises(BranchError):
+                point_on_level(family, k + h, off)
+        res = parallel_tangent(family, p, h)
+        assert np.max(np.abs(res.v.ambient - np.sqrt((k + h) / k) * p.ambient)) <= 1e-9
+
+    def test_no_branch_at_the_level(self, unit_sphere2):
+        # k + h < 0: the level has no z > 0 point anywhere
+        p = point_on_level(unit_sphere2, 1.0, np.array([0.3, 0.2]))
+        with pytest.raises(TangencyError, match="no start"):
+            parallel_tangent(unit_sphere2, p, -1.5)
 
     def test_unit_sphere_fixture(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
@@ -270,6 +350,20 @@ class TestOffsetMap:
 
 
 class TestSecondFundamentalForm:
+    @pytest.mark.parametrize("kind", list(_CHART_CASES))
+    def test_graph_form_matches_ambient_form(self, kind):
+        # reference: -(frame^T Hess g frame) / <grad g, normal> from the
+        # ambient Hessian of g = z^alpha + sf f
+        family, half = _CHART_CASES[kind]
+        for x in seeded_xs(2, 10, 31, half):
+            p = point_on_level(family, 1.0, x)
+            hess_g = np.zeros((3, 3))
+            hess_g[:2, :2] = family.sf * p.f_jet.hessian
+            hess_g[2, 2] = family.alpha * (family.alpha - 1.0) * p.z ** (family.alpha - 2.0)
+            want = -(p.frame.T @ hess_g @ p.frame) / (p.grad_g @ p.normal)
+            assert np.max(np.abs(p.second_form - want)) <= 1e-12 * np.max(np.abs(want))
+
+
     @pytest.mark.parametrize("kind", ["elliptic_hyperboloid", "ellipsoid", "elliptic_paraboloid"])
     def test_positive_definite_at_certified_points(self, kind):
         family = trio()[kind]
