@@ -73,4 +73,4 @@ from .surface import (
 )
 from .verify import derivative_check, determinant_identity_residual
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -381,13 +381,13 @@ def _eval_node(node, X: np.ndarray, want_h: bool):
             raise EvaluationError("fractional power of non-positive base")
         with np.errstate(divide="ignore", invalid="ignore"):
             v = u ** c
-            d1 = c * u ** (c - 1.0)
+            # a zero coefficient gives a zero term, not 0 * inf at u = 0;
+            # otherwise 0^0 = 1 and 0^j = 0 are exact, so x^2 has curvature 2 at 0
+            d1 = c * u ** (c - 1.0) if c else np.zeros_like(u)
             g = d1[:, None] * gu
             h = None
             if want_h:
-                d2 = c * (c - 1.0) * u ** (c - 2.0)
-                # u == 0 with integer exponent >= 2 has vanishing curvature term
-                d2 = np.where((u == 0.0) & (c >= 2.0), 0.0, d2)
+                d2 = c * (c - 1.0) * u ** (c - 2.0) if c * (c - 1.0) else np.zeros_like(u)
                 h = d1[:, None, None] * hu + d2[:, None, None] * _outer(gu, gu)
         _check_finite(v, g, h)
         return v, g, h

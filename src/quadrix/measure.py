@@ -12,8 +12,10 @@ all in the tangent-plane coordinates of p.  The primary integrator is
 radial along the directions L^{-T} e, for the sphere-rule nodes e and
 S = L L^T the second fundamental form: on a quadric every section is then a
 ball (sections are homothetic to the Dupin indicatrix {y^T S y = 1}), so the
-integrand on the sphere is smooth.  One K15 pass runs along each ray.  The
-boundary and height solves run in blocks of at most _LANE_BUDGET chart
+integrand on the sphere is smooth.  The sphere rule is the tensor rule at
+n <= 4 and the fully symmetric rule at n >= 5, which needs a sixth of the
+rays at n = 6 (`_grids.sphere_rule`).  One K15 pass runs along each ray.
+The boundary and height solves run in blocks of at most _LANE_BUDGET chart
 points, each height block reduced to per-ray sums before the next, so the
 working memory does not grow with the order.
 The error estimate is the larger of the gap to the sphere rule of order m - 2,

@@ -23,7 +23,7 @@ from math import asinh, atan2, gamma, pi, sqrt
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._grids import sphere_rule
+from ._grids import tensor_rule
 
 __all__ = [
     "QUADRIC_KINDS",
@@ -48,7 +48,7 @@ __all__ = [
 
 QUADRIC_KINDS = ("elliptic_paraboloid", "ellipsoid", "elliptic_hyperboloid")
 
-# sphere-rule order per dimension of mean_H_over_domain, finer than the engine's
+# tensor-rule order per dimension of mean_H_over_domain, finer than the engine's
 _ORACLE_ORDER = {1: 64, 2: 64, 3: 64, 4: 16, 5: 12, 6: 10}
 _CAP_NODES = 48  # Gauss-Legendre nodes of the cap-volume integrals
 
@@ -305,7 +305,8 @@ def mean_H_over_domain(q, a, k: float, h: float) -> float:
     """
     dom = refutation_domain(q, k, h)
     n = dom.q.shape[0]
-    u, wu = sphere_rule(n, _ORACLE_ORDER[n])
+    # the tensor rule at every n, so this oracle shares no sphere rule with the engine at n >= 5
+    u, wu = tensor_rule(n, _ORACLE_ORDER[n])
     xg, wg = _gauss_legendre_rule(32)  # Gauss-Legendre, mapped to [0, 1] below
     # mean over the unit ball: (1/omega_n) * int_{S^{n-1}} int_0^1 H r^{n-1} dr du,
     # one radial node at a time, which keeps the n = 6 arrays small

@@ -92,13 +92,14 @@ class LevelFamily:
     def solve_z(self, k: float, fval: float) -> float:
         """The real branch solution of g(x, z) = k given f(x).
 
-        Even and non-integer alpha use the positive branch z > 0; odd
-        integer alpha has a unique real root (alpha = 1 level sets are
-        global graphs and may dip through z = 0).
+        Positive odd integer alpha has a unique real root (alpha = 1 level
+        sets are global graphs and may dip through z = 0).  Every other alpha
+        uses the positive branch z > 0: for negative odd alpha the real root
+        of a negative z^alpha lies on the sheet past the pole.
         """
         base = k - self.sf * fval  # z^alpha
         alpha = float(self.alpha)
-        if alpha.is_integer() and int(alpha) % 2 == 1:
+        if alpha > 0 and alpha.is_integer() and int(alpha) % 2 == 1:
             return float(np.sign(base) * abs(base) ** (1.0 / alpha))
         if not base > 0:  # NaN too
             raise BranchError(
@@ -490,8 +491,12 @@ def parallel_tangent(family: LevelFamily, p: SurfacePoint, h: float) -> Tangency
         raise TangencyError("wrong branch: tangency found with opposite gradient direction")
     vp = point_on_level(family, target, x)
     # sine of the angle between the normals; arccos of the dot product
-    # cannot resolve angles this small
-    angle = float(np.linalg.norm(vp.normal - (vp.normal @ p.normal) * p.normal))
+    # cannot resolve angles this small.  The sine is 0 for antiparallel
+    # normals too, so the cosine must be positive
+    cosine = float(vp.normal @ p.normal)
+    angle = float(np.linalg.norm(vp.normal - cosine * p.normal))
+    if cosine <= 0:
+        raise TangencyError(f"tangency normals point opposite ways (cosine {cosine:.3g})")
     if angle > 1e-9:
         raise TangencyError(f"tangency normals misaligned by {angle:.3g} rad")
     t = float((vp.ambient - p.ambient) @ p.normal)

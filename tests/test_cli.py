@@ -192,6 +192,19 @@ class TestCurvature:
         )
         assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
 
+    def test_sheet_past_the_pole_is_skipped(self, tmp_path):
+        # alpha = -1, plus sign: points of the box with f > k have no z > 0
+        cfg = write_config(
+            tmp_path,
+            family={"alpha": -1, "sign": "plus", "f": {"kind": "quadratic", "a": [1, 1]}},
+            points={"count": 8, "seed": 4242, "box": [-1.5, 1.5]},
+        )
+        out = tmp_path / "c.csv"
+        assert main(["curvature", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert 0 < len(rows) < 8
+        assert all(float(r["z"]) > 0 for r in rows)
+
     def test_bad_config_exits_one(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"family\": {}}")
@@ -252,6 +265,19 @@ class TestSweep:
         slope, intercept = np.polyfit(np.log(hs), np.log(vs), 1)
         assert slope == pytest.approx(2.0, abs=0.01)
         assert np.exp(intercept) == pytest.approx(np.pi / 2.0, rel=0.01)
+
+    def test_expression_family_at_its_vertex(self, tmp_path):
+        # the README's expression family, swept at x = 0 where x1^2 has curvature 2
+        cfg = write_config(
+            tmp_path,
+            family={"alpha": 2, "sign": "minus",
+                    "f": {"kind": "expression", "source": "x1^2 + cosh(x2) - 1", "n": 2}},
+            sweep={"x": [0.0, 0.0]},
+        )
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 2 and not any(r["error"] for r in rows)
 
     def test_empty_grid_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, offsets=[])

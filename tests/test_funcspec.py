@@ -36,6 +36,19 @@ def test_parse_cosh_jet_at_zero():
 
 
 @pytest.mark.parametrize(
+    "source, hessian",
+    [
+        ("x1^2 + cosh(x2) - 1", [[2.0, 0.0], [0.0, 1.0]]),  # x^2 keeps curvature 2 at 0
+        ("x1^3 + x2^2", [[0.0, 0.0], [0.0, 2.0]]),
+        ("x1^1 + x2^0", [[0.0, 0.0], [0.0, 0.0]]),  # zero coefficients, no 0 * inf
+    ],
+)
+def test_constant_power_jet_at_zero(source, hessian):
+    jet = eval_jet2(parse_expression(source, 2), np.zeros(2))
+    assert jet.hessian.tolist() == hessian
+
+
+@pytest.mark.parametrize(
     "source, x, expected",
     [
         ("2^3^2", [1.0], 512.0),            # right-associative exponent

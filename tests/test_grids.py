@@ -1,4 +1,4 @@
-"""The numpy Halton set, the cached sphere rule, and a scipy-free load path."""
+"""The numpy Halton set, the cached sphere rules, and a scipy-free load path."""
 
 import itertools
 import json
@@ -15,7 +15,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
 from quadrix import unit_sphere_area
-from quadrix._grids import _gegenbauer, halton, sphere_rule
+from quadrix._grids import DEFAULT_ORDER, _gegenbauer, halton, sphere_rule, tensor_rule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -64,6 +64,22 @@ def sphere_moment(alpha) -> float:
             / math.gamma((sum(alpha) + len(alpha)) / 2.0))
 
 
+def assert_exact(nodes, weights, degree):
+    """Every monomial of degree <= degree integrates to its moment within 1e-13."""
+    n = nodes.shape[1]
+    assert weights.shape == (len(nodes),)
+    assert weights.sum() == pytest.approx(unit_sphere_area(n - 1), rel=1e-14)
+    # powers[d, i] is the column x_i ** d
+    powers = np.ascontiguousarray(nodes.T) ** np.arange(degree + 1)[:, None, None]
+    for d in range(1, degree + 1):
+        for bars in itertools.combinations(range(d + n - 1), n - 1):
+            # stars and bars: the exponents between consecutive bars sum to d
+            edges = (-1,) + bars + (d + n - 1,)
+            alpha = [hi - lo - 1 for lo, hi in zip(edges, edges[1:])]
+            got = weights @ math.prod(powers[a, i] for i, a in enumerate(alpha))
+            assert abs(got - sphere_moment(alpha)) <= 1e-13, alpha
+
+
 class TestSphereRule:
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 16, 64])
     def test_gegenbauer_half_is_gauss_legendre(self, m):
@@ -72,35 +88,57 @@ class TestSphereRule:
         assert np.max(np.abs(u - x)) <= 1e-14
         assert np.max(np.abs(w - wx)) <= 1e-14
 
-    @pytest.mark.parametrize("n", range(2, 7))
-    @pytest.mark.parametrize("order", range(3, 7))
-    def test_exact_to_degree_2_order_minus_1(self, n, order):
+    # the engine's rule: tensor at n <= 4, fully symmetric at n = 5, 6
+    @pytest.mark.parametrize("order, n", [(order, n) for n in range(2, 7) for order in range(3, 7)]
+                             + [(order, n) for n in (5, 6) for order in (7, 8)])
+    def test_exact_to_degree_2_order_minus_1(self, order, n):
         nodes, weights = sphere_rule(n, order)
-        assert nodes.shape == (2 * order ** (n - 1), n) and weights.shape == (len(nodes),)
-        assert weights.sum() == pytest.approx(unit_sphere_area(n - 1), rel=1e-14)
-        # powers[d, i] is the column x_i ** d
-        powers = np.ascontiguousarray(nodes.T) ** np.arange(2 * order)[:, None, None]
-        for degree in range(1, 2 * order):
-            for bars in itertools.combinations(range(degree + n - 1), n - 1):
-                # stars and bars: the exponents between consecutive bars sum to degree
-                edges = (-1,) + bars + (degree + n - 1,)
-                alpha = [hi - lo - 1 for lo, hi in zip(edges, edges[1:])]
-                got = weights @ math.prod(powers[a, i] for i, a in enumerate(alpha))
-                assert abs(got - sphere_moment(alpha)) <= 1e-13, alpha
+        if n <= 4:
+            assert nodes.shape == (2 * order ** (n - 1), n)
+        assert_exact(nodes, weights, 2 * order - 1)
+
+    # the rule of the lateral oracle at every n
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("order", range(3, 7))
+    def test_tensor_rule_exact(self, order, n):
+        nodes, weights = tensor_rule(n, order)
+        assert nodes.shape == (2 * order ** (n - 1), n)
+        assert_exact(nodes, weights, 2 * order - 1)
+
+    # the default order's rule and its order - 2 partner have sizes fine, coarse
+    @pytest.mark.parametrize("n, fine, coarse", [(5, 1970, 450), (6, 2364, 292)])
+    def test_symmetric_rule_has_fewer_nodes(self, n, fine, coarse):
+        order = DEFAULT_ORDER[n]
+        assert (len(sphere_rule(n, order)[0]), len(sphere_rule(n, order - 2)[0])) == (fine, coarse)
+        for order in range(3, 13):
+            nodes, weights = sphere_rule(n, order)
+            assert len(nodes) < 2 * order ** (n - 1)
+            assert weights.sum() == pytest.approx(unit_sphere_area(n - 1), rel=1e-14)
+            assert np.max(np.abs(np.linalg.norm(nodes, axis=1) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_symmetric_order_one_is_the_coordinate_cross(self, n):
+        # the order-3 rule's coarse partner: k = 0 has no generator, so order
+        # 1 is the order-2 rule, +-e_i with equal weights, exact to degree 3
+        nodes, weights = sphere_rule(n, 1)
+        assert sorted(map(tuple, nodes)) == sorted(map(tuple, np.vstack([np.eye(n), -np.eye(n)])))
+        assert np.ptp(weights) == 0.0
+        assert_exact(nodes, weights, 3)
 
     def test_one_dimensional_is_two_points(self):
         for order in (3, 4, 10):
             nodes, weights = sphere_rule(1, order)
             assert nodes.tolist() == [[1.0], [-1.0]] and weights.tolist() == [1.0, 1.0]
 
-    @pytest.mark.parametrize("n, order", [(1, 3), (2, 16), (3, 10), (6, 6)])
+    @pytest.mark.parametrize("n, order", [(1, 3), (2, 16), (3, 10), (6, 6), (5, 7), (5, 3)])
     def test_cached_read_only(self, n, order):
-        rule = sphere_rule(n, order)
-        assert sphere_rule(n, order) is rule
-        for arr in rule:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        for rule_of in (sphere_rule, tensor_rule):
+            rule = rule_of(n, order)
+            assert rule_of(n, order) is rule
+            for arr in rule:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
 
 _RUN_CLI = textwrap.dedent("""

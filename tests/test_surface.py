@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,19 @@ class TestPointOnLevel:
         assert family.solve_z(2.0, 0.0) == 2.0 ** 1000
         with pytest.raises(BranchError, match="no finite z"):
             family.solve_z(2.0, 1.0)
+
+    def test_sheet_past_the_pole_rejected(self):
+        # alpha = -1: over f > k the real root z = 1 / (k - f) is negative, on
+        # the other sheet; alpha = 1 keeps its root through z = 0
+        family = LevelFamily(QuadraticForm((1.0, 1.0)), alpha=-1.0, sign="plus")
+        assert family.solve_z(1.0, 0.5) == 2.0
+        for fval in (1.0, 2.0):
+            with pytest.raises(BranchError):
+                family.solve_z(1.0, fval)
+        with pytest.raises(BranchError):
+            point_on_level(family, 1.0, np.array([1.2, 0.0]))
+        downward = LevelFamily(QuadraticForm((1.0, 1.0)), alpha=1.0, sign="plus")
+        assert downward.solve_z(1.0, 2.0) == -1.0
 
     def test_nan_level_rejected(self):
         family = trio()["elliptic_hyperboloid"]
@@ -278,6 +293,20 @@ class TestParallelTangent:
                 point_on_level(family, k + h, off)
         res = parallel_tangent(family, p, h)
         assert np.max(np.abs(res.v.ambient - np.sqrt((k + h) / k) * p.ambient)) <= 1e-9
+
+    def test_antiparallel_normals_rejected(self, unit_sphere2, monkeypatch):
+        # an antiparallel tangency has sine 0 between the normals, as a
+        # parallel one has; only the sign of the cosine tells them apart
+        p = point_on_level(unit_sphere2, 1.0, np.array([0.2, 0.1]))
+        lift = surface.point_on_level
+
+        def flipped(family, k, x):
+            q = lift(family, k, x)
+            return dataclasses.replace(q, normal=-q.normal) if k != p.k else q
+
+        monkeypatch.setattr(surface, "point_on_level", flipped)
+        with pytest.raises(TangencyError, match="opposite"):
+            parallel_tangent(unit_sphere2, p, -0.19)
 
     def test_no_branch_at_the_level(self, unit_sphere2):
         # k + h < 0: the level has no z > 0 point anywhere
