@@ -33,6 +33,7 @@ from .funcspec import (
     PerturbedQuadratic,
     QuadraticForm,
     eval_jet2,
+    eval_line,
     eval_value_grad,
     parse_expression,
 )
@@ -73,4 +74,4 @@ from .surface import (
 )
 from .verify import derivative_check, determinant_identity_residual
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -3,8 +3,8 @@
 Subcommands: curvature | measures | classify | verify | sweep, all driven
 by a single flat JSON config (see README for the schema).  Outputs are CSV
 or JSON with the tool version, config hash and seed embedded, decimal
-points and 17 significant digits, and no timestamps, so identical config
-plus seed reproduces identical bytes.
+points and 17 significant digits (error estimates 3, rounded up), and no
+timestamps, so identical config plus seed reproduces identical bytes.
 
 Exit codes: 0 success (including clean negative classifications),
 1 config error, verify-suite failure, every measures or sweep row failing
@@ -47,6 +47,17 @@ def _fmt(x) -> str:
     if x is None:
         return ""
     return format(float(x), ".17g")
+
+
+def _fmt_err(x) -> str:
+    """An error estimate to 3 significant digits, rounded up: never printed below its value."""
+    if x is None or not 0 < float(x) < float("inf"):
+        return _fmt(x)
+    text = format(float(x), ".2e")  # to nearest
+    if float(text) < float(x):  # one unit up in the third digit
+        digits, exponent = text.split("e")
+        text = f"{int(digits.replace('.', '')) + 1}e{int(exponent) - 2}"
+    return format(float(text), ".3g")
 
 
 def _load_config(path: str) -> dict:
@@ -236,9 +247,9 @@ def _cell_fields(cell) -> list[str]:
         return [""] * 7
     return [
         _fmt(cell.t),
-        _fmt(cell.volume.value), _fmt(cell.volume.error_estimate),
-        _fmt(cell.area.value), _fmt(cell.area.error_estimate),
-        _fmt(cell.lateral.value), _fmt(cell.lateral.error_estimate),
+        _fmt(cell.volume.value), _fmt_err(cell.volume.error_estimate),
+        _fmt(cell.area.value), _fmt_err(cell.area.error_estimate),
+        _fmt(cell.lateral.value), _fmt_err(cell.lateral.error_estimate),
     ]
 
 

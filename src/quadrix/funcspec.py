@@ -5,15 +5,21 @@ sum(a_i^2 x_i^2), the same forms with a quartic or cosh perturbation, and
 arbitrary expressions in a small infix language (variables x1..xn, the
 operators + - * / ^ and the functions exp, log, cosh, sinh, sqrt).
 
-Derivatives are exact.  Built-in families use closed forms; expression
-trees are evaluated by second-order forward-mode automatic
-differentiation, propagating (value, gradient, hessian) through each node,
-never by finite differences.  All evaluators accept a batch of points at
-once and are pure, so specs can be shared freely between threads.
+Derivatives are exact, never finite differences.  Every spec kind has one
+batch evaluator, forward mode over a tangent of k directions.
+eval_value_grad and eval_jet2 seed the n unit directions, so the tangent
+is the gradient; eval_line seeds one direction per lane, the derivative
+along that lane's line, and takes the points one coordinate row at a
+time, so none of its arrays is n wide.  The built-in families share one
+closed form between the two seeds; expression trees propagate (value,
+tangent, hessian) through each node.  All evaluators are pure, so specs
+can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -32,6 +38,7 @@ __all__ = [
     "parse_expression",
     "eval_jet2",
     "eval_value_grad",
+    "eval_line",
 ]
 
 
@@ -62,7 +69,7 @@ def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
 
 def _check_finite(*arrays: np.ndarray) -> None:
     for a in arrays:
-        if a is not None and not np.all(np.isfinite(a)):
+        if a is not None and not np.isfinite(a).all():
             raise EvaluationError("overflow or invalid value during evaluation")
 
 
@@ -87,14 +94,13 @@ class QuadraticForm:
     def n(self) -> int:
         return len(self.a)
 
-    def _eval(self, X: np.ndarray, want_hessian: bool):
+    def _eval(self, seed, want_hessian: bool):
         a2 = np.asarray(self.a) ** 2
-        vals = X ** 2 @ a2
-        grads = 2.0 * a2 * X
-        hess = None
-        if want_hessian:
-            hess = np.broadcast_to(np.diag(2.0 * a2), (X.shape[0], self.n, self.n)).copy()
-        return vals, grads, hess
+
+        def formula(x, a2, dot, total):
+            return dot(x ** 2, a2), 2.0 * a2 * x, lambda: 2.0 * a2
+
+        return _separable(seed, a2, formula, want_hessian)
 
 
 @dataclass(frozen=True)
@@ -119,26 +125,65 @@ class PerturbedQuadratic:
     def n(self) -> int:
         return len(self.a)
 
-    def _eval(self, X: np.ndarray, want_hessian: bool):
+    def _eval(self, seed, want_hessian: bool):
         a2 = np.asarray(self.a) ** 2
         eps = self.epsilon
-        X2 = X * X
-        if self.kind == "quartic":
-            vals = X2 @ a2 + eps * np.sum(X2 * X2, axis=1)
-            grads = 2.0 * a2 * X + 4.0 * eps * (X2 * X)
-            curvature, even = 12.0 * eps, X2  # the perturbation's f'' is curvature * even
-        else:
-            even = np.cosh(X)
-            vals = X2 @ a2 + eps * np.sum(even - 1.0, axis=1)
-            grads = 2.0 * a2 * X + eps * np.sinh(X)
-            curvature = eps
+        quartic = self.kind == "quartic"
+
+        def formula(x, a2, dot, total):
+            x2 = x * x
+            if quartic:
+                vals = dot(x2, a2) + eps * total(x2 * x2)
+                grads = 2.0 * a2 * x + 4.0 * eps * (x2 * x)
+                curvature, even = 12.0 * eps, x2  # the perturbation's f'' is curvature * even
+            else:
+                even = np.cosh(x)
+                vals = dot(x2, a2) + eps * total(even - 1.0)
+                grads = 2.0 * a2 * x + eps * np.sinh(x)
+                curvature = eps
+            return vals, grads, lambda: 2.0 * a2 + curvature * even
+
+        return _separable(seed, a2, formula, want_hessian)
+
+
+def _separable(seed, a2: np.ndarray, formula, want_hessian: bool):
+    """f(x) = sum_i phi_i(x_i), the Hessian diagonal, with one coefficient a2_i per coordinate.
+
+    formula(x, a2, dot, total) gives f, its partial derivatives and a
+    callable for the second ones on coordinates x with coefficients a2,
+    where dot(y, a2) is sum_i y_i a2_i and total(y) is sum_i y_i.  A batch
+    seeded with the unit directions takes every coordinate at once, shape
+    (M, n), so the partials are the gradient; a line seed adds up one
+    coordinate row at a time, each partial times the row's tangent.
+    """
+    if seed.batch is not None:
+        vals, grads, curvature = formula(seed.batch, a2, operator.matmul, _sum_coordinates)
         hess = None
         if want_hessian:
-            m, n = X.shape
+            m, n = seed.batch.shape
             hess = np.zeros((m, n, n))
-            idx = np.arange(n)
-            hess[:, idx, idx] = 2.0 * a2 + curvature * even
-        return vals, grads, hess
+            hess[:, range(n), range(n)] = curvature()
+            hess = hess.transpose(1, 2, 0)  # lane-last, as the tangent
+        return vals, grads.T, hess
+    vals = tangent = None
+    for i in range(seed.n):
+        x, dx = seed.coord(i)
+        v, slope, _ = formula(x, a2[i], operator.mul, _row_total)
+        slope *= dx  # the formula's own array
+        if vals is None:
+            vals, tangent = v, slope
+        else:
+            vals += v
+            tangent += slope
+    return vals, tangent, None
+
+
+def _sum_coordinates(y: np.ndarray) -> np.ndarray:
+    return np.sum(y, axis=1)
+
+
+def _row_total(y: np.ndarray) -> np.ndarray:
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +341,10 @@ class ExpressionSpec:
     source: str
     root: object = field(repr=False)
 
-    def _eval(self, X: np.ndarray, want_hessian: bool):
-        return _eval_node(self.root, X, want_hessian)
+    def _eval(self, seed, want_hessian: bool):
+        # every row is taken once, up front, so one the tree never reads is checked too
+        rows = [seed.coord(i) for i in range(self.n)]
+        return _eval_node(self.root, rows.__getitem__, seed, want_hessian)
 
 
 FunctionSpec = QuadraticForm | PerturbedQuadratic | ExpressionSpec
@@ -333,46 +380,41 @@ _FN_TABLE = {
 
 
 def _outer(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    return np.einsum("mi,mj->mij", g1, g2)
+    return g1[:, None] * g2[None, :]
 
 
-def _eval_node(node, X: np.ndarray, want_h: bool):
-    """Evaluate (value, gradient, hessian) of a tree node on a batch X.
+def _eval_node(node, coord, seed, want_h: bool):
+    """Evaluate (value, tangent, hessian) of a tree node, lane-last.
 
-    Returns arrays of shape (M,), (M, n) and (M, n, n); the hessian is None
-    when want_h is false.  Second-order chain/product rules are applied at
-    every node, so results are exact up to roundoff.
+    coord(i) gives variable i's row, shape (M,), and its tangent, which
+    broadcasts to (k, M); tangents of the node follow the same shapes and
+    its hessian has shape (k, k, M), None when want_h is false.  Second-order
+    chain/product rules are applied at every node, so results are exact up
+    to roundoff.
     """
-    m, n = X.shape
     if isinstance(node, Const):
-        v = np.full(m, node.value)
-        g = np.zeros((m, n))
-        h = np.zeros((m, n, n)) if want_h else None
-        return v, g, h
+        return np.float64(node.value), seed.zero, (seed.zero_hessian if want_h else None)
     if isinstance(node, Var):
-        v = X[:, node.index].copy()
-        g = np.zeros((m, n))
-        g[:, node.index] = 1.0
-        h = np.zeros((m, n, n)) if want_h else None
-        return v, g, h
+        v, g = coord(node.index)
+        return v, g, (seed.zero_hessian if want_h else None)
     if isinstance(node, Neg):
-        v, g, h = _eval_node(node.arg, X, want_h)
+        v, g, h = _eval_node(node.arg, coord, seed, want_h)
         return -v, -g, (-h if want_h else None)
     if isinstance(node, Call):
-        u, gu, hu = _eval_node(node.arg, X, want_h)
+        u, gu, hu = _eval_node(node.arg, coord, seed, want_h)
         phi, dphi, d2phi, guard = _FN_TABLE[node.fn]
         if guard == "positive" and np.any(u <= 0):
             raise EvaluationError(f"{node.fn} of non-positive argument")
         d1 = dphi(u)
         v = phi(u)
-        g = d1[:, None] * gu
+        g = d1 * gu
         h = None
         if want_h:
-            h = d1[:, None, None] * hu + d2phi(u)[:, None, None] * _outer(gu, gu)
+            h = d1 * hu + d2phi(u) * _outer(gu, gu)
         return v, g, h
 
     # binary operators
-    u, gu, hu = _eval_node(node.lhs, X, want_h)
+    u, gu, hu = _eval_node(node.lhs, coord, seed, want_h)
     if node.op == "^" and isinstance(node.rhs, Const):
         c = node.rhs.value
         if c == round(c):
@@ -384,35 +426,35 @@ def _eval_node(node, X: np.ndarray, want_h: bool):
             # a zero coefficient gives a zero term, not 0 * inf at u = 0;
             # otherwise 0^0 = 1 and 0^j = 0 are exact, so x^2 has curvature 2 at 0
             d1 = c * u ** (c - 1.0) if c else np.zeros_like(u)
-            g = d1[:, None] * gu
+            g = d1 * gu
             h = None
             if want_h:
                 d2 = c * (c - 1.0) * u ** (c - 2.0) if c * (c - 1.0) else np.zeros_like(u)
-                h = d1[:, None, None] * hu + d2[:, None, None] * _outer(gu, gu)
+                h = d1 * hu + d2 * _outer(gu, gu)
         _check_finite(v, g, h)
         return v, g, h
 
-    w, gw, hw = _eval_node(node.rhs, X, want_h)
+    w, gw, hw = _eval_node(node.rhs, coord, seed, want_h)
     if node.op == "+":
         return u + w, gu + gw, (hu + hw if want_h else None)
     if node.op == "-":
         return u - w, gu - gw, (hu - hw if want_h else None)
     if node.op == "*":
         v = u * w
-        g = u[:, None] * gw + w[:, None] * gu
+        g = u * gw + w * gu
         h = None
         if want_h:
-            h = u[:, None, None] * hw + w[:, None, None] * hu
+            h = u * hw + w * hu
             h += _outer(gu, gw) + _outer(gw, gu)
         return v, g, h
     if node.op == "/":
         if np.any(w == 0):
             raise EvaluationError("division by zero")
         v = u / w
-        g = (gu - v[:, None] * gw) / w[:, None]
+        g = (gu - v * gw) / w
         h = None
         if want_h:
-            h = (hu - v[:, None, None] * hw - _outer(g, gw) - _outer(gw, g)) / w[:, None, None]
+            h = (hu - v * hw - _outer(g, gw) - _outer(gw, g)) / w
         return v, g, h
     if node.op == "^":
         # general exponent: u^w = exp(w log u), requires u > 0
@@ -420,15 +462,15 @@ def _eval_node(node, X: np.ndarray, want_h: bool):
             raise EvaluationError("power with non-positive base")
         logu = np.log(u)
         v = np.exp(w * logu)
-        # gradient of w*log(u)
-        ge = logu[:, None] * gw + (w / u)[:, None] * gu
-        g = v[:, None] * ge
+        # tangent of w*log(u)
+        ge = logu * gw + (w / u) * gu
+        g = v * ge
         h = None
         if want_h:
-            he = logu[:, None, None] * hw + (w / u)[:, None, None] * hu
-            he += (_outer(gw, gu) + _outer(gu, gw)) / u[:, None, None]
-            he -= (w / u ** 2)[:, None, None] * _outer(gu, gu)
-            h = v[:, None, None] * (he + _outer(ge, ge))
+            he = logu * hw + (w / u) * hu
+            he += (_outer(gw, gu) + _outer(gu, gw)) / u
+            he -= (w / u ** 2) * _outer(gu, gu)
+            h = v * (he + _outer(ge, ge))
         return v, g, h
     raise AssertionError(f"unhandled operator {node.op!r}")
 
@@ -438,15 +480,62 @@ def _eval_node(node, X: np.ndarray, want_h: bool):
 # ---------------------------------------------------------------------------
 
 
+class _UnitTangents:
+    """A batch X, shape (M, n), seeded with the n unit directions.
+
+    The tangent of f is then its gradient, lane-last (n, M); a variable's
+    tangent is its unit column (n, 1), broadcast on first use.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.batch = X
+        self.n = X.shape[1]
+        self._units, self.zero, self.zero_hessian = _unit_seed(self.n)
+
+    def coord(self, i: int):
+        return self.batch[:, i], self._units[i]
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_seed(n: int):
+    """Read-only unit columns e_i (n, 1), zero tangent (n, 1) and zero Hessian (n, n, 1)."""
+    arrays = np.eye(n)[:, :, None], np.zeros((n, 1)), np.zeros((n, n, 1))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+class _LineTangents:
+    """Rows on demand from row(i) -> (x_i, dx_i / dtau), seeded with one direction.
+
+    Every tangent is one value per lane (or one shared scalar), the
+    derivative along that lane's line.
+    """
+
+    batch = None
+    zero = 0.0
+
+    def __init__(self, row, n: int):
+        self._row, self.n = row, n
+
+    def coord(self, i: int):
+        x, dx = self._row(i)
+        if not np.isfinite(x).all():
+            raise EvaluationError("non-finite input point")
+        return x, dx
+
+
 def eval_jet2(spec: FunctionSpec, x: np.ndarray) -> Jet2:
     """Exact value, gradient and Hessian of f at a single point x."""
     X = _as_batch(x, spec.n)
     if X.shape[0] != 1:
         raise ValueError("eval_jet2 expects a single point; use eval_value_grad for batches")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals, grads, hess = spec._eval(X, want_hessian=True)
+        vals, grads, hess = spec._eval(_UnitTangents(X), want_hessian=True)
+    vals, grads = _own(vals, (1,)), _gradient(grads, 1)
     _check_finite(vals, grads, hess)
-    h = 0.5 * (hess[0] + hess[0].T)  # symmetric by construction; cheap belt and braces
+    hess = hess[:, :, 0]
+    h = 0.5 * (hess + hess.T)  # symmetric by construction; cheap belt and braces
     return Jet2(value=float(vals[0]), gradient=grads[0], hessian=h)
 
 
@@ -454,6 +543,40 @@ def eval_value_grad(spec: FunctionSpec, X: np.ndarray) -> tuple[np.ndarray, np.n
     """Values and gradients of f on a batch of points, shape (M, n)."""
     X = _as_batch(X, spec.n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals, grads, _ = spec._eval(X, want_hessian=False)
+        vals, grads, _ = spec._eval(_UnitTangents(X), want_hessian=False)
+    vals, grads = _own(vals, (X.shape[0],)), _gradient(grads, X.shape[0])
     _check_finite(vals, grads)
     return vals, grads
+
+
+def eval_line(spec: FunctionSpec, row, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """f at m points on lines, and its derivative along each line, shape (m,) each.
+
+    row(i) returns coordinate i of the points, shape (m,), and its
+    derivative along the lines, shape (m,) or one scalar for all of them.
+    Rows are asked for on demand, one at a time, so no array is n wide;
+    the result equals eval_value_grad's values and its gradients times the
+    line directions, and the same inputs raise the same EvaluationError.
+    Both arrays are the caller's own: no input shares them.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals, slopes, _ = spec._eval(_LineTangents(row, spec.n), want_hessian=False)
+    vals, slopes = _own(vals, (m,)), _own(slopes, (m,))
+    _check_finite(vals, slopes)
+    return vals, slopes
+
+
+def _own(a, shape: tuple) -> np.ndarray:
+    """a as an array of the given shape that no input shares: a constant's
+    value broadcasts, and a bare variable's row or tangent is copied."""
+    if isinstance(a, np.ndarray) and a.shape == shape and a.base is None:
+        return a
+    return np.broadcast_to(a, shape).copy()
+
+
+def _gradient(tangent: np.ndarray, m: int) -> np.ndarray:
+    """The (m, n) gradients from a unit-seeded tangent, which broadcasts (or
+    is a read-only seed column) for a linear tree."""
+    if tangent.shape[1] != m or not tangent.flags.writeable:
+        tangent = np.broadcast_to(tangent, (tangent.shape[0], m)).copy()
+    return tangent.T

@@ -11,7 +11,9 @@ graphs.  The tangent-plane graph chart serves the integration routines.
 
 Both chart solves, heights and section boundary radii, run one vectorized
 safeguarded solver: a per-lane bracket, guarded Newton steps, bisection
-when a step leaves the bracket, iterating only the unconverged lanes.
+when a step leaves the bracket, iterating only the unconverged lanes.  The
+residual reads f along each lane's line with one forward tangent
+(funcspec.eval_line), so an iteration allocates nothing n wide.
 
 Everything here is pure and operates on immutable inputs; the batched
 chart solver is safe to call concurrently from several threads.
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BranchError, ConvexityError, RegionError, TangencyError
-from .funcspec import FunctionSpec, Jet2, QuadraticForm, eval_jet2, eval_value_grad
+from .funcspec import FunctionSpec, Jet2, QuadraticForm, eval_jet2, eval_line, eval_value_grad
 
 __all__ = [
     "LevelFamily",
@@ -263,23 +265,40 @@ class LocalChart:
     def _chart_base(self, Y: np.ndarray):
         """Points p + frame @ y, lane-last: X of shape (n, M), Z of shape (M,)."""
         n = Y.shape[1]
-        return self.origin[:n, None] + self.frame[:n] @ Y.T, self.origin[n] + Y @ self.frame[n]
+        X = self.frame[:n] @ Y.T
+        X += self.origin[:n, None]
+        return X, self.origin[n] + Y @ self.frame[n]
 
-    def _line_residual(self, X0, Z0, dX, dZ, x, sign=1.0):
-        """sign * offset_sign * (g - k) and its x-derivative at (X0 + x dX, Z0 + x dZ).
+    def _line_residual(self, X0, Z0, dX, dZ, idx, tau, sign=1.0):
+        """sign * offset_sign * (g - k) and its tau-derivative at (X0 + tau dX, Z0 + tau dZ).
 
         Lane-last: X0 and dX are (n, M) or (n, 1), Z0 and dZ are (M,) or
-        scalars.  NaN flags off-branch points.
+        scalars; the lanes idx are evaluated, at tau of shape (idx.size,),
+        taking their rows one coordinate at a time.  NaN flags off-branch
+        points.
         """
         fam = self.family
-        X = dX * x
-        X += X0
-        fv, fg = eval_value_grad(fam.f, X.T)
-        Z = Z0 + dZ * x
+
+        def row(i):
+            d = _lanes(dX[i], idx)
+            x = d * tau
+            x += _lanes(X0[i], idx)
+            return x, d
+
+        res, slope = eval_line(fam.f, row, tau.size)
+        dZ = _lanes(dZ, idx)
+        Z = dZ * tau
+        Z += _lanes(Z0, idx)
         s = sign * self.p.offset_sign
-        res = s * (fam._zpow(Z, fam.alpha) + fam.sf * fv - self.k)
-        gz = fam.alpha * fam._zpow(Z, fam.alpha - 1.0)
-        return res, s * (fam.sf * np.einsum("mi,im->m", fg, dX) + gz * dZ)
+        # s (z^alpha + sf f - k) and s (sf f' + alpha z^(alpha-1) dZ), in place
+        res *= fam.sf
+        res += fam._zpow(Z, fam.alpha)
+        res -= self.k
+        res *= s
+        slope *= fam.sf
+        slope += fam.alpha * fam._zpow(Z, fam.alpha - 1.0) * dZ
+        slope *= s
+        return res, slope
 
     def taylor_height(self, Y: np.ndarray) -> np.ndarray:
         return 0.5 * np.einsum("mi,mi->m", Y @ self.second_form, Y)
@@ -288,10 +307,15 @@ class LocalChart:
         """Graph heights w below the section plane at t for chart offsets Y, shape (M, n).
 
         The root lies in [0, t] up to a margin of 1e-9 (1 + |t|) for the
-        boundary-radius tolerance, so the bracket is immediate.  A lane whose
-        height exceeds that, or whose line leaves the graph branch first (past
-        the chart fold), comes back +inf; a solve that stalls raises
-        RegionError.
+        boundary-radius tolerance, so the bracket is immediate.  Every lane
+        is solved from the osculating guess; the residual at the top of the
+        bracket is evaluated only for lanes that did not converge.  Of those,
+        a lane whose height exceeds the top, or whose line leaves the graph
+        branch first (past the chart fold), comes back +inf, and any other
+        means the solve stalled and raises RegionError.  So a lane whose root
+        is below the top comes back as that root even if its line leaves the
+        branch between the root and the top, and so does a lane whose root
+        lies above the top by less than the solve tolerance.
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         m, n = Y.shape
@@ -299,16 +323,18 @@ class LocalChart:
         dX, dZ = self.normal[:n, None], self.normal[n]
 
         def residual(idx, tau):
-            return self._line_residual(_lanes(X0, idx), _lanes(Z0, idx), dX, dZ, tau)
+            return self._line_residual(X0, Z0, dX, dZ, idx, tau)
 
         hi = np.full(m, t + 1e-9 * (1.0 + abs(t)))
-        res_hi, _ = self._line_residual(X0, Z0, dX, dZ, hi)
-        outside = ~(res_hi >= 0.0)  # height above the plane, or off branch (NaN)
         tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, self.taylor_height(Y),
-                                              NEWTON_TOL * self._scale, np.flatnonzero(~outside))
+                                              NEWTON_TOL * self._scale, np.arange(m))
         if unconverged.size:
-            raise height_failure(Y[unconverged[0]], unconverged.size, m)
-        return np.where(outside, np.inf, tau)
+            res_hi, _ = residual(unconverged, hi[unconverged])
+            stalled = unconverged[res_hi >= 0.0]  # NaN: off branch, outside
+            if stalled.size:
+                raise height_failure(Y[stalled[0]], stalled.size, m)
+            tau[unconverged] = np.inf
+        return tau
 
     def gradient_at(self, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Exact chart gradient of w at already-solved heights (implicit differentiation)."""
@@ -335,17 +361,18 @@ class LocalChart:
         dX, dZ = self.frame[:n] @ U.T, U @ self.frame[n]
 
         def residual(idx, rho):  # negated to increase in rho: positive outside the section
-            return self._line_residual(X0, Z0, _lanes(dX, idx), _lanes(dZ, idx), rho, sign=-1.0)
+            return self._line_residual(X0, Z0, dX, dZ, idx, rho, sign=-1.0)
 
         res0, _ = residual(np.arange(1), np.zeros(1))  # rho = 0 is the same point on every lane
         if not res0[0] < 0:
             raise RegionError(f"offset t={t:.6g} is not below the cap top at this point")
         guess = np.sqrt(t / self.taylor_height(U))
         lo, hi = np.zeros(m), guess.copy()
-        if _grow_bracket(residual, lo, hi).size:
+        unbracketed, start = _grow_bracket(residual, lo, hi)
+        if unbracketed.size:
             raise RegionError(f"section boundary not found at t={t:.6g}: region escapes the chart")
         rho, unconverged = _safeguarded_roots(residual, lo, hi, guess, NEWTON_TOL * self._scale,
-                                              np.arange(m))
+                                              np.arange(m), start)
         if unconverged.size:
             raise RegionError(f"section boundary solve stalled at t={t:.6g}")
 
@@ -364,55 +391,73 @@ def height_failure(y: np.ndarray, failed: int, total: int) -> RegionError:
     )
 
 
-def _lanes(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Lanes idx (sorted, distinct) of a lane-last array; no copy when that is all of them."""
-    return a if idx.size == a.shape[-1] else a.take(idx, axis=-1)
+def _lanes(a, idx: np.ndarray):
+    """Lanes idx (sorted, distinct) of a lane-last array; no copy when that is
+    all of them, or when a scalar or one-lane a is shared by every lane."""
+    if np.ndim(a) == 0 or a.shape[-1] in (1, idx.size):
+        return a
+    return a.take(idx, axis=-1)
 
 
-def _grow_bracket(residual, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Grow hi in place until residual(hi) >= 0; returns the lanes left unbracketed.
+def _grow_bracket(residual, lo: np.ndarray, hi: np.ndarray):
+    """Grow hi in place until residual(hi) >= 0.
 
     Finite negative residuals move lo up to hi; NaN (off-branch) lanes keep
-    growing until _GROW_MAXITER is exhausted.
+    growing until _GROW_MAXITER is exhausted.  Returns the lanes left
+    unbracketed, and the residuals and slopes at clip(hi0, lo, hi) for the
+    initial hi0: at lo for a lane that met a finite negative residual, else
+    at hi0.
     """
     idx = np.arange(hi.size)
-    for _ in range(_GROW_MAXITER):
+    start_res, start_slope = np.empty(hi.size), np.empty(hi.size)
+    for it in range(_GROW_MAXITER):
         if not idx.size:
             break
-        res, _ = residual(idx, hi[idx])
-        below = idx[np.isfinite(res) & (res < 0)]
-        lo[below] = hi[below]
+        res, slope = residual(idx, hi[idx])
+        below = np.isfinite(res) & (res < 0)
+        keep = below | (it == 0)
+        start_res[idx[keep]], start_slope[idx[keep]] = res[keep], slope[keep]
+        lo[idx[below]] = hi[idx[below]]
         idx = idx[~(res >= 0.0)]
         hi[idx] *= _GROW_FACTOR
-    return idx
+    return idx, (start_res, start_slope)
 
 
-def _safeguarded_roots(residual, lo, hi, x0, tol, idx):
+def _safeguarded_roots(residual, lo, hi, x0, tol, idx, start=None):
     """Roots in [lo, hi] of residuals increasing in x, for the lanes idx.
 
     residual(idx, x) gives the residual and its slope.  From x0 clipped into
     the bracket, each iteration evaluates only the lanes not yet within tol,
     takes the Newton step if the slope is positive and the step stays inside
-    the bracket, and bisects otherwise.  Returns the roots and the lanes not
+    the bracket, and bisects otherwise.  start, if given, holds the residuals
+    and slopes at the clipped x0 for every lane, already evaluated, and
+    stands in for the first evaluation.  Returns the roots and the lanes not
     converged after CHART_MAXITER evaluations.
     """
     x = np.clip(x0, lo, hi)
     xa, la, ha = x[idx], lo[idx], hi[idx]
-    for _ in range(CHART_MAXITER):
+    for it in range(CHART_MAXITER):
         if not idx.size:
             break
-        res, slope = residual(idx, xa)
+        if it == 0 and start is not None:
+            res, slope = start[0][idx], start[1][idx]
+        else:
+            res, slope = residual(idx, xa)
         done = np.abs(res) <= tol  # NaN is never done
         if done.any():
             x[idx[done]] = xa[done]
             keep = np.flatnonzero(~done)
             idx, xa, la, ha, res, slope = (a[keep] for a in (idx, xa, la, ha, res, slope))
         # xa lies inside [la, ha], so it becomes the new bound on its side
-        la = np.where(res < 0, xa, la)
-        ha = np.where(res > 0, xa, ha)
+        np.copyto(la, xa, where=res < 0)
+        np.copyto(ha, xa, where=res > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = xa - res / np.where(slope > 0, slope, np.nan)
-        xa = np.where((cand > la) & (cand < ha), cand, 0.5 * (la + ha))  # NaN bisects
+            cand = np.where(slope > 0, slope, np.nan)
+            np.divide(res, cand, out=cand)
+            np.subtract(xa, cand, out=cand)
+        xa = la + ha
+        xa *= 0.5
+        np.copyto(xa, cand, where=(cand > la) & (cand < ha))  # NaN bisects
     return x, idx
 
 

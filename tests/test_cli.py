@@ -15,7 +15,7 @@ from quadrix import (
     starred_measures,
 )
 from quadrix import verify
-from quadrix.cli import _fmt, main
+from quadrix.cli import _fmt, _fmt_err, main
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -43,10 +43,28 @@ def header_lines(path):
 
 def cell_columns(sm):
     """The t, Vstar, Vstar_err, ..., Sstar_err columns a CSV row should carry for sm."""
-    return [_fmt(v) for v in (
-        sm.t, sm.volume.value, sm.volume.error_estimate, sm.area.value,
-        sm.area.error_estimate, sm.lateral.value, sm.lateral.error_estimate,
-    )]
+    return [_fmt(sm.t)] + [fmt(v) for m in (sm.volume, sm.area, sm.lateral)
+                           for fmt, v in ((_fmt, m.value), (_fmt_err, m.error_estimate))]
+
+
+def test_error_columns_round_up_to_three_digits():
+    # a printed error estimate is never below the computed one, and carries
+    # at most 3 significant digits; values keep 17
+    from decimal import Decimal
+
+    rng = np.random.default_rng(3)
+    xs = list(10.0 ** rng.uniform(-20, 3, 2000))
+    xs += [1.23e-8, np.nextafter(1.23e-8, 1.0), 9.995e-5, 9.999999e-5, 1e-4, 0.5, 7.0, 123.0, 999.7]
+    for x in xs:
+        text = _fmt_err(x)
+        assert float(text) >= x, (x, text)
+        assert len(Decimal(text).normalize().as_tuple().digits) <= 3, (x, text)
+        assert float(text) <= x * (1 + 1e-2) + 1e-300  # one unit in the third digit at most
+    assert _fmt_err(1.23e-8) == "1.23e-08"
+    assert _fmt_err(np.nextafter(1.23e-8, 1.0)) == "1.24e-08"
+    assert _fmt_err(9.999999e-5) == "0.0001"
+    assert [_fmt_err(v) for v in (0.0, None, float("inf"))] == ["0", "", "inf"]
+    assert _fmt(0.1234567890123456789) == "0.12345678901234568"
 
 
 class TestMeasures:

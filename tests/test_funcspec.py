@@ -12,6 +12,7 @@ from quadrix import (
     PerturbedQuadratic,
     QuadraticForm,
     eval_jet2,
+    eval_line,
     eval_value_grad,
     parse_expression,
 )
@@ -196,15 +197,16 @@ def test_hessian_symmetric_exactly():
     assert np.array_equal(jet.hessian, jet.hessian.T)
 
 
-@pytest.mark.parametrize(
-    "source, x",
-    [
-        ("log(x1)", [-1.0]),
-        ("sqrt(x1)", [-4.0]),
-        ("1 / x1", [0.0]),
-        ("x1 ^ 0.5", [-1.0]),
-    ],
-)
+DOMAIN_ERRORS = [
+    ("log(x1)", [-1.0]),
+    ("sqrt(x1)", [-4.0]),
+    ("1 / x1", [0.0]),
+    ("x1 ^ 0.5", [-1.0]),
+]
+OVERFLOW = ("exp(x1)", [1000.0])
+
+
+@pytest.mark.parametrize("source, x", DOMAIN_ERRORS)
 def test_domain_errors(source, x):
     with pytest.raises(EvaluationError):
         eval_jet2(parse_expression(source, 1), np.array(x))
@@ -212,7 +214,61 @@ def test_domain_errors(source, x):
 
 def test_overflow_is_reported():
     with pytest.raises(EvaluationError, match="overflow"):
-        eval_jet2(parse_expression("exp(x1)", 1), np.array([1000.0]))
+        eval_jet2(parse_expression(OVERFLOW[0], 1), np.array(OVERFLOW[1]))
+
+
+def _rows(X, D):
+    """eval_line's row(i) for points X, shape (M, n), on lines along D: one
+    direction per lane, shape (M, n), or one shared by every lane, shape (n,)."""
+    return lambda i: (X[:, i].copy(), D[:, i] if D.ndim == 2 else D[i])
+
+
+# every spec kind, and every operator, function and constant-exponent case of
+# the expression language: neg, +, -, *, /, ^ (integer, zero, fractional and
+# general exponents), exp, log, cosh, sinh, sqrt; a linear tree and a constant
+# one, whose tangents broadcast; a variable the tree never reads
+LINE_SPECS = FD_SPECS + [
+    PerturbedQuadratic((0.7, 1.3, 2.0, 0.9, 1.1, 0.6), 0.4, "cosh"),
+    parse_expression("-x1 + 2.5 - x2^0.5 * x1^0 + exp(-x2) / 3 - x1^-2", 2),
+    parse_expression("x1 + 2 * x2 - x3", 3),
+    parse_expression("3", 2),
+    parse_expression("x2^2", 2),
+    parse_expression("x2", 2),  # a bare variable: its row and tangent are the result
+]
+
+
+@pytest.mark.parametrize("spec", LINE_SPECS, ids=lambda s: getattr(s, "source", type(s).__name__))
+def test_line_evaluator_matches_value_grad(spec):
+    # f along lines with one forward tangent equals the batch values and the
+    # gradient times the direction, for lane directions and a shared one
+    rng = np.random.default_rng(20260101)
+    for _ in range(40):
+        X = rng.uniform(0.1, 1.5, (7, spec.n))  # positive keeps every domain valid
+        for D in (rng.standard_normal((7, spec.n)), rng.standard_normal(spec.n)):
+            vals, grads = eval_value_grad(spec, X)
+            line_vals, slopes = eval_line(spec, _rows(X, D), 7)
+            assert line_vals.shape == slopes.shape == (7,)
+            np.testing.assert_allclose(line_vals, vals, rtol=1e-13, atol=0)
+            want = np.sum(grads * D, axis=1)
+            scale = np.sum(np.abs(grads * D), axis=1)
+            assert np.all(np.abs(slopes - want) <= 1e-13 * scale), (slopes, want)
+            # the results are the caller's own: writing to them leaves the inputs alone
+            X0, D0 = X.copy(), D.copy()
+            for out in (line_vals, slopes, vals, grads):
+                out *= 2.0
+            assert np.array_equal(X, X0) and np.array_equal(D, D0)
+    # the same EvaluationError on the inputs of test_domain_errors and
+    # test_overflow_is_reported, and on non-finite input, read or not
+    cases = [(parse_expression(src, 1), [x]) for src, x in DOMAIN_ERRORS + [OVERFLOW]]
+    cases += [(parse_expression("x1^2", 1), [[np.nan]]), (parse_expression("x1^2", 2), [[0.5, np.inf]]),
+              (QuadraticForm((1.0, 2.0)), [[np.inf, 0.5]])]
+    for err_spec, X in cases:
+        X = np.asarray(X, dtype=float)
+        with pytest.raises(EvaluationError) as batch:
+            eval_value_grad(err_spec, X)
+        with pytest.raises(EvaluationError) as line:
+            eval_line(err_spec, _rows(X, np.ones(err_spec.n)), len(X))
+        assert str(line.value) == str(batch.value)
 
 
 def test_batch_evaluation_matches_pointwise():

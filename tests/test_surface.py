@@ -418,13 +418,13 @@ class TestChartSolver:
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         Y = U * rng.uniform(0.1, 0.55, 64)[:, None]  # far lanes need more iterations
         batch_sizes = []
-        inner = surface.eval_value_grad
+        inner = surface.eval_line  # the evaluator the solver loop calls
 
-        def counting(f, X):
-            batch_sizes.append(len(X))
-            return inner(f, X)
+        def counting(f, row, m):
+            batch_sizes.append(m)
+            return inner(f, row, m)
 
-        monkeypatch.setattr(surface, "eval_value_grad", counting)
+        monkeypatch.setattr(surface, "eval_line", counting)
         w = chart.height(Y, 0.3)
         rho = chart.boundary_radius(U, 0.3)
         # converged lanes drop out, so later iterations evaluate fewer lanes
@@ -465,6 +465,86 @@ class TestChartSolver:
         _, unconverged = surface._safeguarded_roots(res, lo, hi, np.full(3, 0.5), 1e-12, np.arange(3))
         assert unconverged.tolist() == [0, 1, 2]
         assert len(calls) == surface.CHART_MAXITER
+
+    @staticmethod
+    def _record_lines(monkeypatch, chart):
+        """Record (lanes, points) of every line evaluation the chart's solves make."""
+        calls = []
+        inner = chart._line_residual
+
+        def recording(X0, Z0, dX, dZ, idx, tau, sign=1.0):
+            calls.append((idx.copy(), np.array(tau, copy=True)))
+            return inner(X0, Z0, dX, dZ, idx, tau, sign)
+
+        monkeypatch.setattr(chart, "_line_residual", recording)
+        return calls
+
+    def test_lazy_bracket(self, unit_sphere2, monkeypatch):
+        # the top of the bracket is evaluated only for lanes that did not
+        # converge, so a converged lane takes only its Newton iterates: 4 for
+        # the root 0.2 from the guess 0.18, 5 for the root 0.564 from 0.405
+        chart = LocalChart(unit_sphere2, point_on_level(unit_sphere2, 1.0, np.zeros(2)))
+        Y = np.array([[0.6, 0.0], [1.2, 0.0], [0.0, 0.9]])  # the test_failure_outcomes lanes
+        calls = self._record_lines(monkeypatch, chart)
+        for t, converged in ((0.3, {0: 4}), (0.9, {0: 4, 2: 5})):
+            calls.clear()
+            w = chart.height(Y, t)
+            hi = t + 1e-9 * (1.0 + t)
+            for lane in range(3):
+                taus = [tau[idx == lane][0] for idx, tau in calls if lane in idx]
+                if lane in converged:
+                    assert np.isfinite(w[lane]) and len(taus) == converged[lane] and hi not in taus
+                else:
+                    assert w[lane] == np.inf and taus[-1] == hi
+            last_idx, last_tau = calls[-1]
+            assert sorted(set(range(3)) - set(converged)) == last_idx.tolist()
+            assert np.all(last_tau == hi)
+
+    def test_boundary_start_is_evaluated_once(self, monkeypatch):
+        # the bracket growth already evaluated every lane's first Newton
+        # iterate; the solve takes it over instead of evaluating it again
+        chart = self._chart()
+        rng = np.random.default_rng(5)
+        U = rng.standard_normal((64, 2))
+        calls = self._record_lines(monkeypatch, chart)
+        rho = chart.boundary_radius(U, 0.3)
+        assert np.all(np.isfinite(rho))
+        for lane in range(64):
+            taus = [tau[idx == lane][0] for idx, tau in calls if lane in idx]
+            assert len(taus) == len(set(taus)), (lane, taus)
+
+    def test_height_block_is_one_lane_wide(self, monkeypatch):
+        # an n = 6 block of 16 380 lanes (1 092 rays of 15 nodes): every array
+        # the solver loop hands to the evaluator, or gets back, is 1-D
+        family = LevelFamily(QuadraticForm((1.0, 1.5, 0.8, 1.2, 0.9, 1.1)), 2.0, "minus")
+        chart = LocalChart(family, point_on_level(family, 1.0, np.full(6, 0.2)))
+        rng = np.random.default_rng(6)
+        U = rng.standard_normal((16380, 6))
+        Y = U * (chart.boundary_radius(U, 0.3) * rng.uniform(0.05, 0.95, 16380))[:, None]
+        shapes = []
+        inner_line, inner_batch = getattr(surface, "eval_line", None), surface.eval_value_grad
+
+        def line(f, row, m):
+            def recorded(i):
+                x, d = row(i)
+                shapes.extend([np.shape(x), np.shape(d)])
+                return x, d
+
+            vals, slopes = inner_line(f, recorded, m)
+            shapes.extend([np.shape(vals), np.shape(slopes)])
+            return vals, slopes
+
+        def batch(f, X):
+            vals, grads = inner_batch(f, X)
+            shapes.extend([np.shape(X), np.shape(vals), np.shape(grads)])
+            return vals, grads
+
+        monkeypatch.setattr(surface, "eval_line", line, raising=False)
+        monkeypatch.setattr(surface, "eval_value_grad", batch)
+        w = chart.height(Y, 0.3)
+        assert np.all(np.isfinite(w))
+        assert (16380,) in shapes  # the first iteration takes the whole block
+        assert all(len(shape) <= 1 for shape in shapes), set(shapes)
 
     def test_failure_outcomes(self, unit_sphere2, monkeypatch):
         chart = LocalChart(unit_sphere2, point_on_level(unit_sphere2, 1.0, np.zeros(2)))
