@@ -53,6 +53,7 @@ from .quadrics import (
     hyperboloid_cap_volume,
     invariant_constant,
     mean_value_ratio,
+    offset_map_h,
     paraboloid_starred,
     refutation_H,
     refutation_domain,
@@ -68,10 +69,9 @@ from .surface import (
     TangencyResult,
     curvature_invariant,
     gauss_kronecker,
-    offset_map_h,
     parallel_tangent,
     point_on_level,
 )
 from .verify import derivative_check, determinant_identity_residual
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

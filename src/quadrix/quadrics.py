@@ -3,7 +3,8 @@
 Covers cap volumes and starred section areas for elliptic hyperboloids
 (z^2 = f + k), ellipsoids (z^2 + f = k) and elliptic paraboloids
 (z = f + k) with f = sum a_i^2 x_i^2, the constant value of the curvature
-invariant on each family, and the mean-value machinery (H, D_q, theta)
+invariant on each family, the level offset h(t) reached at plane distance
+t on the alpha = 2 families, and the mean-value machinery (H, D_q, theta)
 that quantifies why normalized lateral area is never point-independent on
 the hyperboloid family.
 
@@ -19,11 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import asinh, atan2, gamma, pi, sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._grids import tensor_rule
+from .errors import RegionError
+from .funcspec import QuadraticForm
+
+if TYPE_CHECKING:
+    from .surface import LevelFamily, SurfacePoint
 
 __all__ = [
     "QUADRIC_KINDS",
@@ -38,6 +45,7 @@ __all__ = [
     "paraboloid_starred",
     "starred_oracle",
     "invariant_constant",
+    "offset_map_h",
     "refutation_H",
     "DomainEllipsoid",
     "refutation_domain",
@@ -215,6 +223,28 @@ def invariant_constant(kind: str, a, k: float) -> float:
     if kind == "elliptic_paraboloid":
         return 2.0 ** n * prod_sq
     raise ValueError(f"unknown quadric kind {kind!r}")
+
+
+def offset_map_h(family: LevelFamily, p: SurfacePoint, t: float) -> float:
+    """Level offset h(t) reached at normal distance t from p (h(0) = 0).
+
+    Closed form for alpha = 2 diagonal quadratic families:
+    h = |grad g|^2 t^2 / (4k) +/- |grad g| t with the sign of the family.
+    """
+    if family.alpha != 2.0 or not isinstance(family.f, QuadraticForm):
+        raise ValueError("offset map applies to alpha = 2 diagonal quadratic families")
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0:
+        return 0.0
+    gnorm = p.grad_norm
+    k = p.k
+    if family.sign == "minus":
+        return gnorm ** 2 * t ** 2 / (4.0 * k) + gnorm * t
+    tmax = 2.0 * k / gnorm
+    if t >= tmax:
+        raise RegionError(f"t={t:.6g} beyond the admissible range (max {tmax:.6g})")
+    return gnorm ** 2 * t ** 2 / (4.0 * k) - gnorm * t
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ graphs.  The tangent-plane graph chart serves the integration routines.
 
 Both chart solves, heights and section boundary radii, run one vectorized
 safeguarded solver: a per-lane bracket, guarded Newton steps, bisection
-when a step leaves the bracket, iterating only the unconverged lanes.  The
-residual reads f along each lane's line with one forward tangent
-(funcspec.eval_line), so an iteration allocates nothing n wide.
+when a step leaves the bracket, iterating only the unconverged lanes.  A
+boundary lane starts unbounded above and grows its bracket inside the same
+loop; an off-branch (NaN) residual bounds it like a positive one.  Every
+lane ends in a root or a RegionError.  The residual reads f along each
+lane's line with one forward tangent (funcspec.eval_line), so an
+iteration allocates nothing n wide.
 
 Everything here is pure and operates on immutable inputs; the batched
 chart solver is safe to call concurrently from several threads.
@@ -27,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BranchError, ConvexityError, RegionError, TangencyError
-from .funcspec import FunctionSpec, Jet2, QuadraticForm, eval_jet2, eval_line, eval_value_grad
+from .funcspec import FunctionSpec, Jet2, eval_jet2, eval_line, eval_value_grad
 
 __all__ = [
     "LevelFamily",
@@ -37,14 +40,12 @@ __all__ = [
     "gauss_kronecker",
     "curvature_invariant",
     "parallel_tangent",
-    "offset_map_h",
     "LocalChart",
 ]
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXITER = 50
 CHART_MAXITER = 100
-_GROW_MAXITER = 120
 _GROW_FACTOR = 1.6
 
 
@@ -245,11 +246,11 @@ class LocalChart:
     Chart points are q(y, tau) = p + frame @ y + tau * normal; the surface
     height w(y) >= 0 solves g(q(y, w)) = k.  Heights and section boundary
     radii are roots along a line per lane, found by _safeguarded_roots from
-    the osculating-quadric guess.  Heights are solved only below a section
-    plane: a lane above it, or whose line leaves the graph region (the chart
-    fold) first, comes back +inf instead of silently switching branches.  A
-    section that crosses the fold raises RegionError.  A chart keeps no
-    solver state, so threads may share it.
+    the osculating-quadric guess.  Heights are solved only inside a section:
+    a lane above its plane, or whose line leaves the graph region (the chart
+    fold) first, raises RegionError instead of silently switching branches,
+    and so does a section that crosses the fold.  A chart keeps no solver
+    state, so threads may share it.
     """
 
     def __init__(self, family: LevelFamily, p: SurfacePoint):
@@ -306,16 +307,12 @@ class LocalChart:
     def height(self, Y: np.ndarray, t: float) -> np.ndarray:
         """Graph heights w below the section plane at t for chart offsets Y, shape (M, n).
 
-        The root lies in [0, t] up to a margin of 1e-9 (1 + |t|) for the
-        boundary-radius tolerance, so the bracket is immediate.  Every lane
-        is solved from the osculating guess; the residual at the top of the
-        bracket is evaluated only for lanes that did not converge.  Of those,
-        a lane whose height exceeds the top, or whose line leaves the graph
-        branch first (past the chart fold), comes back +inf, and any other
-        means the solve stalled and raises RegionError.  So a lane whose root
-        is below the top comes back as that root even if its line leaves the
-        branch between the root and the top, and so does a lane whose root
-        lies above the top by less than the solve tolerance.
+        Every offset must lie inside the section: its root lies in [0, t] up
+        to a margin of 1e-9 (1 + |t|) for the boundary-radius tolerance, so
+        the bracket is immediate and needs no evaluation at its top.  Every
+        lane is solved from the osculating guess.  A lane that does not
+        converge, whether above the plane, past the chart fold or stalled,
+        raises RegionError naming the first such offset; no height is +inf.
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         m, n = Y.shape
@@ -329,11 +326,10 @@ class LocalChart:
         tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, self.taylor_height(Y),
                                               NEWTON_TOL * self._scale, np.arange(m))
         if unconverged.size:
-            res_hi, _ = residual(unconverged, hi[unconverged])
-            stalled = unconverged[res_hi >= 0.0]  # NaN: off branch, outside
-            if stalled.size:
-                raise height_failure(Y[stalled[0]], stalled.size, m)
-            tau[unconverged] = np.inf
+            raise RegionError(
+                f"graph-height solve failed at chart offset y={Y[unconverged[0]].tolist()} "
+                f"({unconverged.size} of {m} points): region escapes the chart"
+            )
         return tau
 
     def gradient_at(self, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -351,8 +347,11 @@ class LocalChart:
         """Radii rho with w(rho u) = t, solved on the section plane itself.
 
         U holds chart directions of any nonzero length, shape (M, n); rho is in
-        units of each direction's length.  Raises RegionError when
-        t exceeds the cap height or the section crosses the chart fold.
+        units of each direction's length.  Each lane starts from the
+        osculating guess with the bracket [0, +inf).  Raises RegionError when
+        t exceeds the cap height, when a lane finds no upper bound (the
+        region escapes the chart) or stalls, or when the section crosses the
+        chart fold.
         """
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, n = U.shape
@@ -367,12 +366,11 @@ class LocalChart:
         if not res0[0] < 0:
             raise RegionError(f"offset t={t:.6g} is not below the cap top at this point")
         guess = np.sqrt(t / self.taylor_height(U))
-        lo, hi = np.zeros(m), guess.copy()
-        unbracketed, start = _grow_bracket(residual, lo, hi)
-        if unbracketed.size:
+        hi = np.full(m, np.inf)  # the solve grows each lane's bracket from the guess
+        rho, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess,
+                                              NEWTON_TOL * self._scale, np.arange(m))
+        if np.isinf(hi[unconverged]).any():
             raise RegionError(f"section boundary not found at t={t:.6g}: region escapes the chart")
-        rho, unconverged = _safeguarded_roots(residual, lo, hi, guess, NEWTON_TOL * self._scale,
-                                              np.arange(m), start)
         if unconverged.size:
             raise RegionError(f"section boundary solve stalled at t={t:.6g}")
 
@@ -383,14 +381,6 @@ class LocalChart:
         return rho
 
 
-def height_failure(y: np.ndarray, failed: int, total: int) -> RegionError:
-    """The RegionError for a height solve that failed on `failed` of `total` points, first at y."""
-    return RegionError(
-        f"graph-height solve failed at chart offset y={y.tolist()} "
-        f"({failed} of {total} points): region escapes the chart"
-    )
-
-
 def _lanes(a, idx: np.ndarray):
     """Lanes idx (sorted, distinct) of a lane-last array; no copy when that is
     all of them, or when a scalar or one-lane a is shared by every lane."""
@@ -399,65 +389,51 @@ def _lanes(a, idx: np.ndarray):
     return a.take(idx, axis=-1)
 
 
-def _grow_bracket(residual, lo: np.ndarray, hi: np.ndarray):
-    """Grow hi in place until residual(hi) >= 0.
-
-    Finite negative residuals move lo up to hi; NaN (off-branch) lanes keep
-    growing until _GROW_MAXITER is exhausted.  Returns the lanes left
-    unbracketed, and the residuals and slopes at clip(hi0, lo, hi) for the
-    initial hi0: at lo for a lane that met a finite negative residual, else
-    at hi0.
-    """
-    idx = np.arange(hi.size)
-    start_res, start_slope = np.empty(hi.size), np.empty(hi.size)
-    for it in range(_GROW_MAXITER):
-        if not idx.size:
-            break
-        res, slope = residual(idx, hi[idx])
-        below = np.isfinite(res) & (res < 0)
-        keep = below | (it == 0)
-        start_res[idx[keep]], start_slope[idx[keep]] = res[keep], slope[keep]
-        lo[idx[below]] = hi[idx[below]]
-        idx = idx[~(res >= 0.0)]
-        hi[idx] *= _GROW_FACTOR
-    return idx, (start_res, start_slope)
-
-
-def _safeguarded_roots(residual, lo, hi, x0, tol, idx, start=None):
-    """Roots in [lo, hi] of residuals increasing in x, for the lanes idx.
+def _safeguarded_roots(residual, lo, hi, x0, tol, idx):
+    """Roots in [lo, hi] of residuals increasing in x, for the lanes idx; hi may be +inf.
 
     residual(idx, x) gives the residual and its slope.  From x0 clipped into
-    the bracket, each iteration evaluates only the lanes not yet within tol,
-    takes the Newton step if the slope is positive and the step stays inside
-    the bracket, and bisects otherwise.  start, if given, holds the residuals
-    and slopes at the clipped x0 for every lane, already evaluated, and
-    stands in for the first evaluation.  Returns the roots and the lanes not
-    converged after CHART_MAXITER evaluations.
+    the bracket, each iteration evaluates only the lanes not yet within tol.
+    A negative residual moves lo up to the iterate; anything else, positive
+    or NaN (off the branch), moves hi down to it.  The next iterate is the
+    Newton step if the slope is positive and the step lands strictly inside
+    (lo, cap), else the midpoint.  While a lane's hi is +inf, cap is the
+    growth point lo * _GROW_FACTOR, which also stands in for the midpoint:
+    the cap keeps a shallow slope from throwing the iterate past the root
+    onto a far sign change.  Returns the roots and the lanes not converged
+    after CHART_MAXITER evaluations, whose final upper bounds are written
+    back into hi.
     """
     x = np.clip(x0, lo, hi)
     xa, la, ha = x[idx], lo[idx], hi[idx]
-    for it in range(CHART_MAXITER):
+    growing = bool(np.isinf(ha).any())  # only boundary lanes start unbounded
+    for _ in range(CHART_MAXITER):
         if not idx.size:
             break
-        if it == 0 and start is not None:
-            res, slope = start[0][idx], start[1][idx]
-        else:
-            res, slope = residual(idx, xa)
+        res, slope = residual(idx, xa)
         done = np.abs(res) <= tol  # NaN is never done
         if done.any():
             x[idx[done]] = xa[done]
             keep = np.flatnonzero(~done)
             idx, xa, la, ha, res, slope = (a[keep] for a in (idx, xa, la, ha, res, slope))
         # xa lies inside [la, ha], so it becomes the new bound on its side
-        np.copyto(la, xa, where=res < 0)
-        np.copyto(ha, xa, where=res > 0)
+        below = res < 0
+        np.copyto(la, xa, where=below)
+        np.copyto(ha, xa, where=~below)
         with np.errstate(divide="ignore", invalid="ignore"):
             cand = np.where(slope > 0, slope, np.nan)
             np.divide(res, cand, out=cand)
             np.subtract(xa, cand, out=cand)
         xa = la + ha
         xa *= 0.5
-        np.copyto(xa, cand, where=(cand > la) & (cand < ha))  # NaN bisects
+        cap = ha
+        if growing:
+            unbounded = np.isinf(ha)
+            growing = bool(unbounded.any())
+            np.copyto(xa, la * _GROW_FACTOR, where=unbounded)
+            cap = np.where(unbounded, xa, ha)
+        np.copyto(xa, cand, where=(cand > la) & (cand < cap))  # NaN falls back
+    hi[idx] = ha
     return x, idx
 
 
@@ -548,25 +524,3 @@ def parallel_tangent(family: LevelFamily, p: SurfacePoint, h: float) -> Tangency
     if t <= 0:
         raise TangencyError("tangency distance came out nonpositive")
     return TangencyResult(v=vp, t=t, newton_iterations=iterations, scale=float(scale))
-
-
-def offset_map_h(family: LevelFamily, p: SurfacePoint, t: float) -> float:
-    """Level offset h(t) reached at normal distance t from p (h(0) = 0).
-
-    Closed form for alpha = 2 diagonal quadratic families:
-    h = |grad g|^2 t^2 / (4k) +/- |grad g| t with the sign of the family.
-    """
-    if family.alpha != 2.0 or not isinstance(family.f, QuadraticForm):
-        raise ValueError("offset map applies to alpha = 2 diagonal quadratic families")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return 0.0
-    gnorm = p.grad_norm
-    k = p.k
-    if family.sign == "minus":
-        return gnorm ** 2 * t ** 2 / (4.0 * k) + gnorm * t
-    tmax = 2.0 * k / gnorm
-    if t >= tmax:
-        raise RegionError(f"t={t:.6g} beyond the admissible range (max {tmax:.6g})")
-    return gnorm ** 2 * t ** 2 / (4.0 * k) - gnorm * t

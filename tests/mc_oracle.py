@@ -32,8 +32,13 @@ def monte_carlo_measures(family: LevelFamily, p: SurfacePoint, t: float, seed: i
     radii = bound * rng.random(samples) ** (1.0 / n)
     Y = gauss * radii[:, None]
 
-    w = chart.height(Y, t)  # +inf above the plane or past the fold: outside
-    inside = w < t
+    # a sample is inside the section when offset_sign * (g - k) > 0 at the
+    # plane (NaN, off the branch, is outside); heights are solved only there
+    base = chart.origin + t * chart.normal
+    g, _ = family.g_values_grads(base[:n] + Y @ chart.frame[:n].T, base[n] + Y @ chart.frame[n])
+    inside = p.offset_sign * (g - p.k) > 0
+    w = np.full(samples, t)  # t - w is 0 outside
+    w[inside] = chart.height(Y[inside], t)
     ball = unit_ball_volume(n) * bound ** n
 
     def finish(values: np.ndarray) -> MeasureResult:
@@ -47,6 +52,6 @@ def monte_carlo_measures(family: LevelFamily, p: SurfacePoint, t: float, seed: i
         lateral[inside] = np.sqrt(1.0 + np.sum(gw ** 2, axis=1))
     return {
         "area": finish(inside.astype(float)),
-        "volume": finish(np.where(inside, t - w, 0.0)),
+        "volume": finish(t - w),
         "lateral": finish(lateral),
     }

@@ -195,10 +195,12 @@ class TestLocalGraph:
         assert np.max(np.abs(gw)) <= 1e-9
 
     def test_escape_is_outside(self, unit_sphere2):
-        # the line misses the sphere; below the plane at 1.5 it also leaves z > 0
+        # the line misses the sphere; below the plane at 1.5 it also leaves
+        # z > 0: there is no height, so the solve raises naming the offset
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
         for t in (0.5, 1.5):
-            assert self.height(unit_sphere2, p, np.array([1.2, 0.0]), t) == np.inf
+            with pytest.raises(RegionError, match=r"chart offset y=\[1\.2, 0\.0\] \(1 of 1 points\)"):
+                self.height(unit_sphere2, p, np.array([1.2, 0.0]), t)
 
 
 # coefficients at n = 1..6; n = 2 keeps trio()'s (1, 2)
@@ -466,6 +468,23 @@ class TestChartSolver:
         assert unconverged.tolist() == [0, 1, 2]
         assert len(calls) == surface.CHART_MAXITER
 
+    def test_unbounded_bracket(self):
+        # hi = +inf: the bracket grows inside the Newton loop, and a NaN
+        # residual (off the branch) bounds it like a positive one.  Lane 0 has
+        # its root 1.5 just below NaN from 1.55, where the capped step from 1.0
+        # lands first; lane 1 has no root before NaN from 2, so it stalls
+        # with a finite bound; lane 2 has no root at all and stays unbounded
+        def res(idx, x):
+            r = np.where(idx == 0, x ** 3 - 3.375, -1.0)
+            r[(idx < 2) & (x >= np.where(idx == 0, 1.55, 2.0))] = np.nan
+            return r, np.where(idx == 0, 3.0 * x ** 2, 0.0)
+
+        lo, hi = np.zeros(3), np.full(3, np.inf)
+        x, unconverged = surface._safeguarded_roots(res, lo, hi, np.ones(3), 1e-12, np.arange(3))
+        assert x[0] == pytest.approx(1.5, abs=1e-12)
+        assert unconverged.tolist() == [1, 2]
+        assert 2.0 <= hi[1] < np.inf and hi[2] == np.inf
+
     @staticmethod
     def _record_lines(monkeypatch, chart):
         """Record (lanes, points) of every line evaluation the chart's solves make."""
@@ -480,29 +499,22 @@ class TestChartSolver:
         return calls
 
     def test_lazy_bracket(self, unit_sphere2, monkeypatch):
-        # the top of the bracket is evaluated only for lanes that did not
-        # converge, so a converged lane takes only its Newton iterates: 4 for
-        # the root 0.2 from the guess 0.18, 5 for the root 0.564 from 0.405
+        # the top of the bracket is never evaluated up front, so a lane takes
+        # only its Newton iterates: 4 for the root 0.2 from the guess 0.18, 5
+        # for the root 0.564 from 0.405
         chart = LocalChart(unit_sphere2, point_on_level(unit_sphere2, 1.0, np.zeros(2)))
-        Y = np.array([[0.6, 0.0], [1.2, 0.0], [0.0, 0.9]])  # the test_failure_outcomes lanes
         calls = self._record_lines(monkeypatch, chart)
-        for t, converged in ((0.3, {0: 4}), (0.9, {0: 4, 2: 5})):
+        for t, Y, counts in ((0.3, [[0.6, 0.0]], [4]), (0.9, [[0.6, 0.0], [0.0, 0.9]], [4, 5])):
             calls.clear()
-            w = chart.height(Y, t)
+            w = chart.height(np.array(Y), t)
             hi = t + 1e-9 * (1.0 + t)
-            for lane in range(3):
+            assert np.all(np.isfinite(w))
+            for lane, count in enumerate(counts):
                 taus = [tau[idx == lane][0] for idx, tau in calls if lane in idx]
-                if lane in converged:
-                    assert np.isfinite(w[lane]) and len(taus) == converged[lane] and hi not in taus
-                else:
-                    assert w[lane] == np.inf and taus[-1] == hi
-            last_idx, last_tau = calls[-1]
-            assert sorted(set(range(3)) - set(converged)) == last_idx.tolist()
-            assert np.all(last_tau == hi)
-
+                assert len(taus) == count and hi not in taus and t not in taus
     def test_boundary_start_is_evaluated_once(self, monkeypatch):
-        # the bracket growth already evaluated every lane's first Newton
-        # iterate; the solve takes it over instead of evaluating it again
+        # the bracket grows inside the Newton loop, so no lane is evaluated
+        # twice at the same point
         chart = self._chart()
         rng = np.random.default_rng(5)
         U = rng.standard_normal((64, 2))
@@ -549,11 +561,14 @@ class TestChartSolver:
     def test_failure_outcomes(self, unit_sphere2, monkeypatch):
         chart = LocalChart(unit_sphere2, point_on_level(unit_sphere2, 1.0, np.zeros(2)))
         Y = np.array([[0.6, 0.0], [1.2, 0.0], [0.0, 0.9]])  # heights 0.2, past the fold, ~0.56
-        w = chart.height(Y, 0.3)  # above the plane: +inf
-        assert w[0] == pytest.approx(0.2, abs=1e-12) and w[1] == np.inf and w[2] == np.inf
-        w = chart.height(Y, 0.9)  # past the fold: +inf whatever the plane
-        assert w[0] == pytest.approx(0.2, abs=1e-12) and w[1] == np.inf
-        assert w[2] == pytest.approx(1.0 - np.sqrt(1.0 - 0.81), abs=1e-12)
-        monkeypatch.setattr(surface, "CHART_MAXITER", 1)  # a stalled solve raises
-        with pytest.raises(RegionError, match=r"chart offset y=\[0\.6, 0\.0\] \(2 of 3 points\)"):
+        # above the plane or past the fold: the solve raises naming the first such offset
+        with pytest.raises(RegionError, match=r"chart offset y=\[1\.2, 0\.0\] \(2 of 3 points\)"):
+            chart.height(Y, 0.3)
+        with pytest.raises(RegionError, match=r"chart offset y=\[1\.2, 0\.0\] \(1 of 3 points\)"):
             chart.height(Y, 0.9)
+        w = chart.height(Y[[0, 2]], 0.9)
+        assert w[0] == pytest.approx(0.2, abs=1e-12)
+        assert w[1] == pytest.approx(1.0 - np.sqrt(1.0 - 0.81), abs=1e-12)
+        monkeypatch.setattr(surface, "CHART_MAXITER", 1)  # a stalled solve raises too
+        with pytest.raises(RegionError, match=r"chart offset y=\[0\.6, 0\.0\] \(2 of 2 points\)"):
+            chart.height(Y[[0, 2]], 0.9)
