@@ -317,6 +317,25 @@ class TestRadialRule:
             cap_volume(family, p, 0.3, QuadratureSettings(order=6))
         assert len(offsets) == 2 and f"y={offsets[1]}" in str(info.value)
 
+    def test_escaped_node_counts_the_whole_cell(self, monkeypatch):
+        # at the default lane budget the order-6 cell is one height block, so
+        # a node moved outside the section is counted over the whole cell
+        height = LocalChart.height
+        offsets = []
+
+        def escape_in_only_block(self, Y, t):
+            Y = Y.copy()
+            Y[17] = 2.0 * Y[14]  # twice the outermost node of the first ray
+            offsets.append(Y[17].tolist())
+            return height(self, Y, t)
+
+        monkeypatch.setattr(LocalChart, "height", escape_in_only_block)
+        family = trio()["elliptic_hyperboloid"]
+        p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
+        with pytest.raises(RegionError, match=r"graph-height solve failed .* \(1 of 300 points\)") as info:
+            cap_volume(family, p, 0.3, QuadratureSettings(order=6))
+        assert len(offsets) == 1 and f"y={offsets[0]}" in str(info.value)
+
     BLOCK_CELLS = {
         "elliptic_hyperboloid": 0.5,
         "ellipsoid": -0.3,
