@@ -246,7 +246,10 @@ class LocalChart:
     Chart points are q(y, tau) = p + frame @ y + tau * normal; the surface
     height w(y) >= 0 solves g(q(y, w)) = k.  Heights and section boundary
     radii are roots along a line per lane, found by _safeguarded_roots from
-    the osculating-quadric guess.  Heights are solved only inside a section:
+    the osculating-quadric guess.  Every cap needs the boundary radii; the
+    heights serve the caps the measures cannot slice along z, which are
+    those of "plus" families and of cells where f < 0 at a radial node
+    (measure._vertical_chords).  Heights are solved only inside a section:
     a lane above its plane, or whose line leaves the graph region (the chart
     fold) first, raises RegionError instead of silently switching branches,
     and so does a section that crosses the fold.  A chart keeps no solver
@@ -350,8 +353,9 @@ class LocalChart:
         units of each direction's length.  Each lane starts from the
         osculating guess with the bracket [0, +inf).  Raises RegionError when
         t exceeds the cap height, when a lane finds no upper bound (the
-        region escapes the chart) or stalls, or when the section crosses the
-        chart fold.
+        region escapes the chart), ends bracketed against an off-branch top
+        (the section reaches the edge of the z > 0 branch) or stalls, or when
+        the section crosses the chart fold.
         """
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, n = U.shape
@@ -372,6 +376,9 @@ class LocalChart:
         if np.isinf(hi[unconverged]).any():
             raise RegionError(f"section boundary not found at t={t:.6g}: region escapes the chart")
         if unconverged.size:
+            res, _ = residual(unconverged, hi[unconverged])
+            if np.isnan(res).any():  # bracketed against an off-branch top
+                raise RegionError(f"section at t={t:.6g} reaches the edge of the z > 0 branch")
             raise RegionError(f"section boundary solve stalled at t={t:.6g}")
 
         # fold check: the surface must still be a graph over the chart there

@@ -21,6 +21,7 @@ from quadrix import (
     derivative_check,
     hyperboloid_cap_volume,
     lateral_area,
+    parse_expression,
     point_on_level,
     section_area,
     starred_measures,
@@ -274,7 +275,11 @@ class TestRadialRule:
         if kind == "elliptic_hyperboloid":
             checks.append((sm.lateral, hyperboloid_lateral_area(a, 1.0, h, np.array([x]))))
         for res, want in checks:
-            assert res.error_estimate > 1e-9 * abs(res.value)
+            if kind == "elliptic_paraboloid":
+                # the vertical chord is quadratic in the radius, so K15 is exact
+                assert abs(res.value - want) <= 1e-14 * res.value
+            else:
+                assert res.error_estimate > 1e-9 * abs(res.value)
             assert abs(res.value - want) <= res.error_estimate
 
     def test_one_height_solve_per_cell(self, monkeypatch):
@@ -286,9 +291,10 @@ class TestRadialRule:
             return height(self, Y, *args, **kwargs)
 
         monkeypatch.setattr(LocalChart, "height", counting)
-        family = trio()["elliptic_hyperboloid"]
+        # a "plus" family: "minus" caps are read off vertical chords instead
+        family = trio()["ellipsoid"]
         p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
-        sm = starred_measures(family, p, 0.5, QuadratureSettings(order=6))
+        sm = starred_measures(family, p, -0.3, QuadratureSettings(order=6))
         # the order-6 and order-4 rules on S^1: 12 + 8 directions, 15 nodes per ray
         assert calls == [20 * 15]
         assert sm.area.samples == 20
@@ -311,7 +317,7 @@ class TestRadialRule:
 
         monkeypatch.setattr(LocalChart, "height", escape_in_second_block)
         monkeypatch.setattr(measure, "_LANE_BUDGET", 2 * 15)
-        family = trio()["elliptic_hyperboloid"]
+        family = trio()["ellipsoid"]  # "plus": its heights are solved on the chart
         p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
         with pytest.raises(RegionError, match=r"graph-height solve failed .* \(1 of 30 points\)") as info:
             cap_volume(family, p, 0.3, QuadratureSettings(order=6))
@@ -330,7 +336,7 @@ class TestRadialRule:
             return height(self, Y, t)
 
         monkeypatch.setattr(LocalChart, "height", escape_in_only_block)
-        family = trio()["elliptic_hyperboloid"]
+        family = trio()["ellipsoid"]  # "plus": its heights are solved on the chart
         p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
         with pytest.raises(RegionError, match=r"graph-height solve failed .* \(1 of 300 points\)") as info:
             cap_volume(family, p, 0.3, QuadratureSettings(order=6))
@@ -364,7 +370,10 @@ class TestRadialRule:
         monkeypatch.setattr(measure, "_LANE_BUDGET", 3 * 15)  # three rays per height block
         got = starred_measures(family, p, self.BLOCK_CELLS[kind])
         rays = ref.area.samples
-        assert calls == [45] * (rays // 3) + [15 * (rays % 3)] * (rays % 3 > 0)
+        if family.sign == "minus":  # vertical chords: no height solve at all
+            assert calls == []
+        else:
+            assert calls == [45] * (rays // 3) + [15 * (rays % 3)] * (rays % 3 > 0)
         assert boundary_calls == [45] * (rays // 45) + [rays % 45] * (rays % 45 > 0)
         for name in ("area", "volume", "lateral"):
             want, res = getattr(ref, name), getattr(got, name)
@@ -402,6 +411,91 @@ class TestRadialRule:
         assert (sm.area.samples, sm.volume.samples, sm.lateral.samples) == (4, 60, 60)
         for name in ("area", "volume", "lateral"):
             assert getattr(sm, name).value == getattr(ref, name).value
+
+
+class TestVerticalChords:
+    """"minus" caps with k > 0 and f >= 0 read volume and lateral area off vertical chords."""
+
+    @staticmethod
+    def count_heights(monkeypatch):
+        calls = []
+        height = LocalChart.height
+
+        def counting(self, Y, t):
+            calls.append(len(Y))
+            return height(self, Y, t)
+
+        monkeypatch.setattr(LocalChart, "height", counting)
+        return calls
+
+    # k = 0.01 hyperboloid cells where the chart heights' volume estimate was
+    # below the actual error (1.45e-11 against 1.00e-11, 4.49e-11 against 1.86e-11)
+    SMALL_K_CELLS = [
+        ((0.5734483726294244, 0.8258171033746697),
+         (0.23164509685821189, -0.09029771539630128), 0.00683202399453191),
+        ((0.5700374230578872, 0.5250152574058564, 0.870121761739622),
+         (0.21675751935016516, -0.2017835036398486, 0.11377356011343957), 0.005327914683286691),
+    ]
+
+    @pytest.mark.parametrize("a, x, h", SMALL_K_CELLS)
+    def test_small_k_volume_bounded(self, a, x, h):
+        family = LevelFamily(QuadraticForm(a), 2.0, "minus")
+        p = point_on_level(family, 0.01, np.array(x))
+        got = starred_measures(family, p, h).volume
+        assert abs(got.value - hyperboloid_cap_volume(a, 0.01, h)) <= got.error_estimate
+
+    @pytest.mark.parametrize("n, kind, eps", [(3, "quartic", 0.3), (4, "cosh", 0.5)])
+    def test_chords_agree_with_chart_heights(self, monkeypatch, n, kind, eps):
+        family = LevelFamily(PerturbedQuadratic((1.0, 1.5, 2.0, 1.0)[:n], eps, kind), 2.0, "minus")
+        calls = self.count_heights(monkeypatch)
+        for x in seeded_xs(n, 2, n, 0.8):
+            p = point_on_level(family, 1.0, x)
+            chords = starred_measures(family, p, 0.5)
+            assert calls == []
+            # the same rays and radial nodes, integrated with chart heights
+            with monkeypatch.context() as m:
+                m.setattr(measure, "_vertical_chords", lambda *args: lambda rays, radii: None)
+                heights = starred_measures(family, p, 0.5)
+            assert calls and sum(calls) == heights.volume.samples
+            calls.clear()
+            for name in ("volume", "lateral"):
+                got, want = getattr(chords, name), getattr(heights, name)
+                assert abs(got.value - want.value) <= max(got.error_estimate, want.error_estimate)
+
+    def test_negative_f_falls_back_to_chart_heights(self, monkeypatch):
+        # f < 0 on part of the section: the whole cell is integrated with
+        # chart heights, giving the values pinned from the chart-only engine
+        family = LevelFamily(parse_expression("x1^2 + 2*x2^2 - 0.1", 2), 2.0, "minus")
+        p = point_on_level(family, 1.0, np.array([0.45, 0.0]))
+        sm = starred_measures(family, p, 0.3)
+        assert [(r.value, r.error_estimate) for r in (sm.area, sm.volume, sm.lateral)] == [
+            (0.8024909265350912, 8.024909265350912e-12),
+            (0.04773304879522443, 4.773304879522443e-13),
+            (0.8528861283180303, 8.528861283180304e-12),
+        ]
+        # in blocks of three rays the chords decline a later block; the
+        # chart heights then start again from the first ray
+        declined = []
+        chords = measure._vertical_chords
+
+        def recording(*args):
+            block = chords(*args)
+
+            def run(rays, radii):
+                values = block(rays, radii)
+                declined.append(values is None)
+                return values
+
+            return run
+
+        monkeypatch.setattr(measure, "_vertical_chords", recording)
+        monkeypatch.setattr(measure, "_LANE_BUDGET", 3 * 15)
+        calls = self.count_heights(monkeypatch)
+        got = starred_measures(family, p, 0.3)
+        assert declined.index(True) > 0 and declined[-1]
+        assert sum(calls) == got.volume.samples
+        for name in ("volume", "lateral"):
+            assert getattr(got, name).value == pytest.approx(getattr(sm, name).value, rel=1e-13)
 
 
 class TestQuadratureSettings:
@@ -511,6 +605,15 @@ class TestStarRegion:
                 assert op(family, p, t).value == pytest.approx(op(family, p, t, fine).value, rel=1e-8)
         if t == 0.2:
             assert section_area(family, p, t).value == pytest.approx(43.68459204, rel=1e-9)
+
+    def test_section_reaches_the_branch_edge(self):
+        # the section crosses z = 0: 15 of the 60 boundary lanes end
+        # bracketed against an off-branch (NaN) top, which is no stall
+        family = LevelFamily(QuadraticForm((1.0, 1.7)), 1.5, "plus")
+        p = point_on_level(family, 2.0, np.array([0.8255111545554434, 0.21327155153435973]))
+        for op in (section_area, cap_volume, lateral_area):
+            with pytest.raises(RegionError, match=r"^section at t=0\.5 reaches the edge of the z > 0 branch$"):
+                op(family, p, 0.5)
 
     def test_growth_cap(self):
         # while a lane is unbounded a Newton step may reach at most the growth
