@@ -20,6 +20,7 @@ import numpy as np
 from ._grids import halton
 from .errors import QuadrixError
 from .measure import QuadratureSettings, StarredMeasures, starred_measures
+from .quadrics import QUADRIC_KINDS
 from .surface import LevelFamily, SurfacePoint, curvature_invariant, point_on_level
 
 __all__ = [
@@ -338,13 +339,7 @@ class Classification:
 
 
 def _normal_form_kind(family: LevelFamily) -> str | None:
-    if family.alpha == 1.0 and family.sign == "minus":
-        return "elliptic_paraboloid"
-    if family.alpha == 2.0 and family.sign == "plus":
-        return "ellipsoid"
-    if family.alpha == 2.0 and family.sign == "minus":
-        return "elliptic_hyperboloid"
-    return None
+    return {form: kind for kind, form in QUADRIC_KINDS.items()}.get((family.alpha, family.sign))
 
 
 def default_box(family: LevelFamily, k: float):

@@ -54,7 +54,9 @@ __all__ = [
     "mean_value_ratio",
 ]
 
-QUADRIC_KINDS = ("elliptic_paraboloid", "ellipsoid", "elliptic_hyperboloid")
+# the normal form g = z^alpha -/+ f of each kind, as (alpha, sign)
+QUADRIC_KINDS = {"elliptic_hyperboloid": (2.0, "minus"), "ellipsoid": (2.0, "plus"),
+                 "elliptic_paraboloid": (1.0, "minus")}
 
 # tensor-rule order per dimension of mean_H_over_domain, finer than the engine's
 _ORACLE_ORDER = {1: 64, 2: 64, 3: 64, 4: 16, 5: 12, 6: 10}

@@ -2,21 +2,22 @@
 
 A level set M_c = {g = c} is the graph z = Z_c(x) of one branch, treated as
 a strictly convex hypersurface in R^{n+1}.  One graph jet, Z_c with its
-gradient and Hessian, serves point_on_level, which computes once the second
-fundamental form toward the convex side (read by the Cholesky convexity
-certificate, the normal orientation, K = det(form), the invariant
-K |grad g|^{n+2} and the chart's osculating quadric), and parallel_tangent,
-which links M_k to a nearby level M_{k+h} by matching the slopes of the two
-graphs.  The tangent-plane graph chart serves the integration routines.
+gradient and Hessian, is evaluated and lifted once per point: the lift
+computes the second fundamental form toward the convex side (read by the
+Cholesky convexity certificate, the normal orientation, K = det(form), the
+invariant K |grad g|^{n+2} and the chart's osculating quadric).
+point_on_level lifts the jet at x; parallel_tangent, matching the slopes of
+M_k and M_{k+h}, lifts the one its Newton loop converged on.
 
-Both chart solves, heights and section boundary radii, run one vectorized
-safeguarded solver: a per-lane bracket, guarded Newton steps, bisection
-when a step leaves the bracket, iterating only the unconverged lanes.  A
-boundary lane starts unbounded above and grows its bracket inside the same
-loop; an off-branch (NaN) residual bounds it like a positive one.  Every
-lane ends in a root or a RegionError.  The residual reads f along each
-lane's line with one forward tangent (funcspec.eval_line), so an
-iteration allocates nothing n wide.
+The tangent-plane chart serves the integration routines.  Both its solves,
+heights and section boundary radii, run one vectorized safeguarded solver:
+a per-lane bracket, guarded Newton steps, bisection when a step leaves the
+bracket, iterating only the unconverged lanes.  A boundary lane starts
+unbounded above and grows its bracket inside the same loop; an off-branch
+(NaN) residual bounds it like a positive one.  Every lane ends in a root or
+a RegionError.  The residual reads f along each lane's line with one
+forward tangent (funcspec.eval_line), so an iteration allocates nothing n
+wide; the fold check reads its slope along the normal.
 
 Everything here is pure and operates on immutable inputs; the batched
 chart solver is safe to call concurrently from several threads.
@@ -76,13 +77,13 @@ class LevelFamily:
         return -1.0 if self.sign == "minus" else 1.0
 
     def _zpow(self, z: np.ndarray, expo: float) -> np.ndarray:
-        """z**expo honoring the z > 0 branch; NaN marks off-branch points."""
+        """z**expo, expo alpha or alpha - 1; NaN marks off-branch points: z <= 0
+        unless z^alpha is a polynomial (positive integer alpha), defined at every z."""
         z = np.asarray(z, dtype=float)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if float(self.alpha).is_integer() and float(expo).is_integer():
-                return z ** expo
-            out = np.where(z > 0, z, np.nan)
-            return out ** expo
+            if not (self.alpha > 0 and float(self.alpha).is_integer()):
+                z = np.where(z > 0, z, np.nan)
+            return z ** expo
 
     def g_values_grads(self, X: np.ndarray, Z: np.ndarray):
         """g and its ambient gradient, batched; gradients have shape (M, n+1)."""
@@ -204,7 +205,12 @@ def point_on_level(family: LevelFamily, k: float, x: np.ndarray) -> SurfacePoint
     certificate), and an indefinite form raises ConvexityError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    jet, z, gz, slope, hessian = _graph_jet(family, k, x)
+    return _lift(family, k, x, _graph_jet(family, k, x))
+
+
+def _lift(family: LevelFamily, k: float, x: np.ndarray, graph: _GraphJet) -> SurfacePoint:
+    """The point of M_k over x from its graph jet there, as point_on_level describes."""
+    jet, z, gz, slope, hessian = graph
     grad_g = np.concatenate([family.sf * jet.gradient, [gz]])
     lift = np.sqrt(1.0 + slope @ slope)
     up = np.concatenate([-slope, [1.0]]) / lift
@@ -381,9 +387,10 @@ class LocalChart:
                 raise RegionError(f"section at t={t:.6g} reaches the edge of the z > 0 branch")
             raise RegionError(f"section boundary solve stalled at t={t:.6g}")
 
-        # fold check: the surface must still be a graph over the chart there
-        _, grad = self.family.g_values_grads((X0 + dX * rho).T, Z0 + dZ * rho)
-        if not np.all(self.p.offset_sign * (grad @ self.normal) > 0):
+        # fold check: the surface is still a graph over the chart where offset_sign * dg/dnu > 0
+        _, slope = self._line_residual(X0 + dX * rho, Z0 + dZ * rho, self.normal[:n, None],
+                                       self.normal[n], np.arange(m), np.zeros(m))
+        if not np.all(slope > 0):
             raise RegionError(f"section at t={t:.6g} crosses the chart fold")
         return rho
 
@@ -517,7 +524,7 @@ def parallel_tangent(family: LevelFamily, p: SurfacePoint, h: float) -> Tangency
     scale = jet.gz / p.grad_g[-1]
     if scale <= 0:
         raise TangencyError("wrong branch: tangency found with opposite gradient direction")
-    vp = point_on_level(family, target, x)
+    vp = _lift(family, target, x, jet)
     # sine of the angle between the normals; arccos of the dot product
     # cannot resolve angles this small.  The sine is 0 for antiparallel
     # normals too, so the cosine must be positive

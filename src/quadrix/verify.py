@@ -12,11 +12,12 @@ import math
 
 import numpy as np
 
-from .characterize import check_condition, evaluate_cells, sample_points
+from .characterize import _normal_form_kind, check_condition, evaluate_cells, sample_points
 from .errors import QuadrixError
 from .funcspec import QuadraticForm
 from .measure import QuadratureSettings, cap_volume, section_area
 from .quadrics import (
+    QUADRIC_KINDS,
     invariant_constant,
     mean_value_ratio,
     paraboloid_starred,
@@ -38,12 +39,8 @@ __all__ = [
     "run",
 ]
 
-_A = (1.0, 2.0)
-FAMILIES = {
-    "elliptic_hyperboloid": LevelFamily(QuadraticForm(_A), alpha=2.0, sign="minus"),
-    "ellipsoid": LevelFamily(QuadraticForm(_A), alpha=2.0, sign="plus"),
-    "elliptic_paraboloid": LevelFamily(QuadraticForm(_A), alpha=1.0, sign="minus"),
-}
+FAMILIES = {kind: LevelFamily(QuadraticForm((1.0, 2.0)), alpha, sign)
+            for kind, (alpha, sign) in QUADRIC_KINDS.items()}
 
 
 def derivative_check(family: LevelFamily, p: SurfacePoint, t: float, delta: float,
@@ -71,13 +68,12 @@ def determinant_identity_residual(family: LevelFamily, p: SurfacePoint) -> float
     """
     if family.alpha != 2.0 or not isinstance(family.f, QuadraticForm):
         raise ValueError("identity check applies to alpha = 2 diagonal quadratic families")
-    kind = "elliptic_hyperboloid" if family.sign == "minus" else "ellipsoid"
     a = family.alpha
     n = family.n
     jet = p.f_jet
     term = np.outer(jet.gradient, jet.gradient) * (a - 1.0)
     mat = a * p.z ** a * jet.hessian + (term if family.sign == "plus" else -term)
-    c = invariant_constant(kind, family.f.a, p.k)
+    c = invariant_constant(_normal_form_kind(family), family.f.a, p.k)
     rhs = a ** (n - 2) * c * p.z ** (a * n - 2.0 * a + 2.0)
     return abs(float(np.linalg.det(mat)) - rhs) / abs(rhs)
 

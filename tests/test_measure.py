@@ -615,6 +615,17 @@ class TestStarRegion:
             with pytest.raises(RegionError, match=r"^section at t=0\.5 reaches the edge of the z > 0 branch$"):
                 op(family, p, 0.5)
 
+    @pytest.mark.parametrize("t", [0.05, 0.2])
+    def test_negative_integer_alpha_reaches_the_branch_edge(self, t):
+        # alpha = -1: z^-1 is no polynomial, so a boundary line that crosses
+        # z = 0 reads NaN there, not the sheet past the pole, and its lane
+        # ends bracketed against an off-branch top instead of stalling
+        family = LevelFamily(QuadraticForm((1.0, 1.7)), -1.0, "minus")
+        p = point_on_level(family, 2.0, np.array([0.7263578446997732, 0.08292244049818343]))
+        for op in (section_area, cap_volume, lateral_area):
+            with pytest.raises(RegionError, match=rf"^section at t={t:g} reaches the edge of the z > 0 branch$"):
+                op(family, p, t)
+
     def test_growth_cap(self):
         # while a lane is unbounded a Newton step may reach at most the growth
         # point: here a shallow slope sends the uncapped step past the root to

@@ -300,15 +300,35 @@ class TestParallelTangent:
         # an antiparallel tangency has sine 0 between the normals, as a
         # parallel one has; only the sign of the cosine tells them apart
         p = point_on_level(unit_sphere2, 1.0, np.array([0.2, 0.1]))
-        lift = surface.point_on_level
+        lift = surface._lift  # parallel_tangent lifts the jet it converged on
 
-        def flipped(family, k, x):
-            q = lift(family, k, x)
+        def flipped(family, k, x, jet):
+            q = lift(family, k, x, jet)
             return dataclasses.replace(q, normal=-q.normal) if k != p.k else q
 
-        monkeypatch.setattr(surface, "point_on_level", flipped)
+        monkeypatch.setattr(surface, "_lift", flipped)
         with pytest.raises(TangencyError, match="opposite"):
             parallel_tangent(unit_sphere2, p, -0.19)
+
+    def test_converged_jet_is_lifted_once(self, monkeypatch):
+        # v is lifted from the graph jet the Newton loop converged on, so
+        # _graph_jet is evaluated once at that x, and the lift equals
+        # point_on_level there
+        family = LevelFamily(PerturbedQuadratic((1.0, 2.0), 0.2, "quartic"), 2.0, "minus")
+        p = point_on_level(family, 1.0, np.array([0.7, -0.4]))
+        seen = []
+        inner = surface._graph_jet
+
+        def recording(family, c, x):
+            seen.append(np.array(x, copy=True))
+            return inner(family, c, x)
+
+        monkeypatch.setattr(surface, "_graph_jet", recording)
+        res = parallel_tangent(family, p, 0.5)
+        assert sum(np.array_equal(x, res.v.x) for x in seen) == 1
+        q = point_on_level(family, 1.5, res.v.x)
+        for name in ("z", "grad_g", "normal", "frame", "second_form"):
+            assert np.array_equal(getattr(res.v, name), getattr(q, name)), name
 
     def test_no_branch_at_the_level(self, unit_sphere2):
         # k + h < 0: the level has no z > 0 point anywhere
@@ -486,13 +506,15 @@ class TestChartSolver:
         assert 2.0 <= hi[1] < np.inf and hi[2] == np.inf
 
     @staticmethod
-    def _record_lines(monkeypatch, chart):
-        """Record (lanes, points) of every line evaluation the chart's solves make."""
+    def _record_lines(monkeypatch, chart, start=None):
+        """Record (lanes, points) of every line evaluation the chart's solves make,
+        or only of those on lines from the base points start when it is given."""
         calls = []
         inner = chart._line_residual
 
         def recording(X0, Z0, dX, dZ, idx, tau, sign=1.0):
-            calls.append((idx.copy(), np.array(tau, copy=True)))
+            if start is None or np.array_equal(X0, start):
+                calls.append((idx.copy(), np.array(tau, copy=True)))
             return inner(X0, Z0, dX, dZ, idx, tau, sign)
 
         monkeypatch.setattr(chart, "_line_residual", recording)
@@ -514,16 +536,37 @@ class TestChartSolver:
                 assert len(taus) == count and hi not in taus and t not in taus
     def test_boundary_start_is_evaluated_once(self, monkeypatch):
         # the bracket grows inside the Newton loop, so no lane is evaluated
-        # twice at the same point
+        # twice at the same point of its line from the section's base point
+        # (the fold check then evaluates other lines, along the normal)
         chart = self._chart()
         rng = np.random.default_rng(5)
         U = rng.standard_normal((64, 2))
-        calls = self._record_lines(monkeypatch, chart)
+        base = chart.origin + 0.3 * chart.normal
+        calls = self._record_lines(monkeypatch, chart, start=base[:2, None])
         rho = chart.boundary_radius(U, 0.3)
         assert np.all(np.isfinite(rho))
         for lane in range(64):
             taus = [tau[idx == lane][0] for idx, tau in calls if lane in idx]
             assert len(taus) == len(set(taus)), (lane, taus)
+
+    def test_fold_check_reads_the_line_residual(self, unit_sphere2, monkeypatch):
+        # the fold check reads offset_sign * dg/dnu at the boundary points as
+        # the slope of the line residual along the normal: no batch gradient
+        # of g, and the unit-sphere section past the equator still folds
+        chart = LocalChart(unit_sphere2, point_on_level(unit_sphere2, 1.0, np.zeros(2)))
+        calls = []
+        inner = surface.eval_value_grad
+
+        def counting(f, X):
+            calls.append(len(X))
+            return inner(f, X)
+
+        monkeypatch.setattr(surface, "eval_value_grad", counting)
+        U = np.random.default_rng(8).standard_normal((32, 2))
+        assert np.all(np.isfinite(chart.boundary_radius(U, 0.4)))
+        with pytest.raises(RegionError, match=r"^section at t=1\.2 crosses the chart fold$"):
+            chart.boundary_radius(U, 1.2)
+        assert not calls
 
     def test_height_block_is_one_lane_wide(self, monkeypatch):
         # an n = 6 block of 16 380 lanes (1 092 rays of 15 nodes): every array
