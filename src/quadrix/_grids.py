@@ -1,8 +1,8 @@
 """Deterministic quadrature grids: Halton sets, the sphere rules and the radial rule.
 
-`halton` is a numpy radical-inverse Halton set, plain or scrambled with
-Owen's random digit permutations (arXiv:1706.02808); it equals
-SciPy's `stats.qmc.Halton` bit for bit, without SciPy.
+`halton` is a numpy radical-inverse Halton set scrambled with Owen's
+random digit permutations (arXiv:1706.02808); for a given seed it equals
+SciPy's scrambled `stats.qmc.Halton` bit for bit, without SciPy.
 
 `tensor_rule` is a product rule on S^{n-1} in hyperspherical coordinates
 (Stroud, Approximate Calculation of Multiple Integrals, 1971): the
@@ -68,21 +68,19 @@ _GAUSS_WEIGHTS = (
 )
 
 
-def halton(n: int, count: int, seed: int | None = None) -> np.ndarray:
-    """The first count points of the n-dimensional Halton set, shape (count, n).
+def halton(n: int, count: int, seed: int) -> np.ndarray:
+    """The first count points of the n-dimensional scrambled Halton set, shape (count, n).
 
-    With a seed, each digit of each coordinate goes through its own random
-    permutation of the base's digits, drawn in SciPy's order from
+    Each digit of each coordinate goes through its own random permutation of
+    the base's digits, drawn in SciPy's order from
     `np.random.default_rng(seed)`.  Digits are summed in SciPy's order too,
     which is what makes the points equal bit for bit.
     """
-    rng = None if seed is None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     out = np.zeros((n, count))
     for d, base in enumerate(_PRIMES[:n]):
-        if rng is None:  # identity permutations, as many digits as count - 1 has
-            perms = [np.arange(base)] * next(k for k in range(64) if base ** k >= count)
-        else:  # SciPy draws every permutation of a base before the next base's
-            perms = [rng.permutation(base) for _ in range(math.ceil(54 / math.log2(base)) - 1)]
+        # SciPy draws every permutation of a base before the next base's
+        perms = [rng.permutation(base) for _ in range(math.ceil(54 / math.log2(base)) - 1)]
         quotient, scale = np.arange(count), 1.0 / base
         for perm in perms:
             out[d] += perm[quotient % base] * scale

@@ -5,6 +5,8 @@ by a single flat JSON config (see README for the schema).  Outputs are CSV
 or JSON with the tool version, config hash and seed embedded, decimal
 points and 17 significant digits (error estimates 3, rounded up), and no
 timestamps, so identical config plus seed reproduces identical bytes.
+Every command but verify writes its output only once all of it is
+computed, so a run that fails leaves no partial file.
 
 Exit codes: 0 success (including clean negative classifications),
 1 config error, verify-suite failure, every measures or sweep row failing
@@ -207,10 +209,20 @@ def _output(path: str | None):
         yield fh
 
 
-def _emit_header(fh, cfg: dict, seed: int) -> None:
-    fh.write(f"# quadrix {__version__}\n")
-    fh.write(f"# config_sha256={_config_hash(cfg)}\n")
-    fh.write(f"# seed={seed}\n")
+def _write_table(run: _Run, header: list[str], rows: list[list[str]]) -> None:
+    """The three provenance lines (version, config hash, seed), then the CSV table."""
+    with _output(run.out) as fh:
+        fh.write(f"# quadrix {__version__}\n")
+        fh.write(f"# config_sha256={_config_hash(run.cfg)}\n")
+        fh.write(f"# seed={run.seed}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _table_exit_code(rows) -> int:
+    """Exit code 1 when every (k, h, cell) row's cell is an error message, else 0."""
+    return 1 if rows and all(isinstance(cell, str) for *_, cell in rows) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +233,17 @@ def _emit_header(fh, cfg: dict, seed: int) -> None:
 def cmd_curvature(args) -> int:
     run = _read_config(args)
     family, n = run.family, run.family.n
-    with _output(run.out) as fh:
-        _emit_header(fh, run.cfg, run.seed)
-        writer = csv.writer(fh)
-        writer.writerow(["k"] + [f"x{i+1}" for i in range(n)] + ["z", "K", "grad_norm", "invariant"])
-        for k in run.levels:
-            xs = sample_coordinates(n, run.count, run.seed, run.box)
-            for x in xs:
-                try:
-                    p = point_on_level(family, k, x)
-                except BranchError:
-                    continue  # off the admissible set, not a certificate failure
-                kcurv = gauss_kronecker(family, p)
-                inv = curvature_invariant(family, p)
-                writer.writerow(
-                    [_fmt(k)] + [_fmt(c) for c in p.x] +
-                    [_fmt(p.z), _fmt(kcurv), _fmt(p.grad_norm), _fmt(inv)]
-                )
+    xs = sample_coordinates(n, run.count, run.seed, run.box)
+    rows = []
+    for k in run.levels:
+        for x in xs:
+            try:
+                p = point_on_level(family, k, x)
+            except BranchError:
+                continue  # off the admissible set, not a certificate failure
+            rows.append([_fmt(v) for v in (k, *p.x, p.z, gauss_kronecker(family, p), p.grad_norm,
+                                           curvature_invariant(family, p))])
+    _write_table(run, ["k", *(f"x{i+1}" for i in range(n)), "z", "K", "grad_norm", "invariant"], rows)
     return 0
 
 
@@ -264,18 +270,13 @@ def cmd_measures(args) -> int:
     for k, points in level_points:
         cells = evaluate_cells(family, points, offsets, settings)
         rows += [(k, h, row[j]) for j, h in enumerate(offsets) for row in cells]
-    with _output(run.out) as fh:
-        _emit_header(fh, run.cfg, run.seed)
-        writer = csv.writer(fh)
-        writer.writerow(
-            "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err grad_norm seed error".split()
-        )
-        for k, h, cell in rows:
-            failed = isinstance(cell, str)
-            writer.writerow([_fmt(k), _fmt(h)] + _cell_fields(cell) + [
-                "" if failed else _fmt(cell.grad_norm), str(run.seed), cell if failed else "",
-            ])
-    return 1 if rows and all(isinstance(cell, str) for *_, cell in rows) else 0
+    header = "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err grad_norm seed error".split()
+    _write_table(run, header, [
+        [_fmt(k), _fmt(h)] + _cell_fields(cell) + (["", str(run.seed), cell] if isinstance(cell, str)
+                                                   else [_fmt(cell.grad_norm), str(run.seed), ""])
+        for k, h, cell in rows
+    ])
+    return _table_exit_code(rows)
 
 
 def cmd_classify(args) -> int:
@@ -312,14 +313,11 @@ def cmd_sweep(args) -> int:
         except QuadrixError as exc:  # the lift failed: every offset row carries it
             cells = [str(exc)] * len(offsets)
         rows += [(k, h, cell) for h, cell in zip(offsets, cells)]
-    with _output(run.out) as fh:
-        _emit_header(fh, run.cfg, run.seed)
-        writer = csv.writer(fh)
-        writer.writerow("k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err error".split())
-        for k, h, cell in rows:
-            writer.writerow([_fmt(k), _fmt(h)] + _cell_fields(cell) +
-                            [cell if isinstance(cell, str) else ""])
-    return 1 if rows and all(isinstance(cell, str) for *_, cell in rows) else 0
+    _write_table(run, "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err error".split(), [
+        [_fmt(k), _fmt(h)] + _cell_fields(cell) + [cell if isinstance(cell, str) else ""]
+        for k, h, cell in rows
+    ])
+    return _table_exit_code(rows)
 
 
 def cmd_verify(args) -> int:

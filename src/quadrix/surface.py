@@ -62,8 +62,8 @@ class LevelFamily:
     sign: str = "minus"
 
     def __post_init__(self):
-        if self.alpha == 0:
-            raise ValueError("alpha must be nonzero")
+        if not (np.isfinite(self.alpha) and self.alpha != 0):
+            raise ValueError(f"alpha must be finite and nonzero, got {self.alpha!r}")
         if self.sign not in ("minus", "plus"):
             raise ValueError("sign must be 'minus' or 'plus'")
 
@@ -84,14 +84,6 @@ class LevelFamily:
             if not (self.alpha > 0 and float(self.alpha).is_integer()):
                 z = np.where(z > 0, z, np.nan)
             return z ** expo
-
-    def g_values_grads(self, X: np.ndarray, Z: np.ndarray):
-        """g and its ambient gradient, batched; gradients have shape (M, n+1)."""
-        fv, fg = eval_value_grad(self.f, X)
-        g = self._zpow(Z, self.alpha) + self.sf * fv
-        gz = self.alpha * self._zpow(Z, self.alpha - 1.0)
-        grad = np.concatenate([self.sf * fg, gz[:, None]], axis=1)
-        return g, grad
 
     def solve_z(self, k: float, fval: float) -> float:
         """The real branch solution of g(x, z) = k given f(x).
@@ -155,9 +147,10 @@ class SurfacePoint:
 
 
 def _is_positive_definite(m: np.ndarray) -> bool:
+    """Cholesky's certificate; numpy factors a non-finite m to NaN without raising."""
     try:
         np.linalg.cholesky(m)
-        return True
+        return bool(np.isfinite(m).all())
     except np.linalg.LinAlgError:
         return False
 
@@ -342,13 +335,16 @@ class LocalChart:
         return tau
 
     def gradient_at(self, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Exact chart gradient of w at already-solved heights (implicit differentiation)."""
+        """Exact chart gradient (M, n) of w at already-solved heights w(Y), implicitly:
+        -frame^T grad g / <grad g, normal>, grad g = (sf grad f, alpha z^(alpha-1)) at q(y, w)."""
         Y = np.atleast_2d(Y)
         n = Y.shape[1]
         X, Z = self._chart_base(Y)
         X += self.normal[:n, None] * w
         Z += self.normal[n] * w
-        _, grad = self.family.g_values_grads(X.T, Z)
+        fam = self.family
+        grad = np.concatenate([fam.sf * eval_value_grad(fam.f, X.T)[1],
+                               fam.alpha * fam._zpow(Z, fam.alpha - 1.0)[:, None]], axis=1)
         denom = grad @ self.normal
         return -(grad @ self.frame) / denom[:, None]
 

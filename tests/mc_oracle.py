@@ -14,6 +14,7 @@ import numpy as np
 
 from quadrix import LevelFamily, LocalChart, MeasureResult, SurfacePoint, unit_ball_volume
 from quadrix._grids import DEFAULT_ORDER, sphere_rule
+from quadrix.funcspec import eval_value_grad
 from quadrix.measure import _chart_directions
 
 
@@ -35,7 +36,8 @@ def monte_carlo_measures(family: LevelFamily, p: SurfacePoint, t: float, seed: i
     # a sample is inside the section when offset_sign * (g - k) > 0 at the
     # plane (NaN, off the branch, is outside); heights are solved only there
     base = chart.origin + t * chart.normal
-    g, _ = family.g_values_grads(base[:n] + Y @ chart.frame[:n].T, base[n] + Y @ chart.frame[n])
+    fv, _ = eval_value_grad(family.f, base[:n] + Y @ chart.frame[:n].T)
+    g = family._zpow(base[n] + Y @ chart.frame[n], family.alpha) + family.sf * fv
     inside = p.offset_sign * (g - p.k) > 0
     w = np.full(samples, t)  # t - w is 0 outside
     w[inside] = chart.height(Y[inside], t)

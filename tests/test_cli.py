@@ -201,14 +201,19 @@ class TestCurvature:
         invs = [float(r["invariant"]) for r in read_rows(out)]
         assert max(invs) - min(invs) > 1e-3 * max(invs)  # reporting, not failing
 
-    def test_convexity_failure_exits_two(self, tmp_path):
+    def test_convexity_failure_exits_two(self, tmp_path, capsys):
+        # the table is written only once every row is computed, so no file is left
         cfg = write_config(
             tmp_path,
             family={"alpha": 1, "sign": "minus",
                     "f": {"kind": "expression", "source": "x1^2 - x2^2", "n": 2}},
             levels=[0.0],
         )
-        assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 2
+        out = tmp_path / "s.csv"
+        assert main(["curvature", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("convexity certificate failed: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_sheet_past_the_pole_is_skipped(self, tmp_path):
         # alpha = -1, plus sign: points of the box with f > k have no z > 0

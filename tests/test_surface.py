@@ -78,6 +78,19 @@ class TestPointOnLevel:
         with pytest.raises(BranchError):
             point_on_level(unit_sphere2, 1.0, np.array([2.0, 0.0]))
 
+    @pytest.mark.parametrize("alpha", [0.0, float("nan"), float("inf"), float("-inf")])
+    def test_zero_or_non_finite_alpha_rejected(self, alpha):
+        # a NaN or infinite alpha would lift to NaN z or a NaN second form
+        with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+            LevelFamily(QuadraticForm((1.0, 2.0)), alpha)
+
+    @pytest.mark.parametrize("m", [np.full((2, 2), np.nan), np.diag([np.inf, 1.0]),
+                                   np.array([[1.0, np.nan], [np.nan, 1.0]])])
+    def test_non_finite_form_is_not_certified(self, m):
+        # numpy's Cholesky factors these to NaN without raising
+        assert not surface._is_positive_definite(m)
+        assert surface._is_positive_definite(np.eye(2))
+
     def test_overflowing_branch_rejected(self):
         # z = 3^1000 is beyond the floats; 2^1000 is not
         family = LevelFamily(QuadraticForm((1.0, 2.0)), alpha=0.001, sign="minus")
@@ -193,6 +206,22 @@ class TestLocalGraph:
         Y = np.zeros((1, 2))
         gw = chart.gradient_at(Y, chart.height(Y, 0.5))
         assert np.max(np.abs(gw)) <= 1e-9
+
+    @pytest.mark.parametrize("family, x, Y", [
+        (LevelFamily(QuadraticForm((1.0, 1.0)), 2.0, "plus"), [0.3, -0.2],
+         [[0.3, 0.1], [-0.2, 0.25], [0.05, -0.4]]),
+        (LevelFamily(PerturbedQuadratic((1.0, 2.0, 1.5), 0.3, "cosh"), 2.0, "plus"), [0.1, -0.1, 0.2],
+         [[0.2, 0.1, -0.1], [-0.15, 0.05, 0.2], [0.0, -0.2, 0.1]]),
+    ], ids=["unit-sphere-n2", "cosh-plus-n3"])
+    def test_gradient_matches_central_differences(self, family, x, Y):
+        # away from the origin, where the gradient is not zero
+        chart = LocalChart(family, point_on_level(family, 1.0, np.array(x)))
+        Y, step, t = np.array(Y), 1e-6, 0.5
+        gw = chart.gradient_at(Y, chart.height(Y, t))
+        E = step * np.eye(family.n)
+        fd = np.stack([(chart.height(Y + e, t) - chart.height(Y - e, t)) / (2 * step) for e in E], axis=1)
+        assert np.min(np.linalg.norm(gw, axis=1)) > 0.05
+        assert np.max(np.abs(gw - fd)) <= 1e-8
 
     def test_escape_is_outside(self, unit_sphere2):
         # the line misses the sphere; below the plane at 1.5 it also leaves
