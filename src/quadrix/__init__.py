@@ -74,4 +74,4 @@ from .surface import (
 )
 from .verify import derivative_check, determinant_identity_residual
 
-__version__ = "0.7.2"
+__version__ = "0.8.0"

@@ -6,7 +6,8 @@ or JSON with the tool version, config hash and seed embedded, decimal
 points and 17 significant digits (error estimates 3, rounded up), and no
 timestamps, so identical config plus seed reproduces identical bytes.
 Every command but verify writes its output only once all of it is
-computed, so a run that fails leaves no partial file.
+computed, so a run that fails leaves no partial file.  Each warning is
+one `warning: ...` line on stderr.
 
 Exit codes: 0 success (including clean negative classifications),
 1 config error, verify-suite failure, every measures or sweep row failing
@@ -22,6 +23,7 @@ import csv
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,8 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         return args.fn(args)
     except ConfigError as exc:
@@ -363,6 +370,8 @@ def main(argv=None) -> int:
     except (QuadrixError, OSError) as exc:  # e.g. too few admissible points, an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

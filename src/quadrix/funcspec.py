@@ -12,8 +12,12 @@ is the gradient; eval_line seeds one direction per lane, the derivative
 along that lane's line, and takes the points one coordinate row at a
 time, so none of its arrays is n wide.  The built-in families share one
 closed form between the two seeds; expression trees propagate (value,
-tangent, hessian) through each node.  All evaluators are pure, so specs
-can be shared freely between threads.
+tangent, hessian) through each node.  The parser rewrites a / b as
+a * b^-1, a power with a numeric exponent (negative ones too) as a
+constant power, and any other a ^ b as exp(log(a) * b), so the tree
+needs only the sum, difference and product rules and one chain rule for
+its unary nodes.  All evaluators are pure, so specs can be shared freely
+between threads.
 """
 
 from __future__ import annotations
@@ -203,27 +207,24 @@ class Var:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * / ^
+    op: str  # one of + - *
     lhs: object
     rhs: object
 
 
 @dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
 class Call:
+    """A unary node phi(arg): a function of _FN_TABLE, negation "-" among
+    them, or the constant power "^" with exponent c."""
+
     fn: str
     arg: object
+    c: float = 0.0
 
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[()+\-*/^]))"
 )
-
-_FUNCTIONS = ("exp", "log", "cosh", "sinh", "sqrt")
 
 
 def _tokenize(source: str):
@@ -290,23 +291,29 @@ class _Parser:
         node = self.unary()
         while (tok := self._peek()) and tok[0] == "op" and tok[1] in "*/":
             self.i += 1
-            node = BinOp(tok[1], node, self.unary())
+            rhs = self.unary()
+            node = BinOp("*", node, rhs if tok[1] == "*" else Call("^", rhs, c=-1.0))
         return node
 
     def unary(self):
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.i += 1
-            return Neg(self.unary())
+            return Call("-", self.unary())
         return self.power()
 
     def power(self):
         base = self.atom()
         tok = self._peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.i += 1
-            return BinOp("^", base, self.unary())  # right-associative exponent
-        return base
+        if not (tok and tok[0] == "op" and tok[1] == "^"):
+            return base
+        self.i += 1
+        exponent = self.unary()  # right-associative
+        if isinstance(exponent, Call) and exponent.fn == "-" and isinstance(exponent.arg, Const):
+            exponent = Const(-exponent.arg.value)  # a ^ -c and a ^ (-c)
+        if isinstance(exponent, Const):
+            return Call("^", base, c=exponent.value)
+        return Call("exp", BinOp("*", Call("log", base), exponent))
 
     def atom(self):
         tok = self._next()
@@ -324,7 +331,7 @@ class _Parser:
                 if not (1 <= j <= self.n):
                     raise ParseError(f"variable x{j} out of range for dimension {self.n}", pos)
                 return Var(j - 1)
-            if value in _FUNCTIONS:
+            if value in _FN_TABLE:  # an identifier is never the "-" entry
                 self._expect_op("(")
                 arg = self.expr()
                 self._expect_op(")")
@@ -364,18 +371,14 @@ def parse_expression(source: str, n: int) -> ExpressionSpec:
 # Forward-mode jets for expression trees
 # ---------------------------------------------------------------------------
 
-# name -> (phi, phi', phi'', domain guard)
+# name -> (phi, phi', phi'' or None where it is zero, argument must be positive)
 _FN_TABLE = {
-    "exp": (np.exp, np.exp, np.exp, None),
-    "log": (np.log, lambda u: 1.0 / u, lambda u: -1.0 / u ** 2, "positive"),
-    "cosh": (np.cosh, np.sinh, np.cosh, None),
-    "sinh": (np.sinh, np.cosh, np.sinh, None),
-    "sqrt": (
-        np.sqrt,
-        lambda u: 0.5 / np.sqrt(u),
-        lambda u: -0.25 * u ** -1.5,
-        "positive",
-    ),
+    "-": (np.negative, lambda u: -1.0, None, False),
+    "exp": (np.exp, np.exp, np.exp, False),
+    "log": (np.log, lambda u: 1.0 / u, lambda u: -1.0 / u ** 2, True),
+    "cosh": (np.cosh, np.sinh, np.cosh, False),
+    "sinh": (np.sinh, np.cosh, np.sinh, False),
+    "sqrt": (np.sqrt, lambda u: 0.5 / np.sqrt(u), lambda u: -0.25 * u ** -1.5, True),
 }
 
 
@@ -388,91 +391,60 @@ def _eval_node(node, coord, seed, want_h: bool):
 
     coord(i) gives variable i's row, shape (M,), and its tangent, which
     broadcasts to (k, M); tangents of the node follow the same shapes and
-    its hessian has shape (k, k, M), None when want_h is false.  Second-order
-    chain/product rules are applied at every node, so results are exact up
-    to roundoff.
+    its hessian has shape (k, k, M), None when want_h is false.  The parser
+    leaves three kinds of node: constants and variables; the sum, difference
+    and product rules; and one chain rule, g = phi' g_u and
+    h = phi' h_u + phi'' g_u g_u^T, for every unary node phi(u).  Each rule
+    keeps the hessian exactly symmetric, and results are exact up to roundoff.
     """
     if isinstance(node, Const):
         return np.float64(node.value), seed.zero, (seed.zero_hessian if want_h else None)
     if isinstance(node, Var):
         v, g = coord(node.index)
         return v, g, (seed.zero_hessian if want_h else None)
-    if isinstance(node, Neg):
-        v, g, h = _eval_node(node.arg, coord, seed, want_h)
-        return -v, -g, (-h if want_h else None)
     if isinstance(node, Call):
         u, gu, hu = _eval_node(node.arg, coord, seed, want_h)
-        phi, dphi, d2phi, guard = _FN_TABLE[node.fn]
-        if guard == "positive" and np.any(u <= 0):
-            raise EvaluationError(f"{node.fn} of non-positive argument")
-        d1 = dphi(u)
-        v = phi(u)
+        v, d1, d2 = _phi(node, u)
         g = d1 * gu
         h = None
         if want_h:
-            h = d1 * hu + d2phi(u) * _outer(gu, gu)
-        return v, g, h
-
-    # binary operators
-    u, gu, hu = _eval_node(node.lhs, coord, seed, want_h)
-    if node.op == "^" and isinstance(node.rhs, Const):
-        c = node.rhs.value
-        if c == round(c):
-            c = float(round(c))
-        elif np.any(u <= 0):
-            raise EvaluationError("fractional power of non-positive base")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = u ** c
-            # a zero coefficient gives a zero term, not 0 * inf at u = 0;
-            # otherwise 0^0 = 1 and 0^j = 0 are exact, so x^2 has curvature 2 at 0
-            d1 = c * u ** (c - 1.0) if c else np.zeros_like(u)
-            g = d1 * gu
-            h = None
-            if want_h:
-                d2 = c * (c - 1.0) * u ** (c - 2.0) if c * (c - 1.0) else np.zeros_like(u)
-                h = d1 * hu + d2 * _outer(gu, gu)
+            h = d1 * hu if d2 is None else d1 * hu + d2() * _outer(gu, gu)
         _check_finite(v, g, h)
         return v, g, h
 
+    u, gu, hu = _eval_node(node.lhs, coord, seed, want_h)
     w, gw, hw = _eval_node(node.rhs, coord, seed, want_h)
     if node.op == "+":
         return u + w, gu + gw, (hu + hw if want_h else None)
     if node.op == "-":
         return u - w, gu - gw, (hu - hw if want_h else None)
-    if node.op == "*":
-        v = u * w
-        g = u * gw + w * gu
-        h = None
-        if want_h:
-            h = u * hw + w * hu
-            h += _outer(gu, gw) + _outer(gw, gu)
-        return v, g, h
-    if node.op == "/":
-        if np.any(w == 0):
+    v = u * w
+    g = u * gw + w * gu
+    h = None
+    if want_h:
+        h = u * hw + w * hu
+        h += _outer(gu, gw) + _outer(gw, gu)
+    return v, g, h
+
+
+def _phi(node: Call, u):
+    """phi(u), phi'(u) and a callable for phi''(u), None where phi'' is zero,
+    of a unary node, once its domain check passes."""
+    if node.fn == "^":
+        c = node.c
+        if not c.is_integer() and np.any(u <= 0):
+            raise EvaluationError("fractional power of non-positive base")
+        if c < 0 and np.any(u == 0):
             raise EvaluationError("division by zero")
-        v = u / w
-        g = (gu - v * gw) / w
-        h = None
-        if want_h:
-            h = (hu - v * hw - _outer(g, gw) - _outer(gw, g)) / w
-        return v, g, h
-    if node.op == "^":
-        # general exponent: u^w = exp(w log u), requires u > 0
-        if np.any(u <= 0):
-            raise EvaluationError("power with non-positive base")
-        logu = np.log(u)
-        v = np.exp(w * logu)
-        # tangent of w*log(u)
-        ge = logu * gw + (w / u) * gu
-        g = v * ge
-        h = None
-        if want_h:
-            he = logu * hw + (w / u) * hu
-            he += (_outer(gw, gu) + _outer(gu, gw)) / u
-            he -= (w / u ** 2) * _outer(gu, gu)
-            h = v * (he + _outer(ge, ge))
-        return v, g, h
-    raise AssertionError(f"unhandled operator {node.op!r}")
+        # a zero coefficient gives a zero term, not 0 * inf at u = 0;
+        # otherwise 0^0 = 1 and 0^j = 0 are exact, so x^2 has curvature 2 at 0
+        d1 = c * u ** (c - 1.0) if c else np.zeros_like(u)
+        d2 = (lambda: c * (c - 1.0) * u ** (c - 2.0)) if c * (c - 1.0) else None
+        return u ** c, d1, d2
+    phi, dphi, d2phi, positive = _FN_TABLE[node.fn]
+    if positive and np.any(u <= 0):
+        raise EvaluationError(f"{node.fn} of non-positive argument")
+    return phi(u), dphi(u), (None if d2phi is None else lambda: d2phi(u))
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +506,8 @@ def eval_jet2(spec: FunctionSpec, x: np.ndarray) -> Jet2:
         vals, grads, hess = spec._eval(_UnitTangents(X), want_hessian=True)
     vals, grads = _own(vals, (1,)), _gradient(grads, 1)
     _check_finite(vals, grads, hess)
-    hess = hess[:, :, 0]
-    h = 0.5 * (hess + hess.T)  # symmetric by construction; cheap belt and braces
-    return Jet2(value=float(vals[0]), gradient=grads[0], hessian=h)
+    # symmetric by construction; a copy, as a linear tree's is the shared zero seed
+    return Jet2(value=float(vals[0]), gradient=grads[0], hessian=hess[:, :, 0].copy())
 
 
 def eval_value_grad(spec: FunctionSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

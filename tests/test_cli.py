@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadrix
 from quadrix import (
     LevelFamily,
     QuadraticForm,
@@ -149,6 +154,20 @@ class TestMeasures:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: fewer than 2 admissible points")
+
+    def test_negative_exponent_expression(self, tmp_path):
+        # (x1 - 3)^-2 is a constant power at a negative base; x1^4/12 a product with 12^-1
+        source = "x1^2 + 2.25*x2^2 + x1^4/12 + 0.01*(x1 - 3)^-2 + 0.1*2^x2"
+        cfg = write_config(tmp_path, family={"alpha": 2, "sign": "minus",
+                                             "f": {"kind": "expression", "source": source, "n": 2}},
+                           offsets=[0.5], points={"count": 3, "seed": 4242, "box": [-0.5, 0.5]},
+                           quadrature={})
+        out = tmp_path / "neg.csv"
+        assert main(["measures", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        columns = "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err grad_norm".split()
+        assert len(rows) == 3
+        assert all(np.isfinite(float(r[c])) for r in rows for c in columns) and not any(r["error"] for r in rows)
 
     def test_all_rows_failing_exits_one(self, tmp_path):
         cfg = write_config(
@@ -478,6 +497,43 @@ class TestExitCodes:
         assert err == (["error: fewer than 2 admissible points at level k=2.0"] if code == 1 else [])
         if command == "curvature":  # every point skipped
             assert read_rows(tmp_path / "x") == []
+
+
+def _run_cli(*args):
+    """quadrix in a fresh interpreter, whose warnings print as a user sees them."""
+    env = {key: v for key, v in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(quadrix.__file__).parents[1])
+    code = "import sys; from quadrix.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+
+
+INDEFINITE = {"family": {"alpha": 1, "sign": "minus",
+                         "f": {"kind": "expression", "source": "x1^2 - x2^2", "n": 2}},
+              "levels": [0.0], "offsets": [0.1]}
+
+
+class TestWarnings:
+    def test_each_warning_is_one_line(self, tmp_path):
+        cfg = tmp_path / "indefinite.json"
+        cfg.write_text(json.dumps(INDEFINITE))
+        done = _run_cli("measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == ["warning: skipped 6 of 6 sampled points off the admissible set",
+                                            "error: fewer than 2 admissible points at level k=0.0"]
+
+    def test_format_restored_and_warnings_recordable(self, tmp_path):
+        # main swaps the warning format only while it runs; a caller that
+        # records warnings still gets every one of them
+        ok = write_config(tmp_path, offsets=[0.5], points={"count": 2, "seed": 4242}, quadrature={"order": 3})
+        failing = tmp_path / "indefinite.json"
+        failing.write_text(json.dumps(INDEFINITE))
+        before = warnings.formatwarning
+        for cfg, code, message in ((ok, 0, "exceeds the target"), (failing, 1, "skipped 6 of 6")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == code
+            assert warnings.formatwarning is before
+            assert any(message in str(w.message) for w in caught)
 
 
 class TestVerify:

@@ -49,6 +49,13 @@ def test_constant_power_jet_at_zero(source, hessian):
     assert jet.hessian.tolist() == hessian
 
 
+@pytest.mark.parametrize("source", ["x1^-2", "x1^(-2)", "1/x1^2"])
+def test_negative_integer_power_at_negative_base(source):
+    # a numeric exponent is a constant power, so an integer one is defined at u < 0
+    jet = eval_jet2(parse_expression(source, 1), np.array([-1.0]))
+    assert (jet.value, jet.gradient.tolist(), jet.hessian.tolist()) == (1.0, [2.0], [[6.0]])
+
+
 @pytest.mark.parametrize(
     "source, x, expected",
     [
@@ -168,6 +175,7 @@ FD_SPECS = [
     parse_expression("sqrt(x1^2 + x2^2 + 1)", 2),
     parse_expression("x1^2 * x2 - x2^3 / 3 + x1^4", 2),
     parse_expression("x1 ^ (x1^2 + 1)", 1),
+    parse_expression("(x1 - 3)^-2 + x2^2 / (x1 + 2)", 2),  # a negative base
 ]
 
 
@@ -210,6 +218,21 @@ OVERFLOW = ("exp(x1)", [1000.0])
 def test_domain_errors(source, x):
     with pytest.raises(EvaluationError):
         eval_jet2(parse_expression(source, 1), np.array(x))
+
+
+@pytest.mark.parametrize(
+    "source, x, message",
+    [
+        ("1 / x1", 0.0, "division by zero"),  # x1^-1 at 0
+        ("x1 ^ x1", -1.0, "log of non-positive argument"),  # exp(log(x1) * x1)
+        ("x1 ^ 1e999", 0.5, "overflow or invalid value"),  # an infinite exponent is no integer
+    ],
+)
+def test_domain_error_messages(source, x, message):
+    spec, X = parse_expression(source, 1), np.array([[x]])
+    for evaluate in (lambda: eval_value_grad(spec, X), lambda: eval_line(spec, _rows(X, np.ones(1)), 1)):
+        with pytest.raises(EvaluationError, match=message):
+            evaluate()
 
 
 def test_overflow_is_reported():
