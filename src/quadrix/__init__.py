@@ -38,12 +38,10 @@ from .funcspec import (
     parse_expression,
 )
 from .measure import (
+    CapMeasures,
     MeasureResult,
     QuadratureSettings,
-    StarredMeasures,
-    cap_volume,
-    lateral_area,
-    section_area,
+    cap_measures,
     starred_measures,
 )
 from .quadrics import (
@@ -74,4 +72,4 @@ from .surface import (
 )
 from .verify import derivative_check, determinant_identity_residual
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._grids import halton
 from .errors import QuadrixError
-from .measure import QuadratureSettings, StarredMeasures, starred_measures
+from .measure import CapMeasures, QuadratureSettings, starred_measures
 from .quadrics import QUADRIC_KINDS
 from .surface import LevelFamily, SurfacePoint, curvature_invariant, point_on_level
 
@@ -177,15 +177,15 @@ def evaluate_cells(
     offsets,
     settings: QuadratureSettings | None = None,
     want: tuple[str, ...] = ("area", "volume", "lateral"),
-) -> list[list[StarredMeasures | str]]:
+) -> list[list[CapMeasures | str]]:
     """starred_measures on every (point, offset) cell, each cell solved once.
 
-    Returns a points x offsets table; entry [i][j] is the StarredMeasures
+    Returns a points x offsets table; entry [i][j] is the CapMeasures
     of point i at offset j, or the message of the QuadrixError it raised.
     """
     table = []
     for p in points:
-        row: list[StarredMeasures | str] = []
+        row: list[CapMeasures | str] = []
         for h in offsets:
             try:
                 row.append(starred_measures(family, p, h, settings, want=want))
@@ -210,7 +210,7 @@ def _starred_report(condition, k, offsets, points, cells, threshold) -> Constanc
                 cell_errors.append(f"point {i}, h={offsets[j]:.6g}: {cell}")
                 continue
             res = getattr(cell, measure_of)
-            norm = 1.0 if condition == "Vstar" else cell.grad_norm
+            norm = 1.0 if condition == "Vstar" else points[i].grad_norm
             values[i, j] = res.value / norm
             errors_rel[i, j] = res.error_estimate / abs(res.value) if res.value else np.inf
 
@@ -347,12 +347,14 @@ def default_box(family: LevelFamily, k: float):
 
     For g = z^alpha + f the admissible set {f < k} shrinks with k, so the
     box is scaled into it using the quadratic coefficients when available.
+    At k <= 0 there is no box to scale: {f < k} is empty, and sampling
+    in the default box finds no point.
     """
     if family.sign != "plus":
         return None  # sample_points default [-2, 2]^n
     f = family.f
     a = getattr(f, "a", None)
-    if a is None:
+    if a is None or not k > 0:
         return None
     half = 0.8 * np.sqrt(k / family.n) / np.asarray(a, dtype=float)
     return [(-hw, hw) for hw in half]

@@ -271,12 +271,12 @@ def cmd_measures(args) -> int:
     rows = []  # (k, h, point) order: each level's table read transposed
     for k, points in level_points:
         cells = evaluate_cells(family, points, offsets, settings)
-        rows += [(k, h, row[j]) for j, h in enumerate(offsets) for row in cells]
+        rows += [(k, h, p, row[j]) for j, h in enumerate(offsets) for p, row in zip(points, cells)]
     header = "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err grad_norm seed error".split()
     _write_table(run, header, [
         [_fmt(k), _fmt(h)] + _cell_fields(cell) + (["", str(run.seed), cell] if isinstance(cell, str)
-                                                   else [_fmt(cell.grad_norm), str(run.seed), ""])
-        for k, h, cell in rows
+                                                   else [_fmt(p.grad_norm), str(run.seed), ""])
+        for k, h, p, cell in rows
     ])
     return _table_exit_code(rows)
 

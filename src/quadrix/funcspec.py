@@ -12,12 +12,12 @@ is the gradient; eval_line seeds one direction per lane, the derivative
 along that lane's line, and takes the points one coordinate row at a
 time, so none of its arrays is n wide.  The built-in families share one
 closed form between the two seeds; expression trees propagate (value,
-tangent, hessian) through each node.  The parser rewrites a / b as
-a * b^-1, a power with a numeric exponent (negative ones too) as a
-constant power, and any other a ^ b as exp(log(a) * b), so the tree
-needs only the sum, difference and product rules and one chain rule for
-its unary nodes.  All evaluators are pure, so specs can be shared freely
-between threads.
+tangent, hessian) through each node.  The parser folds every subtree
+without a variable into one constant, rewrites a / b as a * b^-1, a
+power with a constant exponent (x1^-2, x1^(1+1)) as a constant power,
+and any other a ^ b as exp(log(a) * b), so the tree needs only the sum,
+difference and product rules and one chain rule for its unary nodes.
+All evaluators are pure, so specs can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class _Parser:
         node = self.term()
         while (tok := self._peek()) and tok[0] == "op" and tok[1] in "+-":
             self.i += 1
-            node = BinOp(tok[1], node, self.term())
+            node = _fold(BinOp(tok[1], node, self.term()), tok[2])
         return node
 
     def term(self):
@@ -292,14 +292,16 @@ class _Parser:
         while (tok := self._peek()) and tok[0] == "op" and tok[1] in "*/":
             self.i += 1
             rhs = self.unary()
-            node = BinOp("*", node, rhs if tok[1] == "*" else Call("^", rhs, c=-1.0))
+            if tok[1] == "/":
+                rhs = _fold(Call("^", rhs, c=-1.0), tok[2])
+            node = _fold(BinOp("*", node, rhs), tok[2])
         return node
 
     def unary(self):
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.i += 1
-            return Call("-", self.unary())
+            return _fold(Call("-", self.unary()), tok[2])
         return self.power()
 
     def power(self):
@@ -308,12 +310,10 @@ class _Parser:
         if not (tok and tok[0] == "op" and tok[1] == "^"):
             return base
         self.i += 1
-        exponent = self.unary()  # right-associative
-        if isinstance(exponent, Call) and exponent.fn == "-" and isinstance(exponent.arg, Const):
-            exponent = Const(-exponent.arg.value)  # a ^ -c and a ^ (-c)
+        exponent = self.unary()  # right-associative; a constant one is folded to a Const
         if isinstance(exponent, Const):
-            return Call("^", base, c=exponent.value)
-        return Call("exp", BinOp("*", Call("log", base), exponent))
+            return _fold(Call("^", base, c=exponent.value), tok[2])
+        return Call("exp", BinOp("*", _fold(Call("log", base), tok[2]), exponent))
 
     def atom(self):
         tok = self._next()
@@ -335,9 +335,31 @@ class _Parser:
                 self._expect_op("(")
                 arg = self.expr()
                 self._expect_op(")")
-                return Call(value, arg)
+                return _fold(Call(value, arg), pos)
             raise ParseError(f"unknown identifier {value!r}", pos)
         raise ParseError(f"unexpected token {value!r}", pos)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _fold(node, pos: int):
+    """node, or the Const it evaluates to when all its operands are constants.
+
+    The constant is computed as the tree would compute it, so folding keeps
+    every value; a domain error or overflow in it is a ParseError at pos.
+    """
+    operands = [node.arg] if isinstance(node, Call) else [node.lhs, node.rhs]
+    if not all(isinstance(a, Const) for a in operands):
+        return node
+    u = [np.float64(a.value) for a in operands]
+    try:
+        with np.errstate(all="ignore"):
+            value = _phi(node, *u)[0] if isinstance(node, Call) else _BINARY[node.op](*u)
+        _check_finite(value)
+    except EvaluationError as exc:
+        raise ParseError(f"constant {exc}", pos) from None
+    return Const(float(value))
 
 
 @dataclass(frozen=True)

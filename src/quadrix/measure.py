@@ -57,12 +57,10 @@ from .funcspec import eval_line, eval_value_grad
 from .surface import LevelFamily, LocalChart, SurfacePoint, parallel_tangent
 
 __all__ = [
+    "CapMeasures",
     "MeasureResult",
     "QuadratureSettings",
-    "StarredMeasures",
-    "section_area",
-    "cap_volume",
-    "lateral_area",
+    "cap_measures",
     "starred_measures",
 ]
 
@@ -228,7 +226,30 @@ def _vertical_chords(family: LevelFamily, p: SurfacePoint, t: float, want: tuple
     return chords
 
 
-def _measures(family, p, t, settings, want):
+_MEASURES = ("area", "volume", "lateral")
+
+
+@dataclass(frozen=True)
+class CapMeasures:
+    """The cap measures at plane distance t; each one not asked for is None."""
+
+    area: MeasureResult | None
+    volume: MeasureResult | None
+    lateral: MeasureResult | None
+    t: float
+
+
+def cap_measures(family: LevelFamily, p: SurfacePoint, t: float,
+                 settings: QuadratureSettings | None = None,
+                 want: tuple[str, ...] = _MEASURES) -> CapMeasures:
+    """Section area, cap volume and lateral area of the cap cut at normal distance t from p.
+
+    want names the measures to compute, any of "area", "volume" and
+    "lateral"; all of them share one boundary solve and one ray pass.
+    """
+    unknown = sorted(set(want) - set(_MEASURES))
+    if unknown:
+        raise ValueError(f"unknown measures {unknown}; known measures are {list(_MEASURES)}")
     if t <= 0:
         raise ValueError("t must be positive")
     out = _radial_measures(family, p, t, settings or DEFAULT_SETTINGS, want)
@@ -238,59 +259,13 @@ def _measures(family, p, t, settings, want):
             warnings.warn(
                 f"{name} relative error estimate {rel:.2e} exceeds the target "
                 f"{_TARGET:.0e}; increase the quadrature order",
-                stacklevel=3,
+                stacklevel=2,
             )
-    return out
-
-
-def section_area(family: LevelFamily, p: SurfacePoint, t: float,
-                 settings: QuadratureSettings | None = None) -> MeasureResult:
-    """n-dimensional area of the section cut at normal distance t from p."""
-    return _measures(family, p, t, settings, ("area",))["area"]
-
-
-def cap_volume(family: LevelFamily, p: SurfacePoint, t: float,
-               settings: QuadratureSettings | None = None) -> MeasureResult:
-    """(n+1)-dimensional volume between M_k and the section plane at distance t."""
-    return _measures(family, p, t, settings, ("volume",))["volume"]
-
-
-def lateral_area(family: LevelFamily, p: SurfacePoint, t: float,
-                 settings: QuadratureSettings | None = None) -> MeasureResult:
-    """n-dimensional surface area of M_k between the tangent plane and the section plane."""
-    return _measures(family, p, t, settings, ("lateral",))["lateral"]
-
-
-@dataclass(frozen=True)
-class StarredMeasures:
-    """The three tangency-referenced measures at level offset h, plus the plane distance t.
-
-    Measures omitted from a restricted `want` request are None.
-    """
-
-    area: MeasureResult | None
-    volume: MeasureResult | None
-    lateral: MeasureResult | None
-    t: float
-    h: float
-    grad_norm: float
+    return CapMeasures(out.get("area"), out.get("volume"), out.get("lateral"), t)
 
 
 def starred_measures(family: LevelFamily, p: SurfacePoint, h: float,
                      settings: QuadratureSettings | None = None,
-                     want: tuple[str, ...] = ("area", "volume", "lateral")) -> StarredMeasures:
-    """Measures of the cap bounded by the parallel tangent plane of M_{k+h}.
-
-    Solves the parallel-tangent problem for the plane offset t(h), then
-    evaluates the requested cap measures of M_k at that t in one pass.
-    """
-    tangency = parallel_tangent(family, p, h)
-    res = _measures(family, p, tangency.t, settings, tuple(want))
-    return StarredMeasures(
-        area=res.get("area"),
-        volume=res.get("volume"),
-        lateral=res.get("lateral"),
-        t=tangency.t,
-        h=h,
-        grad_norm=p.grad_norm,
-    )
+                     want: tuple[str, ...] = _MEASURES) -> CapMeasures:
+    """cap_measures at the distance t of the parallel tangent plane of M_{k+h}."""
+    return cap_measures(family, p, parallel_tangent(family, p, h).t, settings, want)

@@ -17,7 +17,8 @@ unbounded above and grows its bracket inside the same loop; an off-branch
 (NaN) residual bounds it like a positive one.  Every lane ends in a root or
 a RegionError.  The residual reads f along each lane's line with one
 forward tangent (funcspec.eval_line), so an iteration allocates nothing n
-wide; the fold check reads its slope along the normal.
+wide; the fold check reads its slope along the normal, and in the same call
+the convexity check reads its value at twice the boundary radius.
 
 Everything here is pure and operates on immutable inputs; the batched
 chart solver is safe to call concurrently from several threads.
@@ -251,8 +252,8 @@ class LocalChart:
     (measure._vertical_chords).  Heights are solved only inside a section:
     a lane above its plane, or whose line leaves the graph region (the chart
     fold) first, raises RegionError instead of silently switching branches,
-    and so does a section that crosses the fold.  A chart keeps no solver
-    state, so threads may share it.
+    and so does a section that crosses the fold or is not convex.  A chart
+    keeps no solver state, so threads may share it.
     """
 
     def __init__(self, family: LevelFamily, p: SurfacePoint):
@@ -357,7 +358,7 @@ class LocalChart:
         t exceeds the cap height, when a lane finds no upper bound (the
         region escapes the chart), ends bracketed against an off-branch top
         (the section reaches the edge of the z > 0 branch) or stalls, or when
-        the section crosses the chart fold.
+        the section crosses the chart fold or is not convex.
         """
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, n = U.shape
@@ -383,11 +384,19 @@ class LocalChart:
                 raise RegionError(f"section at t={t:.6g} reaches the edge of the z > 0 branch")
             raise RegionError(f"section boundary solve stalled at t={t:.6g}")
 
-        # fold check: the surface is still a graph over the chart where offset_sign * dg/dnu > 0
-        _, slope = self._line_residual(X0 + dX * rho, Z0 + dZ * rho, self.normal[:n, None],
-                                       self.normal[n], np.arange(m), np.zeros(m))
-        if not np.all(slope > 0):
+        # one evaluation at rho and at 2 rho on every lane.  Fold check: the
+        # surface is still a graph over the chart where offset_sign * dg/dnu > 0
+        # at rho.  Convexity check: a line from the base point that has left a
+        # convex section never comes back in, so no lane is inside (residual
+        # > 0 here) at 2 rho; NaN, off the branch, is not inside
+        r = np.concatenate([rho, 2.0 * rho])
+        res, slope = self._line_residual(X0 + np.tile(dX, 2) * r, Z0 + np.tile(dZ, 2) * r,
+                                         self.normal[:n, None], self.normal[n],
+                                         np.arange(2 * m), np.zeros(2 * m))
+        if not np.all(slope[:m] > 0):
             raise RegionError(f"section at t={t:.6g} crosses the chart fold")
+        if np.any(res[m:] > 0):
+            raise RegionError(f"section is not convex at t={t:.6g}")
         return rho
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .characterize import _normal_form_kind, check_condition, evaluate_cells, sample_points
 from .errors import QuadrixError
 from .funcspec import QuadraticForm
-from .measure import QuadratureSettings, cap_volume, section_area
+from .measure import QuadratureSettings, cap_measures
 from .quadrics import (
     QUADRIC_KINDS,
     invariant_constant,
@@ -52,9 +52,9 @@ def derivative_check(family: LevelFamily, p: SurfacePoint, t: float, delta: floa
     """
     if not (0.0 < delta < t):
         raise ValueError("need 0 < delta < t")
-    v_plus = cap_volume(family, p, t + delta, settings).value
-    v_minus = cap_volume(family, p, t - delta, settings).value
-    a_mid = section_area(family, p, t, settings).value
+    v_plus = cap_measures(family, p, t + delta, settings, want=("volume",)).volume.value
+    v_minus = cap_measures(family, p, t - delta, settings, want=("volume",)).volume.value
+    a_mid = cap_measures(family, p, t, settings, want=("area",)).area.value
     return abs((v_plus - v_minus) / (2.0 * delta) - a_mid) / a_mid
 
 
@@ -107,8 +107,9 @@ def lemma7(settings, seed, report):
         omega = unit_ball_volume(n)
         lim_a = 2.0 ** (n / 2.0) * omega / math.sqrt(kcurv)
         lim_v = 2.0 ** ((n + 2) / 2.0) * omega / ((n + 2) * math.sqrt(kcurv))
-        ratio_a = section_area(family, p, t_small, settings).value / t_small ** (n / 2.0)
-        ratio_v = cap_volume(family, p, t_small, settings).value / t_small ** ((n + 2) / 2.0)
+        cap = cap_measures(family, p, t_small, settings, want=("area", "volume"))
+        ratio_a = cap.area.value / t_small ** (n / 2.0)
+        ratio_v = cap.volume.value / t_small ** ((n + 2) / 2.0)
         for tag, got, lim in (("area", ratio_a, lim_a), ("volume", ratio_v, lim_v)):
             rel = abs(got - lim) / lim
             report(f"small_t/{tag}/{name}", rel <= 0.02, f"ratio={got:.6g} limit={lim:.6g} rel={rel:.2e}")

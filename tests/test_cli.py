@@ -124,7 +124,7 @@ class TestMeasures:
                 for p in points:
                     sm = starred_measures(family, p, h, settings)
                     expected.append([_fmt(k), _fmt(h)] + cell_columns(sm) +
-                                    [_fmt(sm.grad_norm), "4242", ""])
+                                    [_fmt(p.grad_norm), "4242", ""])
         assert [list(row.values()) for row in read_rows(out)] == expected
 
     def test_partial_failures_keep_exit_zero(self, tmp_path):
@@ -288,6 +288,20 @@ class TestClassify:
         out = tmp_path / "cls.json"
         with pytest.warns(UserWarning):
             assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("level", [-1.0, 0.0])
+    def test_plus_family_at_nonpositive_level_exits_three(self, tmp_path, level):
+        # {f < k} is empty at k <= 0, so the level fails sampling like any
+        # other empty level: no box scaled by sqrt(k), no traceback
+        cfg = write_config(tmp_path, family={"alpha": 2, "sign": "plus",
+                                             "f": {"kind": "quadratic", "a": [1, 2]}},
+                           levels=[level], offsets=None)
+        out = tmp_path / "cls.json"
+        proc = _run_cli("classify", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["warning: skipped 4 of 4 sampled points off the admissible set"]
+        reasons = json.loads(out.read_text())["classification"]["reasons"]
+        assert reasons[0].startswith(f"k={level:g}: sampling failed: fewer than 2 admissible points")
 
 
 class TestSweep:

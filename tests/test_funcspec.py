@@ -56,6 +56,16 @@ def test_negative_integer_power_at_negative_base(source):
     assert (jet.value, jet.gradient.tolist(), jet.hessian.tolist()) == (1.0, [2.0], [[6.0]])
 
 
+@pytest.mark.parametrize("source", ["x1^(1+1)", "x1^(2*1)", "x1^--2"])
+def test_constant_exponent_subtrees_fold(source):
+    # an exponent without a variable folds into one constant, so these are the
+    # constant power x1^2, defined at x1 < 0, not exp(log(x1) * 2)
+    x = np.array([-1.0])
+    got, want = eval_jet2(parse_expression(source, 1), x), eval_jet2(parse_expression("x1^2", 1), x)
+    assert (got.value, got.gradient.tolist(), got.hessian.tolist()) == (
+        want.value, want.gradient.tolist(), want.hessian.tolist())
+
+
 @pytest.mark.parametrize(
     "source, x, expected",
     [
@@ -83,6 +93,11 @@ def test_parse_precedence(source, x, expected):
         ("foo(x1)", "unknown identifier"),
         ("", "empty"),
         ("x1 x1", "unexpected token"),
+        # a constant subtree is evaluated at parse time, its domain errors too
+        ("x1 + 1/0", "constant division by zero"),
+        ("x1 * log(0)", "constant log of non-positive argument"),
+        ("x1^(-1)^0.5", "constant fractional power of non-positive base"),
+        ("exp(1000) * x1", "constant overflow"),
     ],
 )
 def test_parse_errors_have_position(source, message):

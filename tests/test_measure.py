@@ -17,13 +17,12 @@ from quadrix import (
     QuadraticForm,
     QuadratureSettings,
     RegionError,
-    cap_volume,
+    cap_measures,
     derivative_check,
     hyperboloid_cap_volume,
-    lateral_area,
+    parallel_tangent,
     parse_expression,
     point_on_level,
-    section_area,
     starred_measures,
     starred_oracle,
     unit_ball_volume,
@@ -46,45 +45,49 @@ class TestRadialFixtures:
     def test_sphere_cap(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
         t = 0.5
-        assert section_area(unit_sphere2, p, t).value == pytest.approx(SPHERE_A(t), rel=1e-9)
-        assert cap_volume(unit_sphere2, p, t).value == pytest.approx(SPHERE_V(t), rel=1e-9)
-        assert lateral_area(unit_sphere2, p, t).value == pytest.approx(SPHERE_S(t), rel=1e-9)
+        cap = cap_measures(unit_sphere2, p, t)
+        assert cap.area.value == pytest.approx(SPHERE_A(t), rel=1e-9)
+        assert cap.volume.value == pytest.approx(SPHERE_V(t), rel=1e-9)
+        assert cap.lateral.value == pytest.approx(SPHERE_S(t), rel=1e-9)
 
     def test_sphere_cap_any_base_point(self, unit_sphere2):
         # rotational symmetry: same values from a non-pole base point
         p = point_on_level(unit_sphere2, 1.0, np.array([0.5, -0.3]))
         t = 0.4
-        assert section_area(unit_sphere2, p, t).value == pytest.approx(SPHERE_A(t), rel=1e-9)
-        assert cap_volume(unit_sphere2, p, t).value == pytest.approx(SPHERE_V(t), rel=1e-9)
+        cap = cap_measures(unit_sphere2, p, t, want=("area", "volume"))
+        assert cap.area.value == pytest.approx(SPHERE_A(t), rel=1e-9)
+        assert cap.volume.value == pytest.approx(SPHERE_V(t), rel=1e-9)
+        assert cap.lateral is None
 
     def test_paraboloid_vertex(self, paraboloid2):
         # z = |y|^2 chart: area pi*t, volume pi*t^2/2,
         # lateral (pi/6)((1+4t)^(3/2)-1) by hand integration
         p = point_on_level(paraboloid2, 1.0, np.zeros(2))
         t = 0.25
-        assert section_area(paraboloid2, p, t).value == pytest.approx(math.pi * t, rel=1e-9)
-        assert cap_volume(paraboloid2, p, t).value == pytest.approx(math.pi * t ** 2 / 2, rel=1e-9)
+        cap = cap_measures(paraboloid2, p, t)
+        assert cap.area.value == pytest.approx(math.pi * t, rel=1e-9)
+        assert cap.volume.value == pytest.approx(math.pi * t ** 2 / 2, rel=1e-9)
         want_s = (math.pi / 6.0) * ((1.0 + 4.0 * t) ** 1.5 - 1.0)
-        assert lateral_area(paraboloid2, p, t).value == pytest.approx(want_s, rel=1e-9)
+        assert cap.lateral.value == pytest.approx(want_s, rel=1e-9)
 
     def test_one_dimensional_chord(self, hyperbola1):
         # z = sqrt(1+x^2): section at height 1+t is the chord |x| < sqrt((1+t)^2-1)
         p = point_on_level(hyperbola1, 1.0, np.array([0.0]))
         t = 0.4142135623730951
         want = 2.0 * math.sqrt((1 + t) ** 2 - 1.0)
-        assert section_area(hyperbola1, p, t).value == pytest.approx(want, rel=1e-10)
+        assert cap_measures(hyperbola1, p, t, want=("area",)).area.value == pytest.approx(want, rel=1e-10)
 
     def test_three_dimensional_sphere(self):
         family = LevelFamily(QuadraticForm((1.0, 1.0, 1.0)), 2.0, "plus")
         p = point_on_level(family, 1.0, np.zeros(3))
         t = 0.5
-        a = section_area(family, p, t)
+        cap = cap_measures(family, p, t, want=("area", "volume"))
         want_a = unit_ball_volume(3) * (1.0 - (1.0 - t) ** 2) ** 1.5
-        assert a.value == pytest.approx(want_a, rel=1e-5)
+        assert cap.area.value == pytest.approx(want_a, rel=1e-5)
         from scipy.integrate import quad
 
         want_v = quad(lambda z: unit_ball_volume(3) * (1 - z * z) ** 1.5, 1 - t, 1)[0]
-        assert cap_volume(family, p, t).value == pytest.approx(want_v, rel=1e-5)
+        assert cap.volume.value == pytest.approx(want_v, rel=1e-5)
 
 
 class TestMonotonicityAndBounds:
@@ -102,8 +105,9 @@ class TestMonotonicityAndBounds:
         family = trio()[kind]
         x, ts = self.BOUNDS_FIXTURES[kind]
         p = point_on_level(family, 1.0, x)
-        for op in (section_area, cap_volume, lateral_area):
-            vals = [op(family, p, t).value for t in ts]
+        caps = [cap_measures(family, p, t) for t in ts]
+        for name in ("area", "volume", "lateral"):
+            vals = [getattr(cap, name).value for cap in caps]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     # the largest ellipsoid cap sits right at the advisory error target
@@ -114,9 +118,8 @@ class TestMonotonicityAndBounds:
         x, ts = self.BOUNDS_FIXTURES[kind]
         p = point_on_level(family, 1.0, x)
         for t in ts[1:]:
-            a = section_area(family, p, t).value
-            v = cap_volume(family, p, t).value
-            s = lateral_area(family, p, t).value
+            cap = cap_measures(family, p, t)
+            a, v, s = cap.area.value, cap.volume.value, cap.lateral.value
             assert s >= a
             assert v <= t * a
 
@@ -140,9 +143,9 @@ class TestMonteCarloOracle:
         for family, x, t in self.fixtures():
             p = point_on_level(family, 1.0, x)
             mc_all = monte_carlo_measures(family, p, t, seed=20240820)
-            for op, name in ((section_area, "area"), (cap_volume, "volume"),
-                             (lateral_area, "lateral")):
-                rad, mc = op(family, p, t), mc_all[name]
+            cap = cap_measures(family, p, t)
+            for name in ("area", "volume", "lateral"):
+                rad, mc = getattr(cap, name), mc_all[name]
                 tol = max(3.0 * (rad.error_estimate + mc.error_estimate), 0.01 * abs(rad.value))
                 assert abs(rad.value - mc.value) <= tol
 
@@ -173,6 +176,20 @@ class TestStarred:
         p = point_on_level(paraboloid2, 1.0, np.zeros(2))
         sm = starred_measures(paraboloid2, p, 0.3)
         assert sm.volume.value == pytest.approx(0.5 * math.pi * 0.09, rel=1e-9)
+
+    def test_starred_is_cap_measures_at_the_tangent_distance(self, unit_sphere2):
+        p = point_on_level(unit_sphere2, 1.0, np.array([0.3, 0.2]))
+        t = parallel_tangent(unit_sphere2, p, -0.75).t
+        assert starred_measures(unit_sphere2, p, -0.75) == cap_measures(unit_sphere2, p, t)
+        assert starred_measures(unit_sphere2, p, -0.75, want=("volume",)) == cap_measures(
+            unit_sphere2, p, t, want=("volume",))
+
+    @pytest.mark.parametrize("want", [("areaa",), ("area", "Volume"), "area"])
+    def test_unknown_measure_rejected(self, hyperbola1, want):
+        # a misspelt name must not come back as a record of Nones
+        p = point_on_level(hyperbola1, 1.0, np.array([0.0]))
+        with pytest.raises(ValueError, match="unknown measures"):
+            starred_measures(hyperbola1, p, 1.0, want=want)
 
     def test_point_independence_of_volume(self):
         family = trio()["elliptic_hyperboloid"]
@@ -209,9 +226,9 @@ class TestErrorEstimates:
         p = point_on_level(family, 1.0, x)
         coarse = QuadratureSettings(order=8)
         fine = QuadratureSettings(order=16)
-        for op in (section_area, cap_volume, lateral_area):
-            r1 = op(family, p, 0.25, coarse)
-            r2 = op(family, p, 0.25, fine)
+        cap1, cap2 = cap_measures(family, p, 0.25, coarse), cap_measures(family, p, 0.25, fine)
+        for name in ("area", "volume", "lateral"):
+            r1, r2 = getattr(cap1, name), getattr(cap2, name)
             assert abs(r2.value - r1.value) < r1.error_estimate
 
     # order 3 is far from the target, so every measure warns
@@ -237,9 +254,10 @@ class TestErrorEstimates:
         errs_a, errs_v, errs_s = [], [], []
         for j in range(4, 11):
             t = 2.0 ** -j
-            errs_a.append(abs(section_area(unit_sphere2, p, t).value / t ** (n / 2) - lim_a) / lim_a)
-            errs_v.append(abs(cap_volume(unit_sphere2, p, t).value / t ** ((n + 2) / 2) - lim_v) / lim_v)
-            errs_s.append(abs(lateral_area(unit_sphere2, p, t).value / t ** (n / 2) - lim_a) / lim_a)
+            cap = cap_measures(unit_sphere2, p, t)
+            errs_a.append(abs(cap.area.value / t ** (n / 2) - lim_a) / lim_a)
+            errs_v.append(abs(cap.volume.value / t ** ((n + 2) / 2) - lim_v) / lim_v)
+            errs_s.append(abs(cap.lateral.value / t ** (n / 2) - lim_a) / lim_a)
         assert errs_a[-1] <= 0.02 and errs_v[-1] <= 0.02 and errs_s[-1] <= 0.02
 
 
@@ -320,7 +338,7 @@ class TestRadialRule:
         family = trio()["ellipsoid"]  # "plus": its heights are solved on the chart
         p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
         with pytest.raises(RegionError, match=r"graph-height solve failed .* \(1 of 30 points\)") as info:
-            cap_volume(family, p, 0.3, QuadratureSettings(order=6))
+            cap_measures(family, p, 0.3, QuadratureSettings(order=6), want=("volume",))
         assert len(offsets) == 2 and f"y={offsets[1]}" in str(info.value)
 
     def test_escaped_node_counts_the_whole_cell(self, monkeypatch):
@@ -339,7 +357,7 @@ class TestRadialRule:
         family = trio()["ellipsoid"]  # "plus": its heights are solved on the chart
         p = point_on_level(family, 1.0, np.array([0.4, -0.2]))
         with pytest.raises(RegionError, match=r"graph-height solve failed .* \(1 of 300 points\)") as info:
-            cap_volume(family, p, 0.3, QuadratureSettings(order=6))
+            cap_measures(family, p, 0.3, QuadratureSettings(order=6), want=("volume",))
         assert len(offsets) == 1 and f"y={offsets[0]}" in str(info.value)
 
     BLOCK_CELLS = {
@@ -514,8 +532,8 @@ class TestQuadratureSettings:
     def test_numpy_integer_directions_accepted(self, unit_sphere2):
         assert QuadratureSettings(order=np.int64(6)).order == 6
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
-        got = section_area(unit_sphere2, p, 0.5, QuadratureSettings(order=np.int64(6)))
-        want = section_area(unit_sphere2, p, 0.5, QuadratureSettings(order=6))
+        got = cap_measures(unit_sphere2, p, 0.5, QuadratureSettings(order=np.int64(6)), want=("area",))
+        want = cap_measures(unit_sphere2, p, 0.5, QuadratureSettings(order=6), want=("area",))
         assert got == want
 
     def test_none_is_the_per_dimension_default(self, unit_sphere2):
@@ -566,8 +584,9 @@ class TestPerturbedFamilies:
         family, points = self.cells(n)
         t = starred_measures(family, points[0], 0.5, want=("area",)).t
         mc_all = monte_carlo_measures(family, points[0], t, seed=20240820)
-        for op, name in ((section_area, "area"), (cap_volume, "volume"), (lateral_area, "lateral")):
-            rad, mc = op(family, points[0], t), mc_all[name]
+        cap = cap_measures(family, points[0], t)
+        for name in ("area", "volume", "lateral"):
+            rad, mc = getattr(cap, name), mc_all[name]
             assert abs(rad.value - mc.value) <= 3.0 * (rad.error_estimate + mc.error_estimate)
 
 
@@ -584,12 +603,12 @@ class TestStarRegion:
     def test_region_escape(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
         with pytest.raises(RegionError):
-            section_area(unit_sphere2, p, 1.2)  # past the equator fold
+            cap_measures(unit_sphere2, p, 1.2, want=("area",))  # past the equator fold
 
     def test_t_above_cap_top(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
         with pytest.raises(RegionError):
-            section_area(unit_sphere2, p, 2.5)  # beyond the far pole
+            cap_measures(unit_sphere2, p, 2.5, want=("area",))  # beyond the far pole
 
     @pytest.mark.parametrize("t", [0.2, 0.5])
     def test_off_branch_bracket_top(self, t):
@@ -601,19 +620,20 @@ class TestStarRegion:
         fine = QuadratureSettings(order=40)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the lateral area at t = 0.5 warns at the default order
-            for op in (section_area, cap_volume, lateral_area):
-                assert op(family, p, t).value == pytest.approx(op(family, p, t, fine).value, rel=1e-8)
+            cap, ref = cap_measures(family, p, t), cap_measures(family, p, t, fine)
+        for name in ("area", "volume", "lateral"):
+            assert getattr(cap, name).value == pytest.approx(getattr(ref, name).value, rel=1e-8)
         if t == 0.2:
-            assert section_area(family, p, t).value == pytest.approx(43.68459204, rel=1e-9)
+            assert cap.area.value == pytest.approx(43.68459204, rel=1e-9)
 
     def test_section_reaches_the_branch_edge(self):
         # the section crosses z = 0: 15 of the 60 boundary lanes end
         # bracketed against an off-branch (NaN) top, which is no stall
         family = LevelFamily(QuadraticForm((1.0, 1.7)), 1.5, "plus")
         p = point_on_level(family, 2.0, np.array([0.8255111545554434, 0.21327155153435973]))
-        for op in (section_area, cap_volume, lateral_area):
+        for name in ("area", "volume", "lateral"):
             with pytest.raises(RegionError, match=r"^section at t=0\.5 reaches the edge of the z > 0 branch$"):
-                op(family, p, 0.5)
+                cap_measures(family, p, 0.5, want=(name,))
 
     @pytest.mark.parametrize("t", [0.05, 0.2])
     def test_negative_integer_alpha_reaches_the_branch_edge(self, t):
@@ -622,9 +642,22 @@ class TestStarRegion:
         # ends bracketed against an off-branch top instead of stalling
         family = LevelFamily(QuadraticForm((1.0, 1.7)), -1.0, "minus")
         p = point_on_level(family, 2.0, np.array([0.7263578446997732, 0.08292244049818343]))
-        for op in (section_area, cap_volume, lateral_area):
+        for name in ("area", "volume", "lateral"):
             with pytest.raises(RegionError, match=rf"^section at t={t:g} reaches the edge of the z > 0 branch$"):
-                op(family, p, t)
+                cap_measures(family, p, t, want=(name,))
+
+    @pytest.mark.parametrize("order", [None, 24, 32, 40])
+    def test_non_convex_section_raises(self, order):
+        # at alpha > 2, (k + f)^(1/alpha) of a quadratic f stops being convex
+        # far out, and this tilted plane's section is unbounded.  It used to
+        # be measured (area 38.28 at the default order, 37.97 at order 24,
+        # with only a warning); a ray back inside at twice its boundary radius
+        # shows the section is not convex
+        family = LevelFamily(QuadraticForm((1.0, 1.7)), 2.5, "minus")
+        p = point_on_level(family, 2.0, np.array([-0.18883395995490115, 0.738387431049363]))
+        message = "section is not convex at t=0.5" if order in (None, 24) else "region escapes the chart"
+        with pytest.raises(RegionError, match=message):
+            cap_measures(family, p, 0.5, QuadratureSettings(order=order))
 
     def test_growth_cap(self):
         # while a lane is unbounded a Newton step may reach at most the growth
@@ -632,6 +665,6 @@ class TestStarRegion:
         # a far second sign change
         family = LevelFamily(QuadraticForm((1.0, 1.7)), 2.5, "minus")
         p = point_on_level(family, 1.0, np.array([-0.5561142966865966, 0.3076305724650483]))
-        for op in (section_area, cap_volume, lateral_area):
-            res = op(family, p, 0.5)
+        cap = cap_measures(family, p, 0.5)
+        for res in (cap.area, cap.volume, cap.lateral):
             assert np.isfinite(res.value) and res.error_estimate < 1e-4 * res.value

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from quadrix import (
     QuadratureSettings,
+    cap_measures,
     ellipsoid_cap_volume,
     hyperboloid_area_relation,
     hyperboloid_cap_volume,
     invariant_constant,
-    lateral_area,
     mean_value_ratio,
     paraboloid_starred,
     point_on_level,
@@ -278,7 +278,7 @@ class TestMeanValueMachinery:
 class TestLateralOracle:
     def test_matches_quadrature_n1(self, hyperbola1):
         p = point_on_level(hyperbola1, 1.0, np.array([0.0]))
-        got = lateral_area(hyperbola1, p, math.sqrt(2.0) - 1.0).value
+        got = cap_measures(hyperbola1, p, math.sqrt(2.0) - 1.0, want=("lateral",)).lateral.value
         want = hyperboloid_lateral_area((1.0,), 1.0, 1.0, np.array([0.0]))
         assert got == pytest.approx(want, rel=1e-8)
 
