@@ -198,6 +198,23 @@ def evaluate_cells(
 _MEASURE_OF = {"Vstar": "volume", "Astar": "area", "Sstar": "lateral"}
 
 
+def _report(condition, k, offsets, points, values, rel_errors, errors, threshold) -> ConstancyReport:
+    """The one ConstancyReport builder: spread per column, threshold, verdict.
+
+    The threshold is raised to 5 x the median finite relative error, so
+    quadrature noise cannot read as a non-constant spread.  An offset-free
+    report that comes out constant records its mean as matched_constant.
+    """
+    finite_err = rel_errors[np.isfinite(rel_errors)]
+    if finite_err.size:
+        threshold = max(threshold, 5.0 * _median(finite_err))
+    spreads = [_column_spread(values[:, j]) for j in range(values.shape[1])]
+    verdict = _verdict(spreads, threshold)
+    matched = float(np.nanmean(values)) if verdict == "constant" and not offsets else None
+    return ConstancyReport(condition, k, offsets, [p.x.tolist() for p in points], values,
+                           rel_errors, spreads, verdict, threshold, errors, matched)
+
+
 def _starred_report(condition, k, offsets, points, cells, threshold) -> ConstancyReport:
     """ConstancyReport of one starred condition, read off an evaluate_cells table."""
     measure_of = _MEASURE_OF[condition]
@@ -219,24 +236,7 @@ def _starred_report(condition, k, offsets, points, cells, threshold) -> Constanc
             raise QuadrixError(
                 f"fewer than 2 points survived at h={h:.6g}: " + "; ".join(cell_errors)
             )
-
-    valid_err = errors_rel[np.isfinite(errors_rel)]
-    eff_threshold = threshold
-    if valid_err.size:
-        eff_threshold = max(threshold, 5.0 * _median(valid_err))
-    spreads = [_column_spread(values[:, j]) for j in range(len(offsets))]
-    return ConstancyReport(
-        condition=condition,
-        level=k,
-        offsets=offsets,
-        points=[p.x.tolist() for p in points],
-        values=values,
-        value_errors=errors_rel,
-        spreads=spreads,
-        verdict=_verdict(spreads, eff_threshold),
-        threshold=eff_threshold,
-        errors=cell_errors,
-    )
+    return _report(condition, k, offsets, points, values, errors_rel, cell_errors, threshold)
 
 
 def check_condition(
@@ -270,7 +270,10 @@ def check_invariant_constancy(
     points: list[SurfacePoint],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> ConstancyReport:
-    """Constancy of K |grad g|^{n+2} over the sampled points of M_k."""
+    """Constancy of K |grad g|^{n+2} over the sampled points of M_k.
+
+    The invariant has no quadrature error, so the threshold is used as given.
+    """
     if len(points) < 2:
         raise ValueError("need at least 2 points")
     values = np.full((len(points), 1), np.nan)
@@ -280,22 +283,8 @@ def check_invariant_constancy(
             values[i, 0] = curvature_invariant(family, p)
         except QuadrixError as exc:
             cell_errors.append(f"point {i}: {exc}")
-    spreads = [_column_spread(values[:, 0])]
-    verdict = _verdict(spreads, threshold)
-    matched = float(np.nanmean(values)) if verdict == "constant" else None
-    return ConstancyReport(
-        condition="curvature_invariant",
-        level=k,
-        offsets=[],
-        points=[p.x.tolist() for p in points],
-        values=values,
-        value_errors=np.zeros_like(values),
-        spreads=spreads,
-        verdict=verdict,
-        threshold=threshold,
-        errors=cell_errors,
-        matched_constant=matched,
-    )
+    return _report("curvature_invariant", k, [], points, values, np.zeros_like(values),
+                   cell_errors, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +383,6 @@ def classify(family: LevelFamily, k_list, config: ClassifyConfig | None = None) 
     matched: dict[float, float] = {}
     reasons: list[str] = []
     had_errors = False
-    verdicts: list[str] = []
 
     for k in k_list:
         box = config.box if config.box is not None else default_box(family, k)
@@ -406,7 +394,6 @@ def classify(family: LevelFamily, k_list, config: ClassifyConfig | None = None) 
             continue
         inv = check_invariant_constancy(family, k, points, config.threshold)
         evidence.append(inv)
-        verdicts.append(inv.verdict)
         if inv.matched_constant is not None:
             matched[k] = inv.matched_constant
         offsets = [float(h) for h in (config.offsets or default_offsets(family, k))]
@@ -419,7 +406,6 @@ def classify(family: LevelFamily, k_list, config: ClassifyConfig | None = None) 
                 had_errors = True
                 continue
             evidence.append(rep)
-            verdicts.append(rep.verdict)
             if rep.errors:
                 had_errors = True
 
@@ -427,8 +413,8 @@ def classify(family: LevelFamily, k_list, config: ClassifyConfig | None = None) 
         return Classification("not_characterized", evidence, matched, reasons, True)
 
     kind = _normal_form_kind(family)
-    falsified = any(v == "non_constant" for v in verdicts)
-    undecided = any(v == "inconclusive" for v in verdicts) or had_errors
+    falsified = any(r.verdict == "non_constant" for r in evidence)
+    undecided = any(r.verdict == "inconclusive" for r in evidence) or had_errors
     if falsified:
         reasons.append("some condition is non-constant on the sampled set")
         verdict = "not_characterized"

@@ -367,7 +367,8 @@ def main(argv=None) -> int:
     except ConvexityError as exc:  # only curvature lets one through
         print(f"convexity certificate failed: {exc}", file=sys.stderr)
         return 2
-    except (QuadrixError, OSError) as exc:  # e.g. too few admissible points, an unwritable --out
+    # e.g. too few admissible points, an unwritable --out, too many points to allocate
+    except (QuadrixError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -240,7 +240,10 @@ def _tokenize(source: str):
             where = len(source) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", where)
         if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num")), m.start("num")))
+            value = float(m.group("num"))
+            if not np.isfinite(value):
+                raise ParseError("number out of range", m.start("num"))
+            tokens.append(("num", value, m.start("num")))
         elif m.group("ident") is not None:
             tokens.append(("ident", m.group("ident"), m.start("ident")))
         else:

@@ -110,6 +110,15 @@ class TestInvariantAndDeterminant:
         assert rep.verdict == "constant"
         assert rep.matched_constant == pytest.approx(4.0, rel=1e-10)
 
+    def test_invariant_threshold_is_not_inflated(self):
+        # the invariant has no quadrature error: the threshold stays as given
+        family = trio()["elliptic_hyperboloid"]
+        pts = sample_points(family, 1.0, 6, 41)
+        rep = check_invariant_constancy(family, 1.0, pts, threshold=1e-2)
+        assert rep.threshold == 1e-2
+        assert rep.value_errors.shape == rep.values.shape and not rep.value_errors.any()
+        assert rep.verdict == "constant"
+
     def test_perturbed_invariant_not_constant(self):
         family = LevelFamily(PerturbedQuadratic((1.0, 1.0), 0.2, "quartic"), 2.0, "minus")
         pts = sample_points(family, 1.0, 6, 41)
@@ -215,6 +224,8 @@ class TestClassify:
             assert np.array_equal(rep.value_errors, ref.value_errors, equal_nan=True)
             assert rep.threshold == ref.threshold
             assert rep.verdict == ref.verdict
+            # a starred report spans offsets: it matches no single constant
+            assert rep.matched_constant is None and ref.matched_constant is None
 
     def test_monotone_sensitivity_in_perturbation(self):
         # spread of the cap-volume condition grows with the quartic knob

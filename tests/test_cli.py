@@ -483,6 +483,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    # 10^15 sampled points would take 14.2 PiB: the allocation is refused at once
+    @pytest.mark.parametrize("command", ["measures", "curvature", "classify"])
+    def test_config_too_large_for_memory_is_one_error_line(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, points={"count": 10 ** 15, "seed": 4242})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
+        assert not (tmp_path / "x").exists()
+
     # plus-sign offsets must be negative: every row fails, and both commands
     # that write one row per (k, h) say so with exit 1
     @pytest.mark.parametrize("command", ["measures", "sweep"])

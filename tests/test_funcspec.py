@@ -16,6 +16,7 @@ from quadrix import (
     eval_value_grad,
     parse_expression,
 )
+from quadrix.funcspec import Call, Var
 
 
 def test_parse_quadratic_equivalent():
@@ -98,6 +99,9 @@ def test_parse_precedence(source, x, expected):
         ("x1 * log(0)", "constant log of non-positive argument"),
         ("x1^(-1)^0.5", "constant fractional power of non-positive base"),
         ("exp(1000) * x1", "constant overflow"),
+        # a literal beyond the float range, at the literal's own position
+        ("x1^2 + 1e400", r"number out of range \(at position 7\)"),
+        ("x1^(1e400)", r"number out of range \(at position 4\)"),
     ],
 )
 def test_parse_errors_have_position(source, message):
@@ -240,13 +244,21 @@ def test_domain_errors(source, x):
     [
         ("1 / x1", 0.0, "division by zero"),  # x1^-1 at 0
         ("x1 ^ x1", -1.0, "log of non-positive argument"),  # exp(log(x1) * x1)
-        ("x1 ^ 1e999", 0.5, "overflow or invalid value"),  # an infinite exponent is no integer
     ],
 )
 def test_domain_error_messages(source, x, message):
     spec, X = parse_expression(source, 1), np.array([[x]])
     for evaluate in (lambda: eval_value_grad(spec, X), lambda: eval_line(spec, _rows(X, np.ones(1)), 1)):
         with pytest.raises(EvaluationError, match=message):
+            evaluate()
+
+
+def test_infinite_exponent_is_an_evaluation_error():
+    # the parser refuses an infinite literal (test_parse_errors_have_position);
+    # a hand-built tree still reaches the evaluator, where it is no integer
+    spec, X = ExpressionSpec(1, "x1 ^ inf", Call("^", Var(0), math.inf)), np.array([[0.5]])
+    for evaluate in (lambda: eval_value_grad(spec, X), lambda: eval_line(spec, _rows(X, np.ones(1)), 1)):
+        with pytest.raises(EvaluationError, match="overflow or invalid value"):
             evaluate()
 
 
