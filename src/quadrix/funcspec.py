@@ -11,12 +11,14 @@ eval_value_grad and eval_jet2 seed the n unit directions, so the tangent
 is the gradient; eval_line seeds one direction per lane, the derivative
 along that lane's line, and takes the points one coordinate row at a
 time, so none of its arrays is n wide.  The built-in families share one
-closed form between the two seeds; expression trees propagate (value,
-tangent, hessian) through each node.  The parser folds every subtree
+closed form between the two seeds.  An expression parses to a postfix
+program, which one loop runs on (value, tangent, hessian) triples, so an
+expression may be of any length; nesting deeper than the interpreter's
+recursion limit is a ParseError.  The parser folds every subexpression
 without a variable into one constant, rewrites a / b as a * b^-1, a
 power with a constant exponent (x1^-2, x1^(1+1)) as a constant power,
-and any other a ^ b as exp(log(a) * b), so the tree needs only the sum,
-difference and product rules and one chain rule for its unary nodes.
+and any other a ^ b as exp(log(a) * b), so the program needs only the
+sum, difference and product rules and one chain rule for its unary ops.
 All evaluators are pure, so specs can be shared freely between threads.
 """
 
@@ -191,35 +193,8 @@ def _row_total(y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Expression trees
+# Expressions: a postfix program
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 0-based
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - *
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Call:
-    """A unary node phi(arg): a function of _FN_TABLE, negation "-" among
-    them, or the constant power "^" with exponent c."""
-
-    fn: str
-    arg: object
-    c: float = 0.0
 
 
 _TOKEN_RE = re.compile(
@@ -253,13 +228,18 @@ def _tokenize(source: str):
 
 
 class _Parser:
-    """Recursive-descent parser; ^ binds tightest and associates right."""
+    """Recursive-descent parser to a postfix program; ^ binds tightest and associates right.
+
+    Each instruction is a pair (op, arg).  ("c", value) and ("x", i) push a
+    constant and variable i; "+", "-" and "*" replace the top two values by
+    their sum, difference or product; every other op replaces the top value
+    u by phi(u): a function of _FN_TABLE, negation "neg" among them, or the
+    constant power ("^", c).
+    """
 
     def __init__(self, tokens, n: int, length: int):
-        self.tokens = tokens
-        self.n = n
-        self.i = 0
-        self.length = length
+        self.tokens, self.n, self.length = tokens, n, length
+        self.i, self.code = 0, []
 
     def _peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -276,107 +256,112 @@ class _Parser:
         if tok[0] != "op" or tok[1] != op:
             raise ParseError(f"expected {op!r}", tok[2])
 
+    def _emit(self, op: str, arg, pos: int):
+        """Append (op, arg), or fold it and its operands, the last instructions
+        when all are constants, into the ("c", value) the program would compute;
+        a domain error or overflow there is a ParseError at pos."""
+        arity = 2 if op in _BINARY else 1
+        operands = self.code[-arity:]
+        if all(o == "c" for o, _ in operands):
+            u = [np.float64(a) for _, a in operands]
+            try:
+                with np.errstate(all="ignore"):
+                    value = _BINARY[op](*u) if arity == 2 else _phi(op, arg, *u)[0]
+                _check_finite(value)
+            except EvaluationError as exc:
+                raise ParseError(f"constant {exc}", pos) from None
+            del self.code[-arity:]
+            op, arg = "c", float(value)
+        self.code.append((op, arg))
+
     def parse(self):
-        node = self.expr()
-        tok = self._peek()
-        if tok is not None:
+        self.expr()
+        if (tok := self._peek()) is not None:
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
-        return node
+        return tuple(self.code)
 
     def expr(self):
-        node = self.term()
+        self.term()
         while (tok := self._peek()) and tok[0] == "op" and tok[1] in "+-":
             self.i += 1
-            node = _fold(BinOp(tok[1], node, self.term()), tok[2])
-        return node
+            self.term()
+            self._emit(tok[1], None, tok[2])
 
     def term(self):
-        node = self.unary()
+        self.unary()
         while (tok := self._peek()) and tok[0] == "op" and tok[1] in "*/":
             self.i += 1
-            rhs = self.unary()
+            self.unary()
             if tok[1] == "/":
-                rhs = _fold(Call("^", rhs, c=-1.0), tok[2])
-            node = _fold(BinOp("*", node, rhs), tok[2])
-        return node
+                self._emit("^", -1.0, tok[2])
+            self._emit("*", None, tok[2])
 
     def unary(self):
         tok = self._peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.i += 1
-            return _fold(Call("-", self.unary()), tok[2])
-        return self.power()
+            self.unary()
+            self._emit("neg", None, tok[2])
+        else:
+            self.power()
 
     def power(self):
-        base = self.atom()
+        self.atom()
         tok = self._peek()
         if not (tok and tok[0] == "op" and tok[1] == "^"):
-            return base
+            return
         self.i += 1
-        exponent = self.unary()  # right-associative; a constant one is folded to a Const
-        if isinstance(exponent, Const):
-            return _fold(Call("^", base, c=exponent.value), tok[2])
-        return Call("exp", BinOp("*", _fold(Call("log", base), tok[2]), exponent))
+        start = len(self.code)
+        self.unary()  # right-associative; a constant one is folded to one ("c", value)
+        exponent = self.code[start:]
+        del self.code[start:]
+        if len(exponent) == 1 and exponent[0][0] == "c":
+            self._emit("^", exponent[0][1], tok[2])
+        else:  # exp(log(base) * exponent)
+            self._emit("log", None, tok[2])
+            self.code += exponent
+            self._emit("*", None, tok[2])
+            self._emit("exp", None, tok[2])
 
     def atom(self):
-        tok = self._next()
-        kind, value, pos = tok
+        kind, value, pos = self._next()
+        var = re.fullmatch(r"x(\d+)", value) if kind == "ident" else None
         if kind == "num":
-            return Const(value)
-        if kind == "op" and value == "(":
-            node = self.expr()
+            self.code.append(("c", value))
+        elif kind == "op" and value == "(":
+            self.expr()
             self._expect_op(")")
-            return node
-        if kind == "ident":
-            m = re.fullmatch(r"x(\d+)", value)
-            if m:
-                j = int(m.group(1))
-                if not (1 <= j <= self.n):
-                    raise ParseError(f"variable x{j} out of range for dimension {self.n}", pos)
-                return Var(j - 1)
-            if value in _FN_TABLE:  # an identifier is never the "-" entry
-                self._expect_op("(")
-                arg = self.expr()
-                self._expect_op(")")
-                return _fold(Call(value, arg), pos)
+        elif var:
+            j = int(var.group(1))
+            if not (1 <= j <= self.n):
+                raise ParseError(f"variable x{j} out of range for dimension {self.n}", pos)
+            self.code.append(("x", j - 1))
+        elif kind == "ident" and value in _FN_TABLE and value != "neg":  # negation is "-" in source
+            self._expect_op("(")
+            self.expr()
+            self._expect_op(")")
+            self._emit(value, None, pos)
+        elif kind == "ident":
             raise ParseError(f"unknown identifier {value!r}", pos)
-        raise ParseError(f"unexpected token {value!r}", pos)
+        else:
+            raise ParseError(f"unexpected token {value!r}", pos)
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _fold(node, pos: int):
-    """node, or the Const it evaluates to when all its operands are constants.
-
-    The constant is computed as the tree would compute it, so folding keeps
-    every value; a domain error or overflow in it is a ParseError at pos.
-    """
-    operands = [node.arg] if isinstance(node, Call) else [node.lhs, node.rhs]
-    if not all(isinstance(a, Const) for a in operands):
-        return node
-    u = [np.float64(a.value) for a in operands]
-    try:
-        with np.errstate(all="ignore"):
-            value = _phi(node, *u)[0] if isinstance(node, Call) else _BINARY[node.op](*u)
-        _check_finite(value)
-    except EvaluationError as exc:
-        raise ParseError(f"constant {exc}", pos) from None
-    return Const(float(value))
-
-
 @dataclass(frozen=True)
 class ExpressionSpec:
-    """Parsed expression tree over variables x1..xn."""
+    """Parsed expression over variables x1..xn, as a postfix program (see _Parser)."""
 
     n: int
     source: str
-    root: object = field(repr=False)
+    code: tuple = field(repr=False)
 
     def _eval(self, seed, want_hessian: bool):
-        # every row is taken once, up front, so one the tree never reads is checked too
+        # every row is taken once, up front, so one the program never reads is checked too
         rows = [seed.coord(i) for i in range(self.n)]
-        return _eval_node(self.root, rows.__getitem__, seed, want_hessian)
+        return _run(self.code, rows, seed, want_hessian)
 
 
 FunctionSpec = QuadraticForm | PerturbedQuadratic | ExpressionSpec
@@ -388,17 +373,22 @@ def parse_expression(source: str, n: int) -> ExpressionSpec:
     tokens = _tokenize(source)
     if not tokens:
         raise ParseError("empty expression", 0)
-    root = _Parser(tokens, n, len(source)).parse()
-    return ExpressionSpec(n=n, source=source, root=root)
+    parser = _Parser(tokens, n, len(source))
+    try:
+        code = parser.parse()
+    except RecursionError:  # the parser recurses once per nesting level
+        tok = parser._peek()
+        raise ParseError("expression nested too deeply", tok[2] if tok else len(source)) from None
+    return ExpressionSpec(n=n, source=source, code=code)
 
 
 # ---------------------------------------------------------------------------
-# Forward-mode jets for expression trees
+# Forward-mode jets for expression programs
 # ---------------------------------------------------------------------------
 
 # name -> (phi, phi', phi'' or None where it is zero, argument must be positive)
 _FN_TABLE = {
-    "-": (np.negative, lambda u: -1.0, None, False),
+    "neg": (np.negative, lambda u: -1.0, None, False),
     "exp": (np.exp, np.exp, np.exp, False),
     "log": (np.log, lambda u: 1.0 / u, lambda u: -1.0 / u ** 2, True),
     "cosh": (np.cosh, np.sinh, np.cosh, False),
@@ -411,52 +401,59 @@ def _outer(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return g1[:, None] * g2[None, :]
 
 
-def _eval_node(node, coord, seed, want_h: bool):
-    """Evaluate (value, tangent, hessian) of a tree node, lane-last.
+def _run(code, rows, seed, want_h: bool):
+    """Run a program on (value, tangent, hessian) triples, lane-last; the last one left is f's.
 
-    coord(i) gives variable i's row, shape (M,), and its tangent, which
-    broadcasts to (k, M); tangents of the node follow the same shapes and
-    its hessian has shape (k, k, M), None when want_h is false.  The parser
-    leaves three kinds of node: constants and variables; the sum, difference
+    rows[i] is variable i's row, shape (M,), and its tangent, which
+    broadcasts to (k, M); every tangent follows the same shapes and every
+    hessian has shape (k, k, M), None when want_h is false.  The program has
+    three kinds of instruction: constants and variables; the sum, difference
     and product rules; and one chain rule, g = phi' g_u and
-    h = phi' h_u + phi'' g_u g_u^T, for every unary node phi(u).  Each rule
+    h = phi' h_u + phi'' g_u g_u^T, for every unary op phi(u).  Each rule
     keeps the hessian exactly symmetric, and results are exact up to roundoff.
     """
-    if isinstance(node, Const):
-        return np.float64(node.value), seed.zero, (seed.zero_hessian if want_h else None)
-    if isinstance(node, Var):
-        v, g = coord(node.index)
-        return v, g, (seed.zero_hessian if want_h else None)
-    if isinstance(node, Call):
-        u, gu, hu = _eval_node(node.arg, coord, seed, want_h)
-        v, d1, d2 = _phi(node, u)
-        g = d1 * gu
-        h = None
-        if want_h:
-            h = d1 * hu if d2 is None else d1 * hu + d2() * _outer(gu, gu)
-        _check_finite(v, g, h)
-        return v, g, h
+    zero_h = seed.zero_hessian if want_h else None
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg in code:
+        if op == "x":
+            push((*rows[arg], zero_h))
+        elif op == "c":
+            push((np.float64(arg), seed.zero, zero_h))
+        elif op in _BINARY:
+            w, gw, hw = pop()
+            u, gu, hu = stack[-1]
+            if op == "+":
+                stack[-1] = u + w, gu + gw, (hu + hw if want_h else None)
+            elif op == "-":
+                stack[-1] = u - w, gu - gw, (hu - hw if want_h else None)
+            else:
+                h = None
+                if want_h:
+                    h = u * hw + w * hu
+                    h += _outer(gu, gw) + _outer(gw, gu)
+                stack[-1] = u * w, u * gw + w * gu, h
+                del h
+            # free the operands now, as a returning call would: arrays held
+            # to the next instruction slowed 5 000 lanes by 10-15%
+            del u, gu, hu, w, gw, hw
+        else:
+            u, gu, hu = stack[-1]
+            v, d1, d2 = _phi(op, arg, u)
+            g = d1 * gu
+            h = None
+            if want_h:
+                h = d1 * hu if d2 is None else d1 * hu + d2() * _outer(gu, gu)
+            _check_finite(v, g, h)
+            stack[-1] = v, g, h
+            del u, gu, hu, v, d1, d2, g, h
+    return stack[-1]
 
-    u, gu, hu = _eval_node(node.lhs, coord, seed, want_h)
-    w, gw, hw = _eval_node(node.rhs, coord, seed, want_h)
-    if node.op == "+":
-        return u + w, gu + gw, (hu + hw if want_h else None)
-    if node.op == "-":
-        return u - w, gu - gw, (hu - hw if want_h else None)
-    v = u * w
-    g = u * gw + w * gu
-    h = None
-    if want_h:
-        h = u * hw + w * hu
-        h += _outer(gu, gw) + _outer(gw, gu)
-    return v, g, h
 
-
-def _phi(node: Call, u):
+def _phi(op: str, c: float, u):
     """phi(u), phi'(u) and a callable for phi''(u), None where phi'' is zero,
-    of a unary node, once its domain check passes."""
-    if node.fn == "^":
-        c = node.c
+    of a unary op (c the exponent of "^"), once its domain check passes."""
+    if op == "^":
         if not c.is_integer() and np.any(u <= 0):
             raise EvaluationError("fractional power of non-positive base")
         if c < 0 and np.any(u == 0):
@@ -466,9 +463,9 @@ def _phi(node: Call, u):
         d1 = c * u ** (c - 1.0) if c else np.zeros_like(u)
         d2 = (lambda: c * (c - 1.0) * u ** (c - 2.0)) if c * (c - 1.0) else None
         return u ** c, d1, d2
-    phi, dphi, d2phi, positive = _FN_TABLE[node.fn]
+    phi, dphi, d2phi, positive = _FN_TABLE[op]
     if positive and np.any(u <= 0):
-        raise EvaluationError(f"{node.fn} of non-positive argument")
+        raise EvaluationError(f"{op} of non-positive argument")
     return phi(u), dphi(u), (None if d2phi is None else lambda: d2phi(u))
 
 
@@ -531,7 +528,7 @@ def eval_jet2(spec: FunctionSpec, x: np.ndarray) -> Jet2:
         vals, grads, hess = spec._eval(_UnitTangents(X), want_hessian=True)
     vals, grads = _own(vals, (1,)), _gradient(grads, 1)
     _check_finite(vals, grads, hess)
-    # symmetric by construction; a copy, as a linear tree's is the shared zero seed
+    # symmetric by construction; a copy, as a linear program's is the shared zero seed
     return Jet2(value=float(vals[0]), gradient=grads[0], hessian=hess[:, :, 0].copy())
 
 
@@ -572,7 +569,7 @@ def _own(a, shape: tuple) -> np.ndarray:
 
 def _gradient(tangent: np.ndarray, m: int) -> np.ndarray:
     """The (m, n) gradients from a unit-seeded tangent, which broadcasts (or
-    is a read-only seed column) for a linear tree."""
+    is a read-only seed column) for a linear program."""
     if tangent.shape[1] != m or not tangent.flags.writeable:
         tangent = np.broadcast_to(tangent, (tangent.shape[0], m)).copy()
     return tangent.T

@@ -26,6 +26,7 @@ chart solver is safe to call concurrently from several threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -179,14 +180,23 @@ class _GraphJet(NamedTuple):
 
 
 def _graph_jet(family: LevelFamily, c: float, x: np.ndarray) -> _GraphJet:
-    """Z, grad Z and Hess Z of the branch of M_c over x; BranchError off the branch."""
+    """Z, grad Z and Hess Z of the branch of M_c over x; BranchError off the
+    branch, where g_z is 0, and where z or a derivative is beyond the floats."""
     jet = eval_jet2(family.f, x)
     z = family.solve_z(c, jet.value)
     a = family.alpha
-    gz = a * z ** (a - 1.0)
-    gzz = 0.0 if a == 1.0 else a * (a - 1.0) * z ** (a - 2.0)  # z may be 0 when a == 1
-    slope = -family.sf * jet.gradient / gz
-    hessian = -(family.sf * jet.hessian + gzz * np.outer(slope, slope)) / gz
+    try:
+        gz = a * z ** (a - 1.0)
+        gzz = 0.0 if a == 1.0 else a * (a - 1.0) * z ** (a - 2.0)  # z may be 0 when a == 1
+    except (ZeroDivisionError, OverflowError):  # a small alpha: z is 0 or z^(a-2) overflows
+        gz = gzz = math.inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = -family.sf * jet.gradient / gz
+        hessian = -(family.sf * jet.hessian + gzz * np.outer(slope, slope)) / gz
+    # a non-finite slope makes the Hessian non-finite too, through its square
+    if not (gz and math.isfinite(z) and math.isfinite(gz) and math.isfinite(gzz)
+            and np.isfinite(hessian).all()):
+        raise BranchError(f"no finite graph jet at level k={c}: z = {z:.6g} with alpha = {a:g}")
     return _GraphJet(jet, z, gz, slope, hessian)
 
 

@@ -521,6 +521,30 @@ class TestExitCodes:
         if command == "curvature":  # every point skipped
             assert read_rows(tmp_path / "x") == []
 
+    # z = (0.5 + f)^(1/alpha) underflows to 0 at alpha = 1e-5, so g_z = 0:
+    # every sampled point is off the admissible set, as above
+    @pytest.mark.parametrize("command, code", [("measures", 1), ("classify", 3), ("curvature", 0)])
+    def test_underflowing_branch_exit_codes(self, tmp_path, capsys, command, code):
+        cfg = write_config(
+            tmp_path,
+            family={"alpha": 1e-5, "sign": "minus", "f": {"kind": "quadratic", "a": [0.1, 0.1]}},
+            levels=[0.5], points={"count": 4, "seed": 4242, "box": [-0.5, 0.5]},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # measures and classify warn of the skipped points
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err == (["error: fewer than 2 admissible points at level k=0.5"] if code == 1 else [])
+
+    def test_deeply_nested_expression_is_one_config_error_line(self, tmp_path, capsys):
+        source = "(" * 198 + "x1^2 + x2^2" + ")" * 198
+        cfg = write_config(tmp_path, family={"alpha": 2, "sign": "minus",
+                                             "f": {"kind": "expression", "source": source, "n": 2}})
+        assert main(["measures", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: bad family config: expression nested too deeply")
+        assert not (tmp_path / "x.csv").exists()
+
 
 def _run_cli(*args):
     """quadrix in a fresh interpreter, whose warnings print as a user sees them."""

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from quadrix import (
     eval_value_grad,
     parse_expression,
 )
-from quadrix.funcspec import Call, Var
+from quadrix import funcspec
 
 
 def test_parse_quadratic_equivalent():
@@ -85,6 +86,9 @@ def test_parse_precedence(source, x, expected):
     assert eval_jet2(spec, np.array(x)).value == pytest.approx(expected, rel=1e-14)
 
 
+TOO_DEEP = r"expression nested too deeply \(at position \d+\)"
+
+
 @pytest.mark.parametrize(
     "source, message",
     [
@@ -102,11 +106,33 @@ def test_parse_precedence(source, x, expected):
         # a literal beyond the float range, at the literal's own position
         ("x1^2 + 1e400", r"number out of range \(at position 7\)"),
         ("x1^(1e400)", r"number out of range \(at position 4\)"),
+        # nesting past the interpreter's recursion limit, while parsing
+        pytest.param("(" * 198 + "x1" + ")" * 198, TOO_DEEP, id="deep parentheses"),
+        pytest.param("exp(" * 200 + "x1" + ")" * 200, TOO_DEEP, id="deep exp calls"),
+        pytest.param("-" * 1000 + "x1", TOO_DEEP, id="deep unary minus"),
+        pytest.param("x1^" * 600 + "2", TOO_DEEP, id="deep chained powers"),
     ],
 )
 def test_parse_errors_have_position(source, message):
     with pytest.raises(ParseError, match=message):
         parse_expression(source, 1)
+
+
+def test_moderate_nesting_parses():
+    spec = parse_expression("(" * 100 + "x1 + 1" + ")" * 100, 1)
+    assert eval_jet2(spec, np.array([2.0])).value == 3.0
+
+
+def test_opcode_names_are_not_source_identifiers():
+    # source text cannot spell an instruction the grammar does not have:
+    # negation's "neg", or the "c" and "x" of constants and variables
+    ops = set(funcspec._FN_TABLE).union(
+        *({op for op, _ in spec.code} for spec in LINE_SPECS if isinstance(spec, ExpressionSpec)))
+    names = sorted(op for op in ops if op.isidentifier() and op not in ("exp", "log", "cosh", "sinh", "sqrt"))
+    assert {"neg", "c", "x"} <= set(names)
+    for name in names:
+        with pytest.raises(ParseError, match=f"unknown identifier '{name}'"):
+            parse_expression(f"{name}(x1)", 1)
 
 
 def test_quadratic_form_jet():
@@ -255,8 +281,9 @@ def test_domain_error_messages(source, x, message):
 
 def test_infinite_exponent_is_an_evaluation_error():
     # the parser refuses an infinite literal (test_parse_errors_have_position);
-    # a hand-built tree still reaches the evaluator, where it is no integer
-    spec, X = ExpressionSpec(1, "x1 ^ inf", Call("^", Var(0), math.inf)), np.array([[0.5]])
+    # a hand-built program (x1, then the power with exponent inf) still
+    # reaches the evaluator, where it is no integer
+    spec, X = ExpressionSpec(1, "x1 ^ inf", (("x", 0), ("^", math.inf))), np.array([[0.5]])
     for evaluate in (lambda: eval_value_grad(spec, X), lambda: eval_line(spec, _rows(X, np.ones(1)), 1)):
         with pytest.raises(EvaluationError, match="overflow or invalid value"):
             evaluate()
@@ -319,6 +346,68 @@ def test_line_evaluator_matches_value_grad(spec):
         with pytest.raises(EvaluationError) as line:
             eval_line(err_spec, _rows(X, np.ones(err_spec.n)), len(X))
         assert str(line.value) == str(batch.value)
+
+
+EXPRESSION_LINE_SPECS = [spec for spec in LINE_SPECS if isinstance(spec, ExpressionSpec)]
+
+
+@pytest.mark.parametrize("spec", EXPRESSION_LINE_SPECS, ids=lambda s: s.source)
+def test_evaluators_agree_bit_for_bit(spec):
+    # one program serves every seed: the three evaluators give the same
+    # values, and the two unit seeds the same gradients, to the last bit
+    X = np.random.default_rng(7).uniform(0.1, 1.5, (9, spec.n))
+    vals, grads = eval_value_grad(spec, X)
+    line_vals, _ = eval_line(spec, _rows(X, np.ones(spec.n)), len(X))
+    assert line_vals.tobytes() == vals.tobytes()
+    for x, v, g in zip(X, vals, grads):
+        jet = eval_jet2(spec, x)
+        assert np.float64(jet.value).tobytes() == v.tobytes()
+        assert jet.gradient.tobytes() == g.tobytes()
+
+
+def _monomials(coefs, exps):
+    """Source text of sum_j coefs[j] * prod_i x_i^exps[j, i]."""
+    return " + ".join(f"{float(c)!r}*" + "*".join(f"x{i + 1}^{e}" for i, e in enumerate(row) if e)
+                      for c, row in zip(coefs, exps))
+
+
+def _check_polynomial(coefs, exps, X):
+    """All three evaluators against a direct evaluation of the polynomial at positive X."""
+    spec = parse_expression(_monomials(coefs, exps), exps.shape[1])
+    terms = coefs * np.prod(X[:, None, :] ** exps, axis=2)  # (M, terms)
+    want = terms.sum(axis=1)
+    want_grads = (terms @ exps) / X
+    vals, grads = eval_value_grad(spec, X)
+    np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=0)
+    D = np.random.default_rng(3).standard_normal(X.shape)
+    line_vals, slopes = eval_line(spec, _rows(X, D), len(X))
+    np.testing.assert_allclose(line_vals, want, rtol=1e-12, atol=0)
+    scale = np.abs(want_grads * D).sum(axis=1)
+    assert np.all(np.abs(slopes - (want_grads * D).sum(axis=1)) <= 1e-12 * scale)
+    x, t = X[0], terms[0]
+    want_hess = (exps.T * t) @ exps - np.diag(t @ exps)
+    jet = eval_jet2(spec, x)
+    assert jet.value == pytest.approx(want[0], rel=1e-12)
+    np.testing.assert_allclose(jet.gradient, want_grads[0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(jet.hessian, want_hess / np.outer(x, x), rtol=1e-12, atol=0)
+
+
+def test_long_sum_evaluates():
+    # 3 001 terms: the parser loops over a flat sum, and the program runs
+    # in one loop, so its length meets no recursion limit
+    j = np.arange(3001)
+    exps = np.zeros((3001, 3), dtype=int)
+    exps[j, j % 3] = j % 4 + 1
+    _check_polynomial((j % 7 + 1) / 8.0, exps, np.random.default_rng(1).uniform(0.5, 1.2, (6, 3)))
+
+
+def test_dense_polynomial_evaluates():
+    # every monomial of degree 1 to 7 in 6 variables, 1 715 terms
+    exps = np.array([e for e in itertools.product(range(8), repeat=6) if 1 <= sum(e) <= 7])
+    assert len(exps) == 1715
+    coefs = np.random.default_rng(2).integers(1, 9, len(exps)) / 4.0
+    _check_polynomial(coefs, exps, np.random.default_rng(4).uniform(0.5, 1.2, (4, 6)))
 
 
 def test_batch_evaluation_matches_pointwise():

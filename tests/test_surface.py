@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,21 @@ class TestPointOnLevel:
         assert family.solve_z(2.0, 0.0) == 2.0 ** 1000
         with pytest.raises(BranchError, match="no finite z"):
             family.solve_z(2.0, 1.0)
+
+    @pytest.mark.parametrize("family, k, x", [
+        # z = 0.5002^(1/alpha) underflows to 0 (1e-5, 1e-320), so g_z is 0 or
+        # infinite; at 1e-3 z is finite but z^(alpha - 2) overflows
+        *((LevelFamily(QuadraticForm((0.1, 0.1)), alpha, "minus"), 0.5, [0.1, 0.1])
+          for alpha in (1e-5, 1e-320, 1e-3)),
+        # z = 1e-30 and g_z = 1e-269 are finite, but the slope's square is not
+        (LevelFamily(parse_expression("x1", 1), 10.0, "minus"), 0.0, [1e-300]),
+    ], ids=["alpha=1e-5", "alpha=1e-320", "alpha=1e-3", "slope-overflow"])
+    def test_non_finite_graph_jet_rejected(self, family, k, x):
+        # off the branch, with no warning, so sampling skips the point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BranchError, match="no finite graph jet"):
+                point_on_level(family, k, np.array(x))
 
     def test_sheet_past_the_pole_rejected(self):
         # alpha = -1: over f > k the real root z = 1 / (k - f) is negative, on
