@@ -19,7 +19,7 @@ import numpy as np
 
 from ._grids import halton
 from .errors import QuadrixError
-from .measure import CapMeasures, QuadratureSettings, starred_measures
+from .measure import CapMeasures, QuadratureSettings, starred_cells
 from .quadrics import QUADRIC_KINDS
 from .surface import LevelFamily, SurfacePoint, curvature_invariant, point_on_level
 
@@ -178,21 +178,15 @@ def evaluate_cells(
     settings: QuadratureSettings | None = None,
     want: tuple[str, ...] = ("area", "volume", "lateral"),
 ) -> list[list[CapMeasures | str]]:
-    """starred_measures on every (point, offset) cell, each cell solved once.
+    """starred_measures on every (point, offset) cell, the level's cells solved together.
 
     Returns a points x offsets table; entry [i][j] is the CapMeasures
     of point i at offset j, or the message of the QuadrixError it raised.
+    One measure.starred_cells pass solves every cell once, and each cell
+    gets the bits and the message its own starred_measures call gets.
     """
-    table = []
-    for p in points:
-        row: list[CapMeasures | str] = []
-        for h in offsets:
-            try:
-                row.append(starred_measures(family, p, h, settings, want=want))
-            except QuadrixError as exc:
-                row.append(str(exc))
-        table.append(row)
-    return table
+    return [[cell if isinstance(cell, CapMeasures) else str(cell) for cell in row]
+            for row in starred_cells(family, points, offsets, settings, want)]
 
 
 _MEASURE_OF = {"Vstar": "volume", "Astar": "area", "Sstar": "lateral"}

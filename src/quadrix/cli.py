@@ -169,6 +169,10 @@ def _read_config(args) -> _Run:
     cfg = _load_config(args.config)
     settings, seed = _build_settings(cfg, args.seed)
     family = _build_family(cfg)
+    try:
+        settings.order_for(family.n)
+    except ValueError as exc:
+        raise ConfigError(f"bad quadrature config: {exc}") from exc
     pts = _section(cfg, "points")
     box = pts.get("box")
     if isinstance(box, list):  # one [lo, hi] pair, or one per coordinate

@@ -7,11 +7,13 @@ operators + - * / ^ and the functions exp, log, cosh, sinh, sqrt).
 
 Derivatives are exact, never finite differences.  Every spec kind has one
 batch evaluator, forward mode over a tangent of k directions.
-eval_value_grad and eval_jet2 seed the n unit directions, so the tangent
-is the gradient; eval_line seeds one direction per lane, the derivative
-along that lane's line, and takes the points one coordinate row at a
-time, so none of its arrays is n wide.  The built-in families share one
-closed form between the two seeds.  An expression parses to a postfix
+eval_value_grad, eval_jets and its one-point call eval_jet2 seed the n
+unit directions, so the tangent is the gradient; eval_line seeds one
+direction per lane, the derivative along that lane's line, and takes the
+points one coordinate row at a time, so none of its arrays is n wide.
+Every evaluator works lane by lane, so a point's bits do not depend on
+its batch.  The built-in families share one closed form between the two
+seeds, summed one coordinate at a time.  An expression parses to a postfix
 program, which one loop runs on (value, tangent, hessian) triples, so an
 expression may be of any length; nesting deeper than the interpreter's
 recursion limit is a ParseError.  The parser folds every subexpression
@@ -43,6 +45,7 @@ __all__ = [
     "FunctionSpec",
     "parse_expression",
     "eval_jet2",
+    "eval_jets",
     "eval_value_grad",
     "eval_line",
 ]
@@ -103,8 +106,10 @@ class QuadraticForm:
     def _eval(self, seed, want_hessian: bool):
         a2 = np.asarray(self.a) ** 2
 
-        def formula(x, a2, dot, total):
-            return dot(x ** 2, a2), 2.0 * a2 * x, lambda: 2.0 * a2
+        def formula(x, a2):  # in place where it can be: a batch is (M, n) wide
+            terms = x ** 2
+            terms *= a2
+            return terms, 2.0 * a2 * x, lambda: 2.0 * a2
 
         return _separable(seed, a2, formula, want_hessian)
 
@@ -136,18 +141,23 @@ class PerturbedQuadratic:
         eps = self.epsilon
         quartic = self.kind == "quartic"
 
-        def formula(x, a2, dot, total):
+        def formula(x, a2):  # in place where it can be: a batch is (M, n) wide
             x2 = x * x
-            if quartic:
-                vals = dot(x2, a2) + eps * total(x2 * x2)
-                grads = 2.0 * a2 * x + 4.0 * eps * (x2 * x)
+            if quartic:  # x2 a2 + eps x2^2 and 2 a2 x + 4 eps x2 x
+                bump, slope = x2 * x2, x2 * x
+                bump *= eps
+                slope *= 4.0 * eps
                 curvature, even = 12.0 * eps, x2  # the perturbation's f'' is curvature * even
-            else:
+            else:  # x2 a2 + eps (cosh x - 1) and 2 a2 x + eps sinh x
                 even = np.cosh(x)
-                vals = dot(x2, a2) + eps * total(even - 1.0)
-                grads = 2.0 * a2 * x + eps * np.sinh(x)
+                bump, slope = even - 1.0, np.sinh(x)
+                bump *= eps
+                slope *= eps
                 curvature = eps
-            return vals, grads, lambda: 2.0 * a2 + curvature * even
+            terms, grads = x2 * a2, 2.0 * a2 * x
+            terms += bump
+            grads += slope
+            return terms, grads, lambda: 2.0 * a2 + curvature * even
 
         return _separable(seed, a2, formula, want_hessian)
 
@@ -155,15 +165,19 @@ class PerturbedQuadratic:
 def _separable(seed, a2: np.ndarray, formula, want_hessian: bool):
     """f(x) = sum_i phi_i(x_i), the Hessian diagonal, with one coefficient a2_i per coordinate.
 
-    formula(x, a2, dot, total) gives f, its partial derivatives and a
-    callable for the second ones on coordinates x with coefficients a2,
-    where dot(y, a2) is sum_i y_i a2_i and total(y) is sum_i y_i.  A batch
-    seeded with the unit directions takes every coordinate at once, shape
-    (M, n), so the partials are the gradient; a line seed adds up one
-    coordinate row at a time, each partial times the row's tangent.
+    formula(x, a2) gives the terms phi_i(x_i), the partial derivatives and a
+    callable for the second ones on coordinates x with coefficients a2.  A
+    batch seeded with the unit directions takes every coordinate at once,
+    shape (M, n), so the partials are the gradient; a line seed takes one
+    coordinate row at a time, each partial times the row's tangent.  Both
+    add the terms one coordinate at a time, in order, so a lane's value has
+    the same bits whichever seed and whichever batch computes it.
     """
     if seed.batch is not None:
-        vals, grads, curvature = formula(seed.batch, a2, operator.matmul, _sum_coordinates)
+        terms, grads, curvature = formula(seed.batch, a2)
+        vals = terms[:, 0].copy()
+        for i in range(1, seed.n):
+            vals += terms[:, i]
         hess = None
         if want_hessian:
             m, n = seed.batch.shape
@@ -174,7 +188,7 @@ def _separable(seed, a2: np.ndarray, formula, want_hessian: bool):
     vals = tangent = None
     for i in range(seed.n):
         x, dx = seed.coord(i)
-        v, slope, _ = formula(x, a2[i], operator.mul, _row_total)
+        v, slope, _ = formula(x, a2[i])
         slope *= dx  # the formula's own array
         if vals is None:
             vals, tangent = v, slope
@@ -182,14 +196,6 @@ def _separable(seed, a2: np.ndarray, formula, want_hessian: bool):
             vals += v
             tangent += slope
     return vals, tangent, None
-
-
-def _sum_coordinates(y: np.ndarray) -> np.ndarray:
-    return np.sum(y, axis=1)
-
-
-def _row_total(y: np.ndarray) -> np.ndarray:
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +529,30 @@ def eval_jet2(spec: FunctionSpec, x: np.ndarray) -> Jet2:
     """Exact value, gradient and Hessian of f at a single point x."""
     X = _as_batch(x, spec.n)
     if X.shape[0] != 1:
-        raise ValueError("eval_jet2 expects a single point; use eval_value_grad for batches")
+        raise ValueError("eval_jet2 expects a single point; use eval_jets for batches")
+    vals, grads, hess = _jets(spec, X)
+    return Jet2(value=float(vals[0]), gradient=grads[0], hessian=hess[0])
+
+
+def eval_jets(spec: FunctionSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, gradients and (symmetric) Hessians of f on a batch of points, shape (M, n).
+
+    Returns arrays of shapes (M,), (M, n) and (M, n, n).  Every evaluator
+    works lane by lane, so a point's jet has the same bits in any batch.
+    """
+    return _jets(spec, _as_batch(X, spec.n))
+
+
+def _jets(spec: FunctionSpec, X: np.ndarray):
+    m, n = X.shape
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals, grads, hess = spec._eval(_UnitTangents(X), want_hessian=True)
-    vals, grads = _own(vals, (1,)), _gradient(grads, 1)
+    vals, grads = _own(vals, (m,)), _gradient(grads, m)
     _check_finite(vals, grads, hess)
-    # symmetric by construction; a copy, as a linear program's is the shared zero seed
-    return Jet2(value=float(vals[0]), gradient=grads[0], hessian=hess[:, :, 0].copy())
+    hess = hess.transpose(2, 0, 1)  # lane-first
+    if hess.shape[0] != m or not hess.flags.writeable:  # a linear program's shared zero seed
+        hess = np.broadcast_to(hess, (m, n, n)).copy()
+    return vals, grads, hess
 
 
 def eval_value_grad(spec: FunctionSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

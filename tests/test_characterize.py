@@ -193,19 +193,22 @@ class TestClassify:
             assert a.spreads == b.spreads
 
     def test_one_tangent_solve_per_cell(self, monkeypatch):
-        solves = []
-        solve = measure.parallel_tangent
+        # every cell of a level is one lane of one parallel_tangents call
+        solves, calls = [], []
+        solve = measure.parallel_tangents
 
-        def counting(family, p, h):
-            solves.append((p.k, tuple(p.x), h))
-            return solve(family, p, h)
+        def counting(family, cells):
+            calls.append(len(cells))
+            solves.extend((p.k, tuple(p.x), h) for p, h in cells)
+            return solve(family, cells)
 
-        monkeypatch.setattr(measure, "parallel_tangent", counting)
+        monkeypatch.setattr(measure, "parallel_tangents", counting)
         config = ClassifyConfig(point_count=3, seed=99)
         result = classify(trio()["elliptic_hyperboloid"], [0.5, 1.0, 2.0], config)
         cells = sum(rep.values.size for rep in result.evidence if rep.condition == "Vstar")
         assert cells == 3 * 3 * 2  # levels x points x default offsets
         assert len(solves) == len(set(solves)) == cells
+        assert calls == [3 * 2] * 3
 
     @pytest.mark.parametrize("family", [
         trio()["elliptic_hyperboloid"],

@@ -379,6 +379,16 @@ class TestConfigValidation:
         assert len(err) == 1 and err[0].startswith("config error: bad quadrature config")
 
 
+    @pytest.mark.parametrize("command", ["measures", "classify", "sweep"])
+    def test_order_past_the_cap_is_config_error(self, tmp_path, capsys, command):
+        family = {"alpha": 2, "sign": "minus", "f": {"kind": "quadratic", "a": [1, 1.5, 2, 1, 1.2, 0.8]}}
+        cfg = write_config(tmp_path, family=family, quadrature={"order": 11})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x.out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: bad quadrature config: order 11 is past the cap 10 at n = 6: "
+                       "its rules would have more than 50 000 rays"]
+        assert not (tmp_path / "x.out").exists()
+
     @pytest.mark.parametrize("count", [1, "six"])
     @pytest.mark.parametrize("command", ["curvature", "measures", "classify", "sweep"])
     def test_bad_point_count_is_config_error(self, tmp_path, capsys, command, count):

@@ -11,14 +11,17 @@ import pytest
 
 from quadrix import measure
 from quadrix import (
+    CapMeasures,
     LevelFamily,
     LocalChart,
     PerturbedQuadratic,
     QuadraticForm,
     QuadratureSettings,
     RegionError,
+    TangencyError,
     cap_measures,
     derivative_check,
+    evaluate_cells,
     hyperboloid_cap_volume,
     parallel_tangent,
     parse_expression,
@@ -431,6 +434,70 @@ class TestRadialRule:
             assert getattr(sm, name).value == getattr(ref, name).value
 
 
+class TestOneCellPath:
+    """evaluate_cells solves a level's cells together; starred_measures is its one-cell call."""
+
+    FAMILIES = {
+        "quadratic": (LevelFamily(QuadraticForm((1.0, 1.7, 0.8)), 2.0, "minus"), (0.5, 1.0)),
+        "ellipsoid": (LevelFamily(QuadraticForm((1.0, 1.5, 0.8)), 2.0, "plus"), (-0.25, -0.5)),
+        "quartic": (LevelFamily(PerturbedQuadratic((1.0, 1.5, 0.8), 0.3, "quartic"), 2.0, "minus"),
+                    (0.5, 1.0)),
+        "cosh": (LevelFamily(PerturbedQuadratic((1.2, 0.9), 0.5, "cosh"), 2.0, "minus"), (0.5, 1.0)),
+        # f < 0 near the origin: some cells go back to the chart heights
+        "expression": (LevelFamily(parse_expression("x1^2 + 2*x2^2 + 0.1*cosh(x1) - 0.15", 2),
+                                   2.0, "minus"), (0.3, 0.6)),
+    }
+
+    @staticmethod
+    def assert_same(cell, ref, want):
+        assert isinstance(cell, CapMeasures), cell
+        assert cell.t == ref.t
+        for name in want:  # value, estimate and samples, bit for bit
+            assert getattr(cell, name) == getattr(ref, name), name
+
+    @pytest.mark.parametrize("name, budget", [(name, None) for name in FAMILIES]
+                             + [("cosh", 3 * 15), ("expression", 3 * 15)])
+    def test_a_cell_has_the_bits_it_has_alone(self, monkeypatch, name, budget):
+        # alone, in the level's table, with the points reversed or cut to a
+        # subset, and whichever measures are wanted.  A budget of three rays
+        # per block cuts each cell into chunks, and blocks join the cells' last ones
+        if budget:
+            monkeypatch.setattr(measure, "_LANE_BUDGET", budget)
+        family, offsets = self.FAMILIES[name]
+        points = [point_on_level(family, 1.0, x) for x in seeded_xs(family.n, 4, 7, 0.4)]
+        alone = [[starred_measures(family, p, h) for h in offsets] for p in points]
+        for want in (("area", "volume", "lateral"), ("volume", "area")):
+            for order in (range(4), range(3, -1, -1), (2, 0)):
+                table = evaluate_cells(family, [points[i] for i in order], offsets, want=want)
+                for i, row in zip(order, table):
+                    for ref, cell in zip(alone[i], row):
+                        self.assert_same(cell, ref, want)
+
+    @pytest.mark.filterwarnings("ignore:.*exceeds the target")  # deep caps
+    def test_a_failing_cell_keeps_its_message_and_its_neighbours_bits(self):
+        # on this ellipsoid the section at h = -0.95 from x = (0.9, 0.05)
+        # crosses the chart fold (RegionError), and a point of the level
+        # k = 0.2 has no level k + h left (TangencyError)
+        family = LevelFamily(QuadraticForm((1.0, 2.0)), 2.0, "plus")
+        points = [point_on_level(family, 1.0, np.array(x)) for x in ([0.0, 0.0], [0.9, 0.05], [0.05, -0.02])]
+        low = point_on_level(family, 0.2, np.array([0.1, 0.1]))
+        offsets = [-0.8, -0.95]
+        table = evaluate_cells(family, points[:2] + [low] + points[2:], offsets)
+        failing = {(1, 1): RegionError, (2, 0): TangencyError, (2, 1): TangencyError}
+        for (i, j), error in failing.items():
+            p = (points[:2] + [low] + points[2:])[i]
+            with pytest.raises(error) as alone:
+                starred_measures(family, p, offsets[j])
+            assert table[i][j] == str(alone.value)
+        assert "crosses the chart fold" in table[1][1] and "no start" in table[2][0]
+        clean = evaluate_cells(family, [points[0], points[2]], offsets)
+        for row, ref in zip((table[0], table[3]), clean):
+            for cell, want in zip(row, ref):
+                self.assert_same(cell, want, ("area", "volume", "lateral"))
+        self.assert_same(table[1][0], starred_measures(family, points[1], -0.8),
+                         ("area", "volume", "lateral"))
+
+
 class TestVerticalChords:
     """"minus" caps with k > 0 and f >= 0 read volume and lateral area off vertical chords."""
 
@@ -472,7 +539,7 @@ class TestVerticalChords:
             assert calls == []
             # the same rays and radial nodes, integrated with chart heights
             with monkeypatch.context() as m:
-                m.setattr(measure, "_vertical_chords", lambda *args: lambda rays, radii: None)
+                m.setattr(measure, "_vertical_chords", lambda *args: lambda chunks: [None] * len(chunks))
                 heights = starred_measures(family, p, 0.5)
             assert calls and sum(calls) == heights.volume.samples
             calls.clear()
@@ -499,9 +566,9 @@ class TestVerticalChords:
         def recording(*args):
             block = chords(*args)
 
-            def run(rays, radii):
-                values = block(rays, radii)
-                declined.append(values is None)
+            def run(chunks):  # one chunk of rays per block here
+                values = block(chunks)
+                declined.extend(v is None for v in values)
                 return values
 
             return run
@@ -535,6 +602,29 @@ class TestQuadratureSettings:
         got = cap_measures(unit_sphere2, p, 0.5, QuadratureSettings(order=np.int64(6)), want=("area",))
         want = cap_measures(unit_sphere2, p, 0.5, QuadratureSettings(order=6), want=("area",))
         assert got == want
+
+    def test_order_cap_per_dimension(self):
+        # the cap is the largest order whose rule and order - 2 partner have
+        # at most 50 000 rays together; S^0 has four at every order
+        assert measure.MAX_ORDER == {2: 12501, 3: 112, 4: 24, 5: 13, 6: 10}
+        for n, cap in measure.MAX_ORDER.items():
+            if n != 5:  # n = 5 past its cap takes a second to build
+                assert len(sphere_rule(n, cap + 1)[0]) + len(sphere_rule(n, cap - 1)[0]) > 50_000
+            assert len(sphere_rule(n, cap)[0]) + len(sphere_rule(n, cap - 2)[0]) <= 50_000
+            assert QuadratureSettings(order=cap).order_for(n) == cap
+            with pytest.raises(ValueError, match=f"order {cap + 1} is past the cap {cap} at n = {n}"):
+                QuadratureSettings(order=cap + 1).order_for(n)
+        assert QuadratureSettings(order=10 ** 6).order_for(1) == 10 ** 6
+        assert QuadratureSettings().order_for(6) == DEFAULT_ORDER[6]
+
+    def test_order_past_the_cap_refused_before_any_solve(self, monkeypatch):
+        family = LevelFamily(QuadraticForm((1.0, 1.5, 2.0, 1.0, 1.2, 0.8)), 2.0, "minus")
+        p = point_on_level(family, 1.0, np.full(6, 0.1))
+        monkeypatch.setattr(measure, "parallel_tangents", None)  # never reached
+        with pytest.raises(ValueError, match="past the cap 10 at n = 6"):
+            starred_measures(family, p, 0.5, QuadratureSettings(order=11))
+        with pytest.raises(ValueError, match="past the cap 10 at n = 6"):
+            cap_measures(family, p, 0.3, QuadratureSettings(order=11))
 
     def test_none_is_the_per_dimension_default(self, unit_sphere2):
         assert QuadratureSettings().order is None

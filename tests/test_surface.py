@@ -357,18 +357,18 @@ class TestParallelTangent:
 
     def test_converged_jet_is_lifted_once(self, monkeypatch):
         # v is lifted from the graph jet the Newton loop converged on, so
-        # _graph_jet is evaluated once at that x, and the lift equals
-        # point_on_level there
+        # the batched _graph_jets is evaluated once at that x, and the lift
+        # equals point_on_level there
         family = LevelFamily(PerturbedQuadratic((1.0, 2.0), 0.2, "quartic"), 2.0, "minus")
         p = point_on_level(family, 1.0, np.array([0.7, -0.4]))
         seen = []
-        inner = surface._graph_jet
+        inner = surface._graph_jets
 
-        def recording(family, c, x):
-            seen.append(np.array(x, copy=True))
-            return inner(family, c, x)
+        def recording(family, c, X):
+            seen.extend(np.array(X, copy=True))
+            return inner(family, c, X)
 
-        monkeypatch.setattr(surface, "_graph_jet", recording)
+        monkeypatch.setattr(surface, "_graph_jets", recording)
         res = parallel_tangent(family, p, 0.5)
         assert sum(np.array_equal(x, res.v.x) for x in seen) == 1
         q = point_on_level(family, 1.5, res.v.x)
@@ -557,10 +557,10 @@ class TestChartSolver:
         calls = []
         inner = chart._line_residual
 
-        def recording(X0, Z0, dX, dZ, idx, tau, sign=1.0):
+        def recording(X0, Z0, dX, dZ, s, idx, tau):
             if start is None or np.array_equal(X0, start):
                 calls.append((idx.copy(), np.array(tau, copy=True)))
-            return inner(X0, Z0, dX, dZ, idx, tau, sign)
+            return inner(X0, Z0, dX, dZ, s, idx, tau)
 
         monkeypatch.setattr(chart, "_line_residual", recording)
         return calls
