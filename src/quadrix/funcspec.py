@@ -106,10 +106,10 @@ class QuadraticForm:
     def _eval(self, seed, want_hessian: bool):
         a2 = np.asarray(self.a) ** 2
 
-        def formula(x, a2):  # in place where it can be: a batch is (M, n) wide
+        def formula(x, a2):
             terms = x ** 2
             terms *= a2
-            return terms, 2.0 * a2 * x, lambda: 2.0 * a2
+            return terms, lambda: 2.0 * a2 * x, lambda: 2.0 * a2
 
         return _separable(seed, a2, formula, want_hessian)
 
@@ -141,23 +141,26 @@ class PerturbedQuadratic:
         eps = self.epsilon
         quartic = self.kind == "quartic"
 
-        def formula(x, a2):  # in place where it can be: a batch is (M, n) wide
+        def formula(x, a2):
             x2 = x * x
             if quartic:  # x2 a2 + eps x2^2 and 2 a2 x + 4 eps x2 x
-                bump, slope = x2 * x2, x2 * x
-                bump *= eps
-                slope *= 4.0 * eps
+                bump = x2 * x2
                 curvature, even = 12.0 * eps, x2  # the perturbation's f'' is curvature * even
             else:  # x2 a2 + eps (cosh x - 1) and 2 a2 x + eps sinh x
                 even = np.cosh(x)
-                bump, slope = even - 1.0, np.sinh(x)
-                bump *= eps
-                slope *= eps
+                bump = even - 1.0
                 curvature = eps
-            terms, grads = x2 * a2, 2.0 * a2 * x
+            bump *= eps
+            terms = x2 * a2
             terms += bump
-            grads += slope
-            return terms, grads, lambda: 2.0 * a2 + curvature * even
+
+            def slope():
+                grads, extra = 2.0 * a2 * x, (x2 * x if quartic else np.sinh(x))
+                extra *= 4.0 * eps if quartic else eps
+                grads += extra
+                return grads
+
+            return terms, slope, lambda: 2.0 * a2 + curvature * even
 
         return _separable(seed, a2, formula, want_hessian)
 
@@ -165,19 +168,23 @@ class PerturbedQuadratic:
 def _separable(seed, a2: np.ndarray, formula, want_hessian: bool):
     """f(x) = sum_i phi_i(x_i), the Hessian diagonal, with one coefficient a2_i per coordinate.
 
-    formula(x, a2) gives the terms phi_i(x_i), the partial derivatives and a
-    callable for the second ones on coordinates x with coefficients a2.  A
-    batch seeded with the unit directions takes every coordinate at once,
-    shape (M, n), so the partials are the gradient; a line seed takes one
-    coordinate row at a time, each partial times the row's tangent.  Both
-    add the terms one coordinate at a time, in order, so a lane's value has
-    the same bits whichever seed and whichever batch computes it.
+    formula(x, a2) gives the terms phi_i(x_i) and callables for the first
+    and the second partial derivatives on coordinates x with coefficients
+    a2.  A batch seeded with the unit directions takes every coordinate at
+    once, shape (M, n), so the partials are the gradient; a line seed takes
+    one coordinate row at a time, each partial times the row's tangent.
+    Both add the terms one coordinate at a time, in order, so a lane's
+    value has the same bits whichever seed and whichever batch computes it.
+    A batch's terms are freed before its gradient is taken, so no two
+    (M, n) arrays are live at once.
     """
     if seed.batch is not None:
-        terms, grads, curvature = formula(seed.batch, a2)
+        terms, slope, curvature = formula(seed.batch, a2)
         vals = terms[:, 0].copy()
         for i in range(1, seed.n):
             vals += terms[:, i]
+        del terms
+        grads = slope()
         hess = None
         if want_hessian:
             m, n = seed.batch.shape
@@ -189,6 +196,7 @@ def _separable(seed, a2: np.ndarray, formula, want_hessian: bool):
     for i in range(seed.n):
         x, dx = seed.coord(i)
         v, slope, _ = formula(x, a2[i])
+        slope = slope()
         slope *= dx  # the formula's own array
         if vals is None:
             vals, tangent = v, slope
