@@ -71,7 +71,7 @@ def _as_batch(x: np.ndarray, n: int) -> np.ndarray:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"expected points of dimension {n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise EvaluationError("non-finite input point")
     return x
 
@@ -188,9 +188,9 @@ def _separable(seed, a2: np.ndarray, formula, want_hessian: bool):
         hess = None
         if want_hessian:
             m, n = seed.batch.shape
-            hess = np.zeros((m, n, n))
-            hess[:, range(n), range(n)] = curvature()
-            hess = hess.transpose(1, 2, 0)  # lane-last, as the tangent
+            hess = np.zeros((m, n * n))
+            hess[:, ::n + 1] = curvature()  # the diagonal
+            hess = hess.reshape(m, n, n).transpose(1, 2, 0)  # lane-last, as the tangent
         return vals, grads.T, hess
     vals = tangent = None
     for i in range(seed.n):

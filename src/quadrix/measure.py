@@ -48,7 +48,7 @@ cell back to the chart heights, from its first ray.  The radial nodes lie
 strictly inside the section, so every height converges; a block whose
 height solve fails raises its RegionError, counting that block's points.
 A cell that fails raises for its whole group, and _each solves the group
-again in halves, down to that cell, which so gets its own message.
+again in halves, down to that cell, which then gets its own message.
 The error estimate is the larger of the gap to the sphere rule of order m - 2,
 solved in the same calls, and the radial gap |K15 - G7| of the embedded
 Gauss rule.  Partial sums reduce in a fixed order, so results are
@@ -167,14 +167,14 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
             charts[id(p)] = LocalChart(family, p)
             rays[id(p)] = _chart_directions(p, sphere)
     D = [rays[id(p)][0] for p, _ in cells]
-    t = [t for _, t in cells]
+    ts = [t for _, t in cells]
 
     rho = [np.empty(m) for _ in cells]
     for block in _blocks(_chunks(range(len(cells)), m, _LANE_BUDGET), lambda a, b: b - a):
         counts = [b - a for _, a, b in block]
         chart = LocalChart.joined([charts[id(cells[c][0])] for c, _, _ in block], counts)
         radii = chart.boundary_radius(_cat([D[c][a:b] for c, a, b in block], axis=0),
-                                      _by_lane([t[c] for c, _, _ in block], counts))
+                                      _by_lane([ts[c] for c, _, _ in block], counts))
         for (c, a, b), lo, hi in _bounds(block, counts):
             rho[c][a:b] = radii[lo:hi]
     out: list[dict[str, MeasureResult]] = [{} for _ in cells]
@@ -201,7 +201,7 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
             declined: set[int] = set()
             chunks = _chunks(todo, m, max(1, _LANE_BUDGET // nodes.size))
             for block in _blocks(chunks, lambda a, b: (b - a) * nodes.size, declined):
-                args = [(cells[c][0], t[c], D[c][a:b], rho[c][a:b, None] * nodes) for c, a, b in block]
+                args = [(cells[c][0], ts[c], D[c][a:b], rho[c][a:b, None] * nodes) for c, a, b in block]
                 for (c, a, b), (*_, radii), vals in zip(block, args, integrands(args)):
                     if c in declined:
                         continue
