@@ -224,8 +224,12 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
             lane_t = _by_lane([t for _, t, _, _ in chunks], counts)
             w = chart.height(Y, lane_t)  # the nodes lie strictly inside the region
             values = {"volume": lane_t - w} if "volume" in want else {}
-            if "lateral" in want:
-                values["lateral"] = np.sqrt(1.0 + np.sum(chart.gradient_at(Y, w) ** 2, axis=1))
+            if "lateral" in want:  # sqrt(1 + |grad w|^2)
+                grad = chart.gradient_at(Y, w)
+                grad **= 2
+                lateral = np.sum(grad, axis=1)
+                lateral += 1.0
+                values["lateral"] = np.sqrt(lateral, out=lateral)
             return [{name: v[lo:hi] for name, v in values.items()} for _, lo, hi in _bounds(chunks, counts)]
 
         chords = [c for c, (p, _) in enumerate(cells) if family.sign == "minus" and p.k > 0]
@@ -302,26 +306,41 @@ def _vertical_chords(family: LevelFamily, want: tuple[str, ...]):
         dirs = _cat([rays @ p.frame[:n].T for p, _, rays, _ in chunks], axis=0)
         radii = _cat([radii for *_, radii in chunks], axis=0)
         if "lateral" in want:  # the points lane-last, so each coordinate is one contiguous row
-            X = center.T[:n, :, None] + radii * dirs.T[:, :, None]
+            X = radii * dirs.T[:, :, None]
+            X += center.T[:n, :, None]
             fv, fg = eval_value_grad(family.f, X.reshape(n, -1).T)
+            del X
         else:
             def row(i):
                 return (center[:, i, None] + radii * dirs[:, i, None]).ravel(), 0.0
             fv, _ = eval_line(family.f, row, radii.size)
         points = [count * radii.shape[1] for count in rays_per]
         keep = [np.all(fv[lo:hi] >= 0.0) for _, lo, hi in _bounds(chunks, points)]
-        values = {}
+        values = {}  # computed in place where it can be: a block is up to 2^14 points
         with np.errstate(invalid="ignore", divide="ignore"):  # declined chunks may have f < 0
-            zpow = fv + _by_lane([p.k for p, *_ in chunks], points)  # Z^alpha
+            zpow = fv
+            zpow += _by_lane([p.k for p, *_ in chunks], points)  # Z^alpha
             Z = zpow ** (1.0 / alpha)
             nu_z = _by_lane([abs(p.normal[n]) for p, *_ in chunks], points)
-            if "volume" in want:
+            if "volume" in want:  # nu_z |q_z - Z|
                 dz = _cat([rays @ p.frame[n] for p, _, rays, _ in chunks], axis=0)
-                qz = center[:, n, None] + radii * dz[:, None]
-                values["volume"] = nu_z * np.abs(qz.ravel() - Z)
-            if "lateral" in want:
-                gz = alpha * zpow / Z  # g_z = alpha Z^(alpha - 1)
-                values["lateral"] = nu_z * np.sqrt(1.0 + np.einsum("mi,mi->m", fg, fg) / gz ** 2)
+                volume = radii * dz[:, None]
+                volume += center[:, n, None]
+                volume = volume.ravel()
+                volume -= Z
+                np.abs(volume, out=volume)
+                volume *= nu_z
+                values["volume"] = volume
+            if "lateral" in want:  # nu_z sqrt(1 + |grad f|^2 / g_z^2), g_z = alpha Z^(alpha - 1)
+                gz = alpha * zpow
+                gz /= Z
+                gz **= 2
+                lateral = np.einsum("mi,mi->m", fg, fg)
+                lateral /= gz
+                lateral += 1.0
+                np.sqrt(lateral, out=lateral)
+                lateral *= nu_z
+                values["lateral"] = lateral
         return [{name: v[lo:hi] for name, v in values.items()} if ok else None
                 for ok, (_, lo, hi) in zip(keep, _bounds(chunks, points))]
 

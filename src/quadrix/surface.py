@@ -420,7 +420,10 @@ class LocalChart:
         res -= self.k
         res *= s
         slope *= fam.sf
-        slope += fam.alpha * Z ** (fam.alpha - 1.0) * dZ
+        z_slope = Z ** (fam.alpha - 1.0)
+        z_slope *= fam.alpha
+        z_slope *= dZ
+        slope += z_slope
         slope *= s
         return res, slope
 
@@ -465,10 +468,18 @@ class LocalChart:
         X += self._normals[:n] * w
         Z += self._normals[n] * w
         fam = self.family
-        grad = np.concatenate([fam.sf * eval_value_grad(fam.f, X.T)[1],
-                               fam.alpha * fam._zpow(Z, fam.alpha - 1.0)[:, None]], axis=1)
-        return _cat([-(rows @ chart.frame) / (rows @ chart.normal)[:, None]
-                     for chart, rows in self._by_run(grad)], axis=0)
+        # grad g, one row per lane, written in place; column-major, as the
+        # gradients it is built from, which fixes how the products below sum
+        grad = np.empty((len(Y), n + 1), order="F")
+        np.multiply(eval_value_grad(fam.f, X.T)[1], fam.sf, out=grad[:, :n])
+        np.multiply(fam._zpow(Z, fam.alpha - 1.0), fam.alpha, out=grad[:, n])
+        out = []
+        for chart, rows in self._by_run(grad):
+            slope = rows @ chart.frame
+            np.negative(slope, out=slope)
+            slope /= (rows @ chart.normal)[:, None]
+            out.append(slope)
+        return _cat(out, axis=0)
 
     def boundary_radius(self, U: np.ndarray, t) -> np.ndarray:
         """Radii rho with w(rho u) = t, solved on the section plane itself.
