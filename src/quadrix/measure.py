@@ -199,8 +199,8 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
             # sum; returns the cells whose integrands declined a chunk, whose
             # later chunks are then skipped
             declined: set[int] = set()
-            chunks = _chunks(todo, m, max(1, _LANE_BUDGET // nodes.size))
-            for block in _blocks(chunks, lambda a, b: (b - a) * nodes.size, declined):
+
+            def reduce_block(block):  # its arrays die at return, before the next block's exist
                 args = [(cells[c][0], ts[c], D[c][a:b], rho[c][a:b, None] * nodes) for c, a, b in block]
                 for (c, a, b), (*_, radii), vals in zip(block, args, integrands(args)):
                     if c in declined:
@@ -214,6 +214,10 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
                         f = vals[name].reshape(b - a, -1) * rpow
                         kronrod_sums[a:b] = rho[c][a:b] * (f @ kronrod)
                         gap_sums[a:fine_end] = rho[c][a:fine_end] * (f[:fine_end - a] @ gap_rule)
+
+            chunks = _chunks(todo, m, max(1, _LANE_BUDGET // nodes.size))
+            for block in _blocks(chunks, lambda a, b: (b - a) * nodes.size, declined):
+                reduce_block(block)
             return declined
 
         def heights(chunks):
