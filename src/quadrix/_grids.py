@@ -68,8 +68,9 @@ _GAUSS_WEIGHTS = (
 )
 
 
+@lru_cache(maxsize=1)
 def halton(n: int, count: int, seed: int) -> np.ndarray:
-    """The first count points of the n-dimensional scrambled Halton set, shape (count, n).
+    """The first count points of the n-dimensional scrambled Halton set, shape (count, n), read-only.
 
     Each digit of each coordinate goes through its own random permutation of
     the base's digits, drawn in SciPy's order from
@@ -86,7 +87,9 @@ def halton(n: int, count: int, seed: int) -> np.ndarray:
             out[d] += perm[quotient % base] * scale
             quotient //= base
             scale /= base
-    return out.T
+    out = out.T
+    out.setflags(write=False)  # classify samples every level from the same set
+    return out
 
 
 @lru_cache(maxsize=32)

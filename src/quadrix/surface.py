@@ -4,27 +4,34 @@ A level set M_c = {g = c} is the graph z = Z_c(x) of one branch, treated as
 a strictly convex hypersurface in R^{n+1}.  One graph jet, Z_c with its
 gradient and Hessian, is evaluated and lifted once per point: the lift
 computes the second fundamental form toward the convex side (read by the
-Cholesky convexity certificate, the normal orientation, K = det(form), the
-invariant K |grad g|^{n+2} and the chart's osculating quadric).
-point_on_level lifts the jet at x; parallel_tangents, matching the slopes
-of M_k and M_{k+h}, lifts the one its Newton loop converged on.  That loop
-takes the (point, offset) cells of a level as lanes: one batch of graph
-jets and one stacked solve per step, with per-lane halving; z, g_z and
-g_zz are Python float arithmetic per lane, so a cell's iterates have the
-same bits in any batch.  parallel_tangent is its one-cell call.
+Cholesky convexity certificate, the normal orientation, K = det(form) and
+the invariant K |grad g|^{n+2}).  point_on_level lifts the jet at x;
+parallel_tangents, matching the slopes of M_k and M_{k+h}, lifts the one
+its Newton loop converged on.  That loop takes the (point, offset) cells of
+a level as lanes: one batch of graph jets and one stacked solve per step,
+with per-lane halving; z, g_z and g_zz are Python float arithmetic per
+lane, so a cell's iterates have the same bits in any batch.
+parallel_tangent is its one-cell call.
+
+Every solve starts from g's second-order model at the base point p,
+g(p + v) ~ k + grad g . v + v^T H v / 2 with H = blockdiag(sf Hess f, g_zz),
+built from what the SurfacePoint holds.  On the normal forms, where g is a
+quadratic polynomial in (x, z), the model is g itself, so a chart lane
+converges at its first evaluation and a tangency at its start.
 
 The tangent-plane chart serves the integration routines.  Both its solves,
 heights and section boundary radii, run one vectorized safeguarded solver:
 a per-lane bracket, guarded Newton steps, bisection when a step leaves the
 bracket, iterating only the unconverged lanes.  A joined chart gives the
 lanes of several points of one level their own base points, so one solve
-serves many cells.  A boundary lane starts unbounded above and grows its
-bracket inside the same loop; an off-branch (NaN) residual bounds it like
-a positive one.  Every lane ends in a root or a RegionError.  The residual
-reads f along each lane's line with one forward tangent
-(funcspec.eval_line), so an iteration allocates nothing n wide; the fold
-check reads its slope along the normal, and in the same call the convexity
-check reads its value at twice the boundary radius.
+serves many cells.  Each lane starts from the smallest nonnegative root of
+the model along its line.  A boundary lane starts unbounded above and
+grows its bracket inside the same loop; an off-branch (NaN) residual
+bounds it like a positive one.  Every lane ends in a root or a
+RegionError.  The residual reads f along each lane's line with one
+forward tangent (funcspec.eval_line), so an iteration allocates nothing n
+wide; the fold check reads its slope along the normal, and in the same
+call the convexity check reads its value at twice the boundary radius.
 
 Everything here is pure and operates on immutable inputs; the batched
 chart solver is safe to call concurrently from several threads.
@@ -325,13 +332,16 @@ class LocalChart:
     Chart points are q(y, tau) = p + frame @ y + tau * normal; the surface
     height w(y) >= 0 solves g(q(y, w)) = k.  Heights and section boundary
     radii are roots along a line per lane, found by _safeguarded_roots from
-    the osculating-quadric guess.  Every cap needs the boundary radii; the
-    heights serve the caps the measures cannot slice along z, which are
-    those of "plus" families and of cells where f < 0 at a radial node
-    (measure._vertical_chords).  Heights are solved only inside a section:
-    a lane above its plane, or whose line leaves the graph region (the chart
-    fold) first, raises RegionError instead of silently switching branches,
-    and so does a section that crosses the fold or is not convex.
+    the root of g's second-order model at p along that line (beta and gamma
+    are computed once per chart); a lane where the model has no such root
+    starts from the osculating quadric of the height instead.  Every cap
+    needs the boundary radii; the heights serve the caps the measures
+    cannot slice along z, which are those of "plus" families and of cells
+    where f < 0 at a radial node (measure._vertical_chords).  Heights are
+    solved only inside a section: a lane above its plane, or whose line
+    leaves the graph region (the chart fold) first, raises RegionError
+    instead of silently switching branches, and so does a section that
+    crosses the fold or is not convex.
 
     LocalChart.joined puts the charts of several points of one level side
     by side: its lanes come in runs, each run on one point's plane, and t
@@ -353,6 +363,13 @@ class LocalChart:
         self._scale = 1.0 + abs(self.k)
         self._runs, self._signs = ((self, None),), p.offset_sign
         self._normals = self._per_lane([self.normal])  # lane-last, one column shared by every lane
+        # g's second-order model at p along the chart, per unit of <grad g,
+        # normal>: beta = frame^T H normal and gamma = normal^T H normal / 2
+        with np.errstate(**_QUIET):  # an infinite g_zz makes them NaN: _first_root falls back
+            Hn = np.append(family.sf * (p.f_jet.hessian @ p.normal[:-1]),
+                           _g_zz(family, p) * p.normal[-1])
+            Hn /= p.grad_g @ p.normal
+            self._beta, self._gamma = p.frame.T @ Hn, 0.5 * float(p.normal @ Hn)
 
     @classmethod
     def joined(cls, charts, counts) -> LocalChart:
@@ -368,6 +385,7 @@ class LocalChart:
         chart._runs = tuple(zip(charts, counts))
         chart._normals = chart._per_lane([c.normal for c in charts])
         chart._signs = np.repeat([c._signs for c in charts], counts)
+        chart._gamma = np.repeat([c._gamma for c in charts], counts)
         return chart
 
     def _per_lane(self, columns: list) -> np.ndarray:
@@ -427,9 +445,15 @@ class LocalChart:
         slope *= s
         return res, slope
 
-    def taylor_height(self, Y: np.ndarray) -> np.ndarray:
-        return _cat([0.5 * np.einsum("mi,mi->m", rows @ chart.second_form, rows)
-                     for chart, rows in self._by_run(Y)])
+    def _model(self, Y: np.ndarray):
+        """The terms of g's second-order model for chart offsets or directions Y,
+        (M, n): the Taylor height y^T S y / 2 of the second form S, y . beta
+        and gamma, per lane."""
+        T, yb = [], []
+        for chart, rows in self._by_run(Y):
+            T.append(0.5 * np.einsum("mi,mi->m", rows @ chart.second_form, rows))
+            yb.append(rows @ chart._beta)
+        return _cat(T), _cat(yb), self._gamma
 
     def height(self, Y: np.ndarray, t) -> np.ndarray:
         """Graph heights w below the section plane at t for chart offsets Y, shape (M, n).
@@ -437,7 +461,7 @@ class LocalChart:
         Every offset must lie inside the section: its root lies in [0, t] up
         to a margin of 1e-9 (1 + |t|) for the boundary-radius tolerance, so
         the bracket is immediate and needs no evaluation at its top.  Every
-        lane is solved from the osculating guess.  A lane that does not
+        lane is solved from the model's root.  A lane that does not
         converge, whether above the plane, past the chart fold or stalled,
         raises RegionError naming the first such offset; no height is +inf.
         """
@@ -449,8 +473,13 @@ class LocalChart:
         def residual(idx, tau):
             return self._line_residual(X0, Z0, dX, dZ, self._signs, idx, tau)
 
+        # the model's g - k per unit of <grad g, normal> along the line is
+        # gamma tau^2 + (1 + y . beta) tau - T
+        T, yb, gamma = self._model(Y)
+        yb += 1.0
         hi = np.full(m, t + 1e-9 * (1.0 + abs(t)))
-        tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, self.taylor_height(Y),
+        guess = _first_root(gamma, yb, -T, T)
+        tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess,
                                               NEWTON_TOL * self._scale, np.arange(m))
         if unconverged.size:
             raise RegionError(
@@ -486,7 +515,7 @@ class LocalChart:
 
         U holds chart directions of any nonzero length, shape (M, n); rho is in
         units of each direction's length.  Each lane starts from the
-        osculating guess with the bracket [0, +inf).  Raises RegionError when
+        model's root with the bracket [0, +inf).  Raises RegionError when
         t exceeds the cap height, when a lane finds no upper bound (the
         region escapes the chart), ends bracketed against an off-branch top
         (the section reaches the edge of the z > 0 branch) or stalls, or when
@@ -515,7 +544,11 @@ class LocalChart:
         if not np.all(res0 < 0):
             lane = starts[np.argmin(res0 < 0)]
             raise RegionError(f"offset t={t_at(lane):.6g} is not below the cap top at this point")
-        guess = np.sqrt(t / self.taylor_height(U))
+        # the model's g - k per unit of -<grad g, normal> along the line is
+        # T rho^2 - t (u . beta) rho - (t + gamma t^2)
+        T, ub, gamma = self._model(U)
+        ub *= t
+        guess = _first_root(T, -ub, -(t + gamma * t * t), np.sqrt(t / T))
         hi = np.full(m, np.inf)  # the solve grows each lane's bracket from the guess
         rho, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess,
                                               NEWTON_TOL * self._scale, np.arange(m))
@@ -552,6 +585,28 @@ class LocalChart:
         if np.any(res[m:] > 0):
             raise RegionError(f"section is not convex at t={t_at(np.argmax(res[m:] > 0)):.6g}")
         return rho
+
+
+def _g_zz(family: LevelFamily, p: SurfacePoint) -> float:
+    """g_zz = alpha (alpha - 1) z^(alpha - 2) at p: Hess g = blockdiag(sf Hess f, g_zz)."""
+    return _branch(family, p.k, float(p.f_jet.value))[2]
+
+
+def _first_root(a, b, c, fallback) -> np.ndarray:
+    """The smallest nonnegative root of a x^2 + b x + c per lane; fallback where there is none.
+
+    q = -(b + sign(b) sqrt(b^2 - 4 a c)) / 2 gives the roots q / a and c / q
+    without cancellation; a = 0 leaves the linear root c / q = -c / b.
+    """
+    with np.errstate(**_QUIET):  # no real root, a = 0 and NaN coefficients
+        q = np.sqrt(b * b - 4.0 * a * c)
+        np.copysign(q, b, out=q)
+        q += b
+        q *= -0.5
+        roots = np.stack(np.broadcast_arrays(q / a, c / q))
+        roots[~((roots >= 0) & (roots < np.inf))] = np.inf
+        root = roots.min(axis=0)
+    return np.where(root < np.inf, root, fallback)
 
 
 def _cat(parts: list, axis: int = -1) -> np.ndarray:
@@ -665,9 +720,14 @@ def parallel_tangents(family: LevelFamily, cells) -> list[TangencyResult]:
 
     On the z > 0 graphs of the two levels this is Newton on the slope gap
     grad Z_{k+h}(x) - grad Z_k(x_p), with Jacobian Hess Z_{k+h}; lambda is
-    g_z(v) / g_z(p).  It starts from the x of the first-order offset of p
-    along its normal, or, off the graph, from the center of f's osculating
-    quadratic at x_p; steps off the graph or not shrinking the gap are halved.
+    g_z(v) / g_z(p).  Each cell's first batch of jets reads two starts: the
+    parallel tangency of g's second-order model at p (_model_tangencies)
+    and the x of the first-order offset of p along its normal.  The cell
+    starts from the one on the graph with the smaller slope gap, which
+    guards against the model where it is indefinite (g_zz < 0, as at alpha
+    = 0.5); with neither on the graph, it starts from the center of f's
+    osculating quadratic at x_p.  Steps off the graph or not shrinking the
+    gap are halved.
     Each cell is a lane: one batch of graph jets and one stacked solve per
     step, a lane leaving once its gap is within tolerance, and per-lane
     halving.  No lane's iterates depend on another's, so a cell has the
@@ -682,9 +742,10 @@ def parallel_tangents(family: LevelFamily, cells) -> list[TangencyResult]:
     target = [p.k + h for p, h in cells]
     slope_p = np.array([-p.grad_g[:-1] / p.grad_g[-1] for p, _ in cells])
     tol = NEWTON_TOL * (1.0 + np.max(np.abs(slope_p), axis=1))
-    x = np.array([p.x + (h / float(p.grad_g @ p.normal)) * p.normal[:-1] for p, h in cells])
+    first = np.array([p.x + (h / float(p.grad_g @ p.normal)) * p.normal[:-1] for p, h in cells])
     with np.errstate(**_QUIET):
-        final = _newton(family, cells, target, slope_p, tol, x)
+        starts = np.concatenate([_model_tangencies(family, cells, first), first])
+        final = _newton(family, cells, target, slope_p, tol, starts)
     out = []
     for (p, h), k, (xi, jet, iterations) in zip(cells, target, final):
         scale = jet.gz / p.grad_g[-1]
@@ -707,10 +768,45 @@ def parallel_tangents(family: LevelFamily, cells) -> list[TangencyResult]:
     return out
 
 
-def _newton(family, cells, target, slope_p, tol, x) -> list:
-    """parallel_tangents' Newton loop from the starts x: each cell's
-    converged x, graph jet and iteration count."""
-    jets = _graph_jets(family, target, x)
+def _model_tangencies(family, cells, first: np.ndarray) -> np.ndarray:
+    """For each (p, h), the x of the parallel tangency on level k + h of g's
+    second-order model at p, g(p + v) ~ k + grad g . v + v^T H v / 2 with
+    H = blockdiag(sf Hess f, g_zz): x_p + mu Hess f^-1 grad f (least squares
+    where Hess f is singular).
+
+    grad g(p + v) = lambda grad g(p) makes v = (lambda - 1) H^-1 grad g, and
+    the level fixes lambda - 1 = mu = r / (1 + sqrt(1 + r)), r = 2 h / c with
+    c = grad g^T H^-1 grad g = sf grad f^T Hess f^-1 grad f + g_z^2 / g_zz.
+    g_zz = 0 (alpha = 1) gives mu = 0: the levels are vertical translates.
+    A cell whose model has no finite tangency keeps its row of first, the
+    first-order start.  Call under np.errstate(**_QUIET).
+    """
+    X = np.array([p.x for p, _ in cells])
+    grad = np.array([p.f_jet.gradient for p, _ in cells])
+    d = np.array([np.linalg.lstsq(p.f_jet.hessian, p.f_jet.gradient, rcond=None)[0] for p, _ in cells])
+    gz = np.array([p.grad_g[-1] for p, _ in cells])
+    c = family.sf * (grad[:, None, :] @ d[:, :, None])[:, 0, 0]
+    c += gz * gz / np.array([_g_zz(family, p) for p, _ in cells])
+    r = 2.0 * np.array([h for _, h in cells]) / c
+    mu = r / (1.0 + np.sqrt(1.0 + r))
+    X += mu[:, None] * d
+    return np.where(np.isfinite(X).all(axis=1)[:, None], X, first)
+
+
+def _newton(family, cells, target, slope_p, tol, starts) -> list:
+    """parallel_tangents' Newton loop: each cell's converged x, graph jet
+    and iteration count.
+
+    starts holds two rows per cell, the model starts of all cells and then
+    their first-order starts; one batch of jets reads both, and each cell
+    starts from the one on the graph with the smaller slope gap.
+    """
+    m = len(cells)
+    both = _graph_jets(family, target * 2, starts)
+    gaps = _norms(both.slope - np.concatenate([slope_p, slope_p]))
+    gaps[~(both.finite & (both.z > 0))] = np.inf
+    pick = np.where(gaps[m:] < gaps[:m], np.arange(m, 2 * m), np.arange(m))
+    x, jets = starts[pick], both.take(pick)
     off = ~(jets.finite & (jets.z > 0))
     if off.any():  # start instead from the center of f's osculating quadratic
         for i in np.flatnonzero(off):

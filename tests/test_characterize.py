@@ -16,6 +16,7 @@ from quadrix import (
     point_on_level,
     sample_points,
 )
+from quadrix import _grids
 
 from conftest import seeded_xs, trio
 
@@ -44,6 +45,16 @@ class TestSamplePoints:
         family = LevelFamily(parse_expression("x1^2 - 1", 1), alpha=2.0, sign="minus")
         with pytest.warns(UserWarning, match="nonnegativity"):
             sample_points(family, 2.0, 4, 3, box=(-1.0, 1.0))
+
+    def test_levels_share_one_halton_draw(self):
+        # classify samples each level from the same (n, count, seed) set
+        _grids.halton.cache_clear()
+        family = trio()["elliptic_hyperboloid"]
+        for k in (0.5, 1.0, 2.0):
+            sample_points(family, k, 6, 5)
+        info = _grids.halton.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert not _grids.halton(2, 6, 5).flags.writeable
 
     def test_deterministic_for_seed(self, unit_sphere2):
         a = sample_points(unit_sphere2, 1.0, 6, 5, box=(-0.5, 0.5))

@@ -328,8 +328,8 @@ class TestParallelTangent:
 
     def test_start_off_the_branch(self):
         # a deep ellipsoid cap: the first-order offset of p lies outside the
-        # small level k + h = 0.1, and so does x_p; the solve starts from the
-        # center of f's osculating quadratic instead
+        # small level k + h = 0.1, and so does x_p; the model's start is the
+        # tangency itself, so the solve takes no Newton step
         family = trio(_A6[:5])["ellipsoid"]
         k, h = 1.0, -0.9
         x = np.array([-0.3, 0.2, 0.2, -0.3, -0.3])
@@ -340,6 +340,62 @@ class TestParallelTangent:
                 point_on_level(family, k + h, off)
         res = parallel_tangent(family, p, h)
         assert np.max(np.abs(res.v.ambient - np.sqrt((k + h) / k) * p.ambient)) <= 1e-9
+        assert res.newton_iterations == 1
+
+    def test_start_from_the_center_of_f(self, monkeypatch):
+        # alpha = 3, quartic f: neither the model's start nor the first-order
+        # offset lies on the z > 0 graph of the level k + h = 0.12, so the
+        # solve starts from the center of f's osculating quadratic at x_p
+        family = LevelFamily(PerturbedQuadratic((0.9,), 0.7, "quartic"), 3.0, "plus")
+        k, h = 1.0, -0.88
+        p = point_on_level(family, k, np.array([-0.56]))
+        starts = []
+        inner = surface._graph_jets
+
+        def recording(family, c, X):
+            starts.append(np.array(X, copy=True))
+            jets = inner(family, c, X)
+            if len(starts) == 1:  # the batch of both starts
+                assert not np.any(jets.finite & (jets.z > 0))
+            return jets
+
+        monkeypatch.setattr(surface, "_graph_jets", recording)
+        res = parallel_tangent(family, p, h)
+        center = p.x - np.linalg.lstsq(p.f_jet.hessian, p.f_jet.gradient, rcond=None)[0]
+        assert np.array_equal(starts[1], center[None, :])
+        assert surface_residual(family, res.v) <= 1e-12
+        assert np.linalg.norm(res.v.normal - p.normal) <= 1e-9 and res.t > 0
+
+    @pytest.mark.parametrize("kind", list(trio()))
+    def test_model_start_is_the_tangency_on_the_normal_forms(self, kind):
+        # g is its own second-order model there: every solve converges at
+        # its start, before any Newton step
+        for n in range(1, 7):
+            family = trio(_A6[:n])[kind]
+            for x in seeded_xs(n, 3, 60 + n, 0.3 * np.sqrt(2 / n)):
+                p = point_on_level(family, 1.0, x)
+                h = -0.4 if family.sign == "plus" else 0.5
+                assert parallel_tangent(family, p, h).newton_iterations == 1
+
+    def test_guard_keeps_the_first_order_start(self, monkeypatch):
+        # alpha = 0.5 "plus": g_zz < 0, so g's model is indefinite, and its
+        # tangency lies on the graph but on the wrong side of the fold.  The
+        # first-order offset has the smaller slope gap and solves, with the
+        # t and iterations of a start from the first-order offset alone
+        family = LevelFamily(PerturbedQuadratic((1.2,), 0.8, "quartic"), 0.5, "plus")
+        p = point_on_level(family, 0.5, np.array([-0.45]))
+        res = parallel_tangent(family, p, 0.48)
+        assert (res.t, res.newton_iterations) == (0.10068253648575354, 7)
+        inner = surface._newton
+
+        def model_only(family, cells, target, slope_p, tol, starts):
+            starts = starts.copy()
+            starts[len(cells):] = starts[:len(cells)]
+            return inner(family, cells, target, slope_p, tol, starts)
+
+        monkeypatch.setattr(surface, "_newton", model_only)
+        with pytest.raises(TangencyError, match="opposite"):
+            parallel_tangent(family, p, 0.48)
 
     def test_antiparallel_normals_rejected(self, unit_sphere2, monkeypatch):
         # an antiparallel tangency has sine 0 between the normals, as a
@@ -475,8 +531,16 @@ class TestChartSolver:
 
     @staticmethod
     def _chart():
-        family = trio()["elliptic_hyperboloid"]
+        # not a quadric: on the normal forms g is its own second-order model,
+        # so every lane would converge at its first evaluation
+        family = LevelFamily(PerturbedQuadratic((1.0, 2.0), 0.3, "quartic"), 2.0, "minus")
         return LocalChart(family, point_on_level(family, 1.0, np.array([0.7, -0.4])))
+
+    @staticmethod
+    def _quartic_cap():
+        """The chart at the top of a quartic-perturbed cap, symmetric about the z axis."""
+        family = LevelFamily(PerturbedQuadratic((1.0, 1.0), 0.3, "quartic"), 2.0, "plus")
+        return LocalChart(family, point_on_level(family, 1.0, np.zeros(2)))
 
     def test_batch_invariance(self, monkeypatch):
         chart = self._chart()
@@ -565,13 +629,13 @@ class TestChartSolver:
         monkeypatch.setattr(chart, "_line_residual", recording)
         return calls
 
-    def test_lazy_bracket(self, unit_sphere2, monkeypatch):
+    def test_lazy_bracket(self, monkeypatch):
         # the top of the bracket is never evaluated up front, so a lane takes
-        # only its Newton iterates: 4 for the root 0.2 from the guess 0.18, 5
-        # for the root 0.564 from 0.405
-        chart = LocalChart(unit_sphere2, point_on_level(unit_sphere2, 1.0, np.zeros(2)))
+        # only its Newton iterates: 4 for the root 0.225 from the model's
+        # guess 0.2, 5 for the root 0.513 from 0.4
+        chart = self._quartic_cap()
         calls = self._record_lines(monkeypatch, chart)
-        for t, Y, counts in ((0.3, [[0.6, 0.0]], [4]), (0.9, [[0.6, 0.0], [0.0, 0.9]], [4, 5])):
+        for t, Y, counts in ((0.3, [[0.6, 0.0]], [4]), (0.9, [[0.6, 0.0], [0.0, 0.8]], [4, 5])):
             calls.clear()
             w = chart.height(np.array(Y), t)
             hi = t + 1e-9 * (1.0 + t)
@@ -579,6 +643,25 @@ class TestChartSolver:
             for lane, count in enumerate(counts):
                 taus = [tau[idx == lane][0] for idx, tau in calls if lane in idx]
                 assert len(taus) == count and hi not in taus and t not in taus
+    @pytest.mark.parametrize("kind", list(trio()))
+    def test_one_evaluation_per_lane_on_the_normal_forms(self, kind, monkeypatch):
+        # g is its own second-order model there, so every lane's start is its
+        # root: a boundary solve evaluates the base point once per run, each
+        # lane once, and each lane twice more for the fold and convexity
+        # checks; a height solve evaluates each lane once
+        for n in range(1, 7):
+            family = trio(_A6[:n])[kind]
+            p = point_on_level(family, 1.0, np.full(n, 0.1))
+            t = parallel_tangent(family, p, -0.4 if family.sign == "plus" else 0.2).t
+            chart = LocalChart(family, p)
+            calls = self._record_lines(monkeypatch, chart)
+            U = np.random.default_rng(n).standard_normal((40, n))
+            rho = chart.boundary_radius(U, t)
+            assert sum(idx.size for idx, _ in calls) == 1 + 3 * 40
+            calls.clear()
+            chart.height(U * (rho * np.linspace(0.05, 0.95, 40))[:, None], t)
+            assert sum(idx.size for idx, _ in calls) == 40
+
     def test_boundary_start_is_evaluated_once(self, monkeypatch):
         # the bracket grows inside the Newton loop, so no lane is evaluated
         # twice at the same point of its line from the section's base point
@@ -657,6 +740,8 @@ class TestChartSolver:
         w = chart.height(Y[[0, 2]], 0.9)
         assert w[0] == pytest.approx(0.2, abs=1e-12)
         assert w[1] == pytest.approx(1.0 - np.sqrt(1.0 - 0.81), abs=1e-12)
-        monkeypatch.setattr(surface, "CHART_MAXITER", 1)  # a stalled solve raises too
+        # a stalled solve raises too; off the quadrics, where a lane takes
+        # several iterations
+        monkeypatch.setattr(surface, "CHART_MAXITER", 1)
         with pytest.raises(RegionError, match=r"chart offset y=\[0\.6, 0\.0\] \(2 of 2 points\)"):
-            chart.height(Y[[0, 2]], 0.9)
+            self._quartic_cap().height(np.array([[0.6, 0.0], [0.0, 0.8]]), 0.9)
