@@ -53,11 +53,19 @@ The error estimate is the larger of the gap to the sphere rule of order m - 2,
 solved in the same calls, and the radial gap |K15 - G7| of the embedded
 Gauss rule.  Partial sums reduce in a fixed order, so results are
 bit-stable.
+
+Under glibc, importing this module fixes malloc's mmap and trim thresholds
+at 32 and 64 MiB (_keep_freed_heap), so the memory a block frees stays
+mapped for the next block and the next call instead of being faulted in
+again.  The process keeps up to 64 MiB of freed heap; peak RSS does not
+change.
 """
 
 from __future__ import annotations
 
+import ctypes
 import operator
+import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -84,6 +92,29 @@ _ERR_FLOOR = 1e-11  # relative floor covering boundary-solve tolerances
 _TARGET = 1e-4  # relative error estimate above which a radial measure warns
 _LANE_BUDGET = 1 << 14  # chart points per boundary or height solve: a block stays cache-sized
 _GROUP_RAYS = 1 << 20  # rays of the cells one pass holds: their results stay tens of MiB
+
+
+def _keep_freed_heap() -> None:
+    """Fix glibc's malloc thresholds, so that the memory a block frees stays mapped.
+
+    By default glibc mmaps each array above 128 KiB afresh, until its dynamic
+    threshold has grown past it, and trims the heap top on free, so every
+    block of _LANE_BUDGET chart points faults its working set in again.  32
+    and 64 MiB are the limits the dynamic thresholds grow towards.  Without
+    glibc this does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -421,6 +422,37 @@ class TestRadialRule:
                               capture_output=True, text=True, timeout=300, check=True)
         peak_mib = int(proc.stdout.split()[-1]) / 1024
         assert peak_mib < 200, peak_mib
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+    def test_repeated_n6_cell_takes_no_page_faults(self):
+        # the blocks' temporaries stay mapped once a first call has grown the
+        # heap, so a repeated cell finds its working set in place (about
+        # 2 000 minor faults per call when glibc trims the heap after each block)
+        import resource
+
+        family = LevelFamily(QuadraticForm((1.0, 1.5, 2.0, 1.0, 1.2, 0.8)), 2.0, "plus")
+        p = point_on_level(family, 1.0, np.full(6, 0.05))
+        starred_measures(family, p, -0.3)
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            starred_measures(family, p, -0.3)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert min(faults) < 100, faults
+
+    @staticmethod
+    def _no_such_name(name):
+        raise ValueError("unrecognized configuration name")
+
+    # macOS has no CS_GNU_LIBC_VERSION name; a libc may have it with no value
+    @pytest.mark.parametrize("confstr", [_no_such_name, lambda name: None], ids=["no-name", "no-value"])
+    def test_allocator_setting_is_a_no_op_without_glibc(self, monkeypatch, confstr):
+        def no_libc(name):
+            raise AssertionError("mallopt looked up without glibc")
+
+        monkeypatch.setattr(os, "confstr", confstr)
+        monkeypatch.setattr(measure.ctypes, "CDLL", no_libc)
+        measure._keep_freed_heap()
 
     @pytest.mark.parametrize("order", [None, 4, 256])
     def test_one_dimensional_direction_count(self, hyperbola1, order):
