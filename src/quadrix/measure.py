@@ -8,8 +8,10 @@ section S of that plane, in the tangent-plane coordinates y of p:
     volume  = integral of (t - w(y)),
     lateral = integral of sqrt(1 + |grad w(y)|^2),
 
-with w the chart height of M_k over y.  On a "minus" family with k > 0 the
-cap is sliced along z instead (Cavalieri): there z^alpha = k + f(x) gives
+with w the chart height of M_k over y; the lateral integrand is read as
+|grad g| / |<grad g, nu>| at the surface point, the same number, as the
+frame and nu are orthonormal.  On a "minus" family with k > 0 the cap is
+sliced along z instead (Cavalieri): there z^alpha = k + f(x) gives
 the surface over x explicitly as Z(x), and the chord from a section point
 q down (or up) to s = (q_x, Z(q_x)) is the whole cap over q, so
 
@@ -43,8 +45,10 @@ are cut into the chunks a one-cell call cuts them into, a block joins
 whole chunks of several cells (LocalChart.joined), and every product that
 sums over a ray's nodes is taken chunk by chunk, so a cell has the same
 bits in any table; starred_measures and cap_measures are one-cell calls of
-the same pass.  A chunk of chords with f < 0 at one of its nodes sends its
-cell back to the chart heights, from its first ray.  The radial nodes lie
+the same pass.  The chart heights take each point's direction geometry
+from one LocalChart.rays call, which every block slices, so a chart node
+has the same bits in any block.  A chunk of chords with f < 0 at one of
+its nodes sends its cell back to the chart heights, from its first ray.  The radial nodes lie
 strictly inside the section, so every height converges; a block whose
 height solve fails raises its RegionError, counting that block's points.
 A cell that fails raises for its whole group, and _each solves the group
@@ -76,7 +80,7 @@ import numpy as np
 from ._grids import DEFAULT_ORDER, radial_nodes, sphere_rule
 from .errors import QuadrixError
 from .funcspec import eval_line, eval_value_grad
-from .surface import LevelFamily, LocalChart, SurfacePoint, _by_lane, _cat, parallel_tangents
+from .surface import ChartRays, LevelFamily, LocalChart, SurfacePoint, _by_lane, _cat, parallel_tangents
 
 __all__ = [
     "CapMeasures",
@@ -181,7 +185,8 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
                   want: tuple[str, ...]) -> list[dict[str, MeasureResult]]:
     """The wanted measures of the cap of every (p, t) cell, solved together.
 
-    Each point's chart and chart directions are built once.  Every lane of
+    Each point's chart and chart directions are built once, and their
+    geometry for the chart heights at most once.  Every lane of
     every cell then goes through one boundary solve and one ray pass, in
     blocks of at most _LANE_BUDGET chart points.  Each cell's lanes are cut
     into chunks as a cell alone would cut them, and a block joins whole
@@ -232,8 +237,9 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
             declined: set[int] = set()
 
             def reduce_block(block):  # its arrays die at return, before the next block's exist
-                args = [(cells[c][0], ts[c], D[c][a:b], rho[c][a:b, None] * nodes) for c, a, b in block]
-                for (c, a, b), (*_, radii), vals in zip(block, args, integrands(args)):
+                args = [(cells[c][0], ts[c], D[c][a:b], rho[c][a:b, None] * nodes, slice(a, b))
+                        for c, a, b in block]
+                for (c, a, b), (*_, radii, _), vals in zip(block, args, integrands(args)):
                     if c in declined:
                         continue
                     if vals is None:
@@ -251,21 +257,25 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
                 reduce_block(block)
             return declined
 
+        geometry = {}  # per point, the ChartRays of all its directions, which every block slices
+
         def heights(chunks):
-            counts = [radii.size for _, _, _, radii in chunks]
-            Y = _cat([(radii[..., None] * D[:, None, :]).reshape(-1, n) for _, _, D, radii in chunks],
-                     axis=0)
-            chart = LocalChart.joined([charts[id(p)] for p, _, _, _ in chunks], counts)
-            lane_t = _by_lane([t for _, t, _, _ in chunks], counts)
-            w = chart.height(Y, lane_t)  # the nodes lie strictly inside the region
-            values = {"volume": lane_t - w} if "volume" in want else {}
-            if "lateral" in want:  # sqrt(1 + |grad w|^2)
-                grad = chart.gradient_at(Y, w)
-                grad **= 2
-                lateral = np.sum(grad, axis=1)
-                lateral += 1.0
-                values["lateral"] = np.sqrt(lateral, out=lateral)
-            return [{name: v[lo:hi] for name, v in values.items()} for _, lo, hi in _bounds(chunks, counts)]
+            counts, points = [len(U) for _, _, U, *_ in chunks], [radii.size for *_, radii, _ in chunks]
+            for p, *_ in chunks:
+                if id(p) not in geometry:
+                    geometry[id(p)] = charts[id(p)].rays(rays[id(p)][0])
+            chart = LocalChart.joined([charts[id(p)] for p, *_ in chunks], counts)
+            ray_t = [t for _, t, *_ in chunks]
+            w = chart.height(_cat([U for _, _, U, *_ in chunks], axis=0), _by_lane(ray_t, counts),
+                             _cat([radii for *_, radii, _ in chunks], axis=0),
+                             ChartRays.join([geometry[id(p)].take(lanes) for p, *_, lanes in chunks]),
+                             lateral="lateral" in want)  # the nodes lie strictly inside the region
+            values = {}
+            if "lateral" in want:  # |grad g| / |<grad g, nu>| = sqrt(1 + |grad w|^2)
+                w, values["lateral"] = w
+            if "volume" in want:
+                values["volume"] = _by_lane(ray_t, points) - w
+            return [{name: v[lo:hi] for name, v in values.items()} for _, lo, hi in _bounds(chunks, points)]
 
         chords = [c for c, (p, _) in enumerate(cells) if family.sign == "minus" and p.k > 0]
         sliced = set(chords) - ray_pass(chords, _vertical_chords(family, want))
@@ -328,18 +338,19 @@ def _vertical_chords(family: LevelFamily, want: tuple[str, ...]):
     f(q_x) >= 0.  Per unit of section area the cap then has volume
     |nu_z| |q_z - Z| and lateral area |nu_z| |grad g(s)| / |g_z(s)|: no
     height solve.  The returned block function takes chunks (p, t, rays,
-    radii) and evaluates f at all of their points at once; it gives each
+    radii, lanes), lanes the slice of the cell's rays the chunk holds, and
+    evaluates f at all of their points at once; it gives each
     chunk's values, or None where f < 0 at one of its points, so that cell
     goes back to the chart heights.
     """
     n, alpha = family.n, family.alpha
 
     def chords(chunks):
-        rays_per = [len(rays) for _, _, rays, _ in chunks]
+        rays_per = [len(rays) for _, _, rays, *_ in chunks]
         # per ray: the section center, x velocity, z velocity, |nu_z| and k
-        center = _by_lane([p.ambient + t * p.normal for p, t, _, _ in chunks], rays_per)
-        dirs = _cat([rays @ p.frame[:n].T for p, _, rays, _ in chunks], axis=0)
-        radii = _cat([radii for *_, radii in chunks], axis=0)
+        center = _by_lane([p.ambient + t * p.normal for p, t, *_ in chunks], rays_per)
+        dirs = _cat([rays @ p.frame[:n].T for p, _, rays, *_ in chunks], axis=0)
+        radii = _cat([radii for *_, radii, _ in chunks], axis=0)
         if "lateral" in want:  # the points lane-last, so each coordinate is one contiguous row
             X = radii * dirs.T[:, :, None]
             X += center.T[:n, :, None]
@@ -358,7 +369,7 @@ def _vertical_chords(family: LevelFamily, want: tuple[str, ...]):
             Z = zpow ** (1.0 / alpha)
             nu_z = _by_lane([abs(p.normal[n]) for p, *_ in chunks], points)
             if "volume" in want:  # nu_z |q_z - Z|
-                dz = _cat([rays @ p.frame[n] for p, _, rays, _ in chunks], axis=0)
+                dz = _cat([rays @ p.frame[n] for p, _, rays, *_ in chunks], axis=0)
                 volume = radii * dz[:, None]
                 volume += center[:, n, None]
                 volume = volume.ravel()

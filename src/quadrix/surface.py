@@ -326,6 +326,23 @@ def curvature_invariant(family: LevelFamily, p: SurfacePoint) -> float:
 # ---------------------------------------------------------------------------
 
 
+class ChartRays(NamedTuple):
+    """The geometry of M chart directions u, lane-last, each on its point's
+    chart: a node r u takes its base point and model terms from it and r."""
+
+    dX: np.ndarray  # frame[:n] @ u, (n, M)
+    dZ: np.ndarray  # frame[n] . u, (M,)
+    taylor: np.ndarray  # the Taylor height u^T S u / 2 of the second form S, (M,)
+    beta: np.ndarray  # u . beta, (M,)
+
+    def take(self, lanes: slice) -> ChartRays:
+        return ChartRays(*(a[..., lanes] for a in self))
+
+    @staticmethod
+    def join(parts: list) -> ChartRays:
+        return ChartRays(*(_cat(list(a)) for a in zip(*parts)))
+
+
 class LocalChart:
     """Graph coordinates of M_k over the tangent plane at p.
 
@@ -343,13 +360,18 @@ class LocalChart:
     instead of silently switching branches, and so does a section that
     crosses the fold or is not convex.
 
+    Both solves take chart directions u.  A height lane is a node r u on
+    one, whose base point and model terms follow from r and the direction's
+    ChartRays (LocalChart.rays): no per-node product with the frame or the
+    second form.  Chart offsets y are the nodes at radius 1.
+
     LocalChart.joined puts the charts of several points of one level side
-    by side: its lanes come in runs, each run on one point's plane, and t
-    may be one value per lane, so one call solves the lanes of many cells.
-    A lane's root does not depend on the other lanes, and the products with
-    each point's frame are taken run by run, so every lane has the bits it
-    has on its own point's chart.  A chart keeps no solver state, so
-    threads may share it.
+    by side: its lanes come in runs of directions, each run on one point's
+    plane, and t may be one value per direction, so one call solves the
+    lanes of many cells.  A lane's root does not depend on the other lanes,
+    and the products with each point's frame are taken run by run, so
+    every lane has the bits it has on its own point's chart.  A chart keeps
+    no solver state, so threads may share it.
     """
 
     def __init__(self, family: LevelFamily, p: SurfacePoint):
@@ -373,7 +395,7 @@ class LocalChart:
 
     @classmethod
     def joined(cls, charts, counts) -> LocalChart:
-        """The charts of points of one level side by side, counts[i] lanes on charts[i]."""
+        """The charts of points of one level side by side, counts[i] directions on charts[i]."""
         if len(charts) == 1:
             return charts[0]
         first = charts[0]
@@ -398,17 +420,6 @@ class LocalChart:
             return [(self._runs[0][0], A)]
         ends = list(accumulate(count for _, count in self._runs))
         return [(chart, A[b - count:b]) for (chart, count), b in zip(self._runs, ends)]
-
-    def _chart_base(self, Y: np.ndarray):
-        """Points p + frame @ y, lane-last: X of shape (n, M), Z of shape (M,)."""
-        n = Y.shape[1]
-        X, Z = [], []
-        for chart, rows in self._by_run(Y):
-            x = chart.frame[:n] @ rows.T
-            x += chart.origin[:n, None]
-            X.append(x)
-            Z.append(chart.origin[n] + rows @ chart.frame[n])
-        return _cat(X), _cat(Z)
 
     def _line_residual(self, X0, Z0, dX, dZ, s, idx, tau):
         """s * (g - k) and its tau-derivative at (X0 + tau dX, Z0 + tau dZ).
@@ -445,65 +456,109 @@ class LocalChart:
         slope *= s
         return res, slope
 
-    def _model(self, Y: np.ndarray):
-        """The terms of g's second-order model for chart offsets or directions Y,
-        (M, n): the Taylor height y^T S y / 2 of the second form S, y . beta
-        and gamma, per lane."""
-        T, yb = [], []
-        for chart, rows in self._by_run(Y):
-            T.append(0.5 * np.einsum("mi,mi->m", rows @ chart.second_form, rows))
-            yb.append(rows @ chart._beta)
-        return _cat(T), _cat(yb), self._gamma
+    def rays(self, U: np.ndarray) -> ChartRays:
+        """The geometry of chart directions U, shape (M, n), run by run."""
+        n = U.shape[1]
+        return ChartRays.join([
+            ChartRays(chart.frame[:n] @ rows.T, rows @ chart.frame[n],
+                      0.5 * np.einsum("mi,mi->m", rows @ chart.second_form, rows), rows @ chart._beta)
+            for chart, rows in self._by_run(U)])
 
-    def height(self, Y: np.ndarray, t) -> np.ndarray:
-        """Graph heights w below the section plane at t for chart offsets Y, shape (M, n).
+    def _base(self, rays: ChartRays, r: np.ndarray):
+        """Chart points p + r frame @ u at the radii r, (M, K), along each
+        direction u, lane-last: X of shape (n, M K) and Z of shape (M K,)."""
+        n = rays.dX.shape[0]
+        origins = self._per_lane([chart.origin for chart, _ in self._runs])  # per direction, or one for all
+        X = rays.dX[:, :, None] * r
+        X += origins[:n, :, None]
+        Z = rays.dZ[:, None] * r
+        Z += origins[n, :, None]
+        return X.reshape(n, -1), Z.reshape(-1)
 
-        Every offset must lie inside the section: its root lies in [0, t] up
+    def _grad_g(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """grad g = (sf grad f, alpha z^(alpha-1)) at lane-last points, one row
+        per lane; column-major, as the gradients it is built from."""
+        fam = self.family
+        grad = np.empty((Z.size, X.shape[0] + 1), order="F")
+        np.multiply(eval_value_grad(fam.f, X.T)[1], fam.sf, out=grad[:, :-1])
+        np.multiply(fam._zpow(Z, fam.alpha - 1.0), fam.alpha, out=grad[:, -1])
+        return grad
+
+    def height(self, U: np.ndarray, t, radii=None, rays=None, lateral: bool = False):
+        """Graph heights w below the section plane at t at the nodes r u of chart directions U.
+
+        U is (M, n), and radii (M, K) holds K nodes along each direction;
+        without radii each direction is one node at radius 1, so U holds
+        chart offsets y.  t is one value or one per direction.  rays is U's
+        geometry as LocalChart.rays gives it, computed when None: a caller
+        that solves a point's directions in blocks passes slices of one
+        rays call, so that a node's base point and model terms do not depend
+        on its block.  Returns w, shape (M K,), direction after direction.
+        With lateral, returns (w, lateral) instead, the lateral integrand
+        |grad g| / |<grad g, normal>| = sqrt(1 + |grad w|^2) at each solved
+        point: one gradient of g there, summed coordinate by coordinate in
+        each lane, on the base points the solve used.
+
+        Every node must lie inside the section: its root lies in [0, t] up
         to a margin of 1e-9 (1 + |t|) for the boundary-radius tolerance, so
         the bracket is immediate and needs no evaluation at its top.  Every
         lane is solved from the model's root.  A lane that does not
         converge, whether above the plane, past the chart fold or stalled,
-        raises RegionError naming the first such offset; no height is +inf.
+        raises RegionError naming the first such offset r u; no height is +inf.
         """
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        m, n = Y.shape
-        X0, Z0 = self._chart_base(Y)
-        dX, dZ = self._normals[:n], self._normals[n]
+        U = np.atleast_2d(np.asarray(U, dtype=float))
+        rays = self.rays(U) if rays is None else rays
+        r = np.ones((len(U), 1)) if radii is None else radii
+        m, k, n = r.size, r.shape[1], U.shape[1]
+        X0, Z0 = self._base(rays, r)
+        normals, signs = _per_node(self._normals, k), _per_node(self._signs, k)
+        dX, dZ = normals[:n], normals[n]
 
         def residual(idx, tau):
-            return self._line_residual(X0, Z0, dX, dZ, self._signs, idx, tau)
+            return self._line_residual(X0, Z0, dX, dZ, signs, idx, tau)
 
         # the model's g - k per unit of <grad g, normal> along the line is
-        # gamma tau^2 + (1 + y . beta) tau - T
-        T, yb, gamma = self._model(Y)
+        # gamma tau^2 + (1 + y . beta) tau - T, y = r u: T = r^2 (u^T S u / 2)
+        T = r * r
+        T *= rays.taylor[:, None]
+        yb = r * rays.beta[:, None]
         yb += 1.0
+        t = _per_node(np.asarray(t, dtype=float), k)
         hi = np.full(m, t + 1e-9 * (1.0 + abs(t)))
-        guess = _first_root(gamma, yb, -T, T)
+        guess = _first_root(_per_node(self._gamma, k), yb.reshape(-1), -T.reshape(-1), T.reshape(-1))
         tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess,
                                               NEWTON_TOL * self._scale, np.arange(m))
         if unconverged.size:
+            j = unconverged[0]
             raise RegionError(
-                f"graph-height solve failed at chart offset y={Y[unconverged[0]].tolist()} "
+                f"graph-height solve failed at chart offset y={(r.flat[j] * U[j // k]).tolist()} "
                 f"({unconverged.size} of {m} points): region escapes the chart"
             )
-        return tau
+        if not lateral:
+            return tau
+        X0 += dX * tau
+        Z0 += dZ * tau
+        grad = self._grad_g(X0, Z0)
+        norm, dot, term = np.zeros(m), np.zeros(m), np.empty(m)
+        for i in range(n + 1):  # elementwise, so a lane has the same bits in any block
+            np.multiply(grad[:, i], grad[:, i], out=term)
+            norm += term
+            np.multiply(grad[:, i], normals[i], out=term)
+            dot += term
+        np.sqrt(norm, out=norm)
+        norm /= np.abs(dot, out=dot)
+        return tau, norm
 
     def gradient_at(self, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Exact chart gradient (M, n) of w at already-solved heights w(Y), implicitly:
         -frame^T grad g / <grad g, normal>, grad g = (sf grad f, alpha z^(alpha-1)) at q(y, w)."""
         Y = np.atleast_2d(Y)
         n = Y.shape[1]
-        X, Z = self._chart_base(Y)
+        X, Z = self._base(self.rays(Y), np.ones((len(Y), 1)))
         X += self._normals[:n] * w
         Z += self._normals[n] * w
-        fam = self.family
-        # grad g, one row per lane, written in place; column-major, as the
-        # gradients it is built from, which fixes how the products below sum
-        grad = np.empty((len(Y), n + 1), order="F")
-        np.multiply(eval_value_grad(fam.f, X.T)[1], fam.sf, out=grad[:, :n])
-        np.multiply(fam._zpow(Z, fam.alpha - 1.0), fam.alpha, out=grad[:, n])
-        out = []
-        for chart, rows in self._by_run(grad):
+        out = []  # the products sum in the order the column-major grad g fixes
+        for chart, rows in self._by_run(self._grad_g(X, Z)):
             slope = rows @ chart.frame
             np.negative(slope, out=slope)
             slope /= (rows @ chart.normal)[:, None]
@@ -531,8 +586,8 @@ class LocalChart:
 
         base = self._per_lane([chart.origin + t_at(a) * chart.normal for (chart, _), a in zip(runs, starts)])
         X0, Z0 = base[:n], base[n]
-        dX = _cat([chart.frame[:n] @ rows.T for chart, rows in runs])
-        dZ = _cat([rows @ chart.frame[n] for chart, rows in runs])
+        rays = self.rays(U)
+        dX, dZ = rays.dX, rays.dZ
         s = -self._signs  # negated to increase in rho: positive outside the section
 
         def residual(idx, rho):
@@ -546,8 +601,8 @@ class LocalChart:
             raise RegionError(f"offset t={t_at(lane):.6g} is not below the cap top at this point")
         # the model's g - k per unit of -<grad g, normal> along the line is
         # T rho^2 - t (u . beta) rho - (t + gamma t^2)
-        T, ub, gamma = self._model(U)
-        ub *= t
+        T, ub, gamma = rays.taylor, rays.beta, self._gamma
+        ub *= t  # rays is this call's own
         guess = _first_root(T, -ub, -(t + gamma * t * t), np.sqrt(t / T))
         hi = np.full(m, np.inf)  # the solve grows each lane's bracket from the guess
         rho, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess,
@@ -619,6 +674,12 @@ def _by_lane(values, counts: list, axis: int = 0) -> np.ndarray:
     a single run keeps its one lane, which broadcasts."""
     values = np.asarray(values)
     return values if len(counts) == 1 else np.repeat(values, counts, axis=axis)
+
+
+def _per_node(a, k: int):
+    """A lane-last array of one value per direction for k nodes per direction;
+    one value shared by every lane stays shared."""
+    return a if k == 1 or np.ndim(a) == 0 or a.shape[-1] == 1 else np.repeat(a, k, axis=-1)
 
 
 def _twice(a):

@@ -45,6 +45,11 @@ SPHERE_V = lambda t: math.pi * t ** 2 * (3.0 - t) / 3.0
 SPHERE_S = lambda t: 2.0 * math.pi * t
 
 
+def chart_points(U, radii=None):
+    """The chart points of a LocalChart.height call: its nodes, one per direction without radii."""
+    return len(U) if radii is None else radii.size
+
+
 class TestRadialFixtures:
     def test_sphere_cap(self, unit_sphere2):
         p = point_on_level(unit_sphere2, 1.0, np.zeros(2))
@@ -308,9 +313,9 @@ class TestRadialRule:
         calls = []
         height = LocalChart.height
 
-        def counting(self, Y, *args, **kwargs):
-            calls.append(len(Y))
-            return height(self, Y, *args, **kwargs)
+        def counting(self, U, t, radii=None, *args, **kwargs):
+            calls.append(chart_points(U, radii))
+            return height(self, U, t, radii, *args, **kwargs)
 
         monkeypatch.setattr(LocalChart, "height", counting)
         # a "plus" family: "minus" caps are read off vertical chords instead
@@ -325,17 +330,17 @@ class TestRadialRule:
     def test_escaped_node_raises(self, monkeypatch):
         # radial nodes lie strictly inside the region, so a failed height is a
         # failed cell.  With two rays per block, one node of the second block
-        # is moved outside the section: that block's solve raises, naming the
-        # offset and counting that block's points
+        # is moved outside the section along its ray: that block's solve
+        # raises, naming the offset and counting that block's points
         height = LocalChart.height
         offsets = []
 
-        def escape_in_second_block(self, Y, t):
+        def escape_in_second_block(self, U, t, radii, *args, **kwargs):
             if offsets:
-                Y = Y.copy()
-                Y[17] = 2.0 * Y[14]  # twice the outermost node of the first ray
-            offsets.append(Y[17].tolist())
-            return height(self, Y, t)
+                radii = radii.copy()
+                radii[1, 2] = 2.0 * radii[0, 14]  # node 17: twice the outermost radius of the first ray
+            offsets.append((radii[1, 2] * U[1]).tolist())
+            return height(self, U, t, radii, *args, **kwargs)
 
         monkeypatch.setattr(LocalChart, "height", escape_in_second_block)
         monkeypatch.setattr(measure, "_LANE_BUDGET", 2 * 15)
@@ -351,11 +356,11 @@ class TestRadialRule:
         height = LocalChart.height
         offsets = []
 
-        def escape_in_only_block(self, Y, t):
-            Y = Y.copy()
-            Y[17] = 2.0 * Y[14]  # twice the outermost node of the first ray
-            offsets.append(Y[17].tolist())
-            return height(self, Y, t)
+        def escape_in_only_block(self, U, t, radii, *args, **kwargs):
+            radii = radii.copy()
+            radii[1, 2] = 2.0 * radii[0, 14]  # node 17: twice the outermost radius of the first ray
+            offsets.append((radii[1, 2] * U[1]).tolist())
+            return height(self, U, t, radii, *args, **kwargs)
 
         monkeypatch.setattr(LocalChart, "height", escape_in_only_block)
         family = trio()["ellipsoid"]  # "plus": its heights are solved on the chart
@@ -379,9 +384,9 @@ class TestRadialRule:
         calls, boundary_calls = [], []
         height, boundary_radius = LocalChart.height, LocalChart.boundary_radius
 
-        def counting(self, Y, t):
-            calls.append(len(Y))
-            return height(self, Y, t)
+        def counting(self, U, t, radii=None, *args, **kwargs):
+            calls.append(chart_points(U, radii))
+            return height(self, U, t, radii, *args, **kwargs)
 
         def counting_boundary(self, U, t):
             boundary_calls.append(len(U))
@@ -472,6 +477,8 @@ class TestOneCellPath:
     FAMILIES = {
         "quadratic": (LevelFamily(QuadraticForm((1.0, 1.7, 0.8)), 2.0, "minus"), (0.5, 1.0)),
         "ellipsoid": (LevelFamily(QuadraticForm((1.0, 1.5, 0.8)), 2.0, "plus"), (-0.25, -0.5)),
+        # chart heights on the symmetric sphere rule
+        "ellipsoid_n5": (LevelFamily(QuadraticForm((0.8, 1.0, 0.7, 0.9, 0.6)), 2.0, "plus"), (-0.25, -0.5)),
         "quartic": (LevelFamily(PerturbedQuadratic((1.0, 1.5, 0.8), 0.3, "quartic"), 2.0, "minus"),
                     (0.5, 1.0)),
         "cosh": (LevelFamily(PerturbedQuadratic((1.2, 0.9), 0.5, "cosh"), 2.0, "minus"), (0.5, 1.0)),
@@ -488,7 +495,7 @@ class TestOneCellPath:
             assert getattr(cell, name) == getattr(ref, name), name
 
     @pytest.mark.parametrize("name, budget", [(name, None) for name in FAMILIES]
-                             + [("cosh", 3 * 15), ("expression", 3 * 15)])
+                             + [("cosh", 3 * 15), ("expression", 3 * 15), ("ellipsoid", 3 * 15)])
     def test_a_cell_has_the_bits_it_has_alone(self, monkeypatch, name, budget):
         # alone, in the level's table, with the points reversed or cut to a
         # subset, and whichever measures are wanted.  A budget of three rays
@@ -504,6 +511,38 @@ class TestOneCellPath:
                 for i, row in zip(order, table):
                     for ref, cell in zip(alone[i], row):
                         self.assert_same(cell, ref, want)
+
+    @pytest.mark.parametrize("name", ["ellipsoid", "ellipsoid_n5"])
+    def test_a_chart_node_has_its_bits_in_any_block(self, monkeypatch, name):
+        # a point's direction geometry comes from one LocalChart.rays call,
+        # so a node's height and lateral integrand depend on its radius
+        # alone, not on how the lane budget cuts its rays into blocks (BLAS
+        # products of a few rows round unlike those of a thousand)
+        family, offsets = self.FAMILIES[name]
+        p = point_on_level(family, 1.0, seeded_xs(family.n, 1, 7, 0.4)[0])
+        height = LocalChart.height
+
+        def nodes(budget):
+            calls = []
+
+            def recording(self, U, t, radii, *args, **kwargs):
+                w, lateral = height(self, U, t, radii, *args, **kwargs)
+                calls.append((radii.ravel(), w, lateral))
+                return w, lateral
+
+            with monkeypatch.context() as m:
+                m.setattr(LocalChart, "height", recording)
+                m.setattr(measure, "_LANE_BUDGET", budget)
+                starred_measures(family, p, offsets[1])
+            return [np.concatenate(a) for a in zip(*calls)], len(calls)
+
+        (r_ref, *ref), blocks_ref = nodes(1 << 14)
+        (r, *got), blocks = nodes(3 * 15)
+        assert blocks > 10 * blocks_ref
+        same = r == r_ref  # the boundary solve's blocks follow the budget too
+        assert same.mean() > 0.99
+        for values, want in zip(got, ref):
+            assert np.array_equal(values[same], want[same])
 
     @pytest.mark.filterwarnings("ignore:.*exceeds the target")  # deep caps
     def test_a_failing_cell_keeps_its_message_and_its_neighbours_bits(self):
@@ -538,9 +577,9 @@ class TestVerticalChords:
         calls = []
         height = LocalChart.height
 
-        def counting(self, Y, t):
-            calls.append(len(Y))
-            return height(self, Y, t)
+        def counting(self, U, t, radii=None, *args, **kwargs):
+            calls.append(chart_points(U, radii))
+            return height(self, U, t, radii, *args, **kwargs)
 
         monkeypatch.setattr(LocalChart, "height", counting)
         return calls
@@ -587,7 +626,7 @@ class TestVerticalChords:
         sm = starred_measures(family, p, 0.3)
         assert [(r.value, r.error_estimate) for r in (sm.area, sm.volume, sm.lateral)] == [
             (0.8024909265350485, 8.024909265350484e-12),
-            (0.04773304879524718, 4.773304879524718e-13),
+            (0.04773304879524719, 4.773304879524719e-13),
             (0.8528861283179805, 8.528861283179804e-12),
         ]
         # in blocks of three rays the chords decline a later block; the

@@ -21,6 +21,8 @@ from quadrix import (
     point_on_level,
 )
 from quadrix import surface
+from quadrix._grids import DEFAULT_ORDER, radial_nodes, sphere_rule
+from quadrix.measure import _chart_directions
 from quadrix.surface import LocalChart
 
 from conftest import seeded_xs, trio
@@ -262,6 +264,62 @@ _TANGENCY_CASES = {
     "alpha1.5-minus": (lambda a: LevelFamily(QuadraticForm(a), 1.5, "minus"), 0.8),
     "alpha1.5-plus": (lambda a: LevelFamily(QuadraticForm(a), 1.5, "plus"), 0.3),
 }
+
+
+class TestRayPass:
+    """LocalChart.height on directions, their radial nodes and their geometry
+    is the offset form height(r u, t), with the lateral integrand
+    sqrt(1 + |gradient_at|^2)."""
+
+    @staticmethod
+    def _cap(family, x, h):
+        """The chart at x, the cap's t, the default-order chart directions and their K15 nodes."""
+        p = point_on_level(family, 1.0, np.asarray(x))
+        t = parallel_tangent(family, p, h).t
+        chart = LocalChart(family, p)
+        U, _ = _chart_directions(p, sphere_rule(family.n, DEFAULT_ORDER[family.n])[0])
+        return chart, t, U, chart.boundary_radius(U, t)[:, None] * radial_nodes()[0]
+
+    @staticmethod
+    def _offset_form(chart, t, U, radii):
+        Y = (radii[..., None] * U[:, None, :]).reshape(-1, U.shape[1])
+        w = chart.height(Y, t)
+        slope = chart.gradient_at(Y, w)
+        return w, np.sqrt(1.0 + np.sum(slope * slope, axis=1))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ray_pass_is_the_offset_form(self, n):
+        family = trio(_A6[:n])["ellipsoid"]
+        chart, t, U, radii = self._cap(family, np.full(n, 0.1), -0.4)
+        w, lateral = chart.height(U, t, radii, chart.rays(U), lateral=True)
+        for got, want in zip((w, lateral), self._offset_form(chart, t, U, radii)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_joined_chart(self):
+        # two points of one level side by side, each with its own t
+        family = trio(_A6[:3])["ellipsoid"]
+        caps = [self._cap(family, x, h) for x, h in (([0.1, 0.2, -0.1], -0.4), ([-0.3, 0.1, 0.2], -0.3))]
+        U = np.concatenate([U for _, _, U, _ in caps])
+        chart = LocalChart.joined([c for c, *_ in caps], [len(U) for *_, U, _ in caps])
+        w, lateral = chart.height(U, np.repeat([t for _, t, _, _ in caps], [len(U) for *_, U, _ in caps]),
+                                  np.concatenate([radii for *_, radii in caps]), chart.rays(U), lateral=True)
+        want = [np.concatenate(a) for a in zip(*(self._offset_form(*cap) for cap in caps))]
+        for got, ref in zip((w, lateral), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+    def test_offset_heights_keep_their_bits(self):
+        # height(Y, t) on chart offsets is the ray pass at radius 1, and
+        # keeps the bits of the per-node chart products it replaced (0.12.1)
+        family = LevelFamily(PerturbedQuadratic((1.0, 2.0, 1.5), 0.3, "quartic"), 2.0, "plus")
+        chart = LocalChart(family, point_on_level(family, 1.0, np.array([0.2, -0.1, 0.15])))
+        Y = np.array([[0.3, 0.1, -0.2], [-0.25, 0.2, 0.05], [0.0, -0.3, 0.1]])
+        w = chart.height(Y, 0.4)
+        assert [v.hex() for v in w.tolist()] == ["0x1.506359c8630e3p-3", "0x1.0ddd351cdb5d6p-2",
+                                                 "0x1.7861e3f32bffep-4"]
+        assert [v.hex() for v in chart.gradient_at(Y, w).ravel().tolist()] == [
+            "0x1.b9f3da14e1f6ap-1", "0x1.26d6980c380acp-2", "-0x1.9834c6713b589p-3",
+            "-0x1.8fd776b261e22p+1", "0x1.5431990b352a6p+0", "0x1.2b36295d20e3ap-3",
+            "-0x1.0868491f85a72p-3", "-0x1.2fdbeb98744d5p-1", "0x1.904b2fb84e42ap-4"]
 
 
 class TestParallelTangent:
