@@ -40,19 +40,23 @@ characterize.evaluate_cells reads): one surface.parallel_tangents Newton
 loop for all tangencies, then one boundary solve and one ray pass over the
 rays of all the cells.  These run in blocks of at most _LANE_BUDGET chart
 points, each block reduced to per-ray sums before the next, so the working
-memory does not grow with the order or the number of cells.  A cell's rays
-are cut into the chunks a one-cell call cuts them into, a block joins
-whole chunks of several cells (LocalChart.joined), and every product that
-sums over a ray's nodes is taken chunk by chunk, so a cell has the same
-bits in any table; starred_measures and cap_measures are one-cell calls of
-the same pass.  The chart heights take each point's direction geometry
-from one LocalChart.rays call, which every block slices, so a chart node
-has the same bits in any block.  A chunk of chords with f < 0 at one of
-its nodes sends its cell back to the chart heights, from its first ray.  The radial nodes lie
-strictly inside the section, so every height converges; a block whose
-height solve fails raises its RegionError, counting that block's points.
-A cell that fails raises for its whole group, and _each solves the group
-again in halves, down to that cell, which then gets its own message.
+memory does not grow with the order or the number of cells.  A block is a
+run of consecutive rays of the cells, in cell order, cut wherever the
+budget falls: it may end inside one cell and start inside the next
+(LocalChart.joined).  Every sum over a lane's row has one fixed order per
+lane.  A point's direction geometry (LocalChart.rays) is one product over
+its whole sphere rule, which every block slices, the K15 and G7 sums over a
+ray's nodes are einsum contractions, and every other step is elementwise.
+No reduction crosses lanes, so a cell has the same bits however its rays
+are cut, alone or in any table; starred_measures and cap_measures are
+one-cell calls of the same pass.  A cell takes chords only if f >= 0 at
+every one of its nodes: once a block finds f < 0 at one, the cell's later
+rays are skipped and it goes back to the chart heights, from its first ray.
+The radial nodes lie strictly inside the section, so every height
+converges; a block whose height solve fails raises its RegionError,
+counting that block's points.  A cell that fails raises for its whole
+group, and _each solves the group again in halves, down to that cell,
+which then gets its own message.
 The error estimate is the larger of the gap to the sphere rule of order m - 2,
 solved in the same calls, and the radial gap |K15 - G7| of the embedded
 Gauss rule.  Partial sums reduce in a fixed order, so results are
@@ -185,38 +189,44 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
                   want: tuple[str, ...]) -> list[dict[str, MeasureResult]]:
     """The wanted measures of the cap of every (p, t) cell, solved together.
 
-    Each point's chart and chart directions are built once, and their
-    geometry for the chart heights at most once.  Every lane of
-    every cell then goes through one boundary solve and one ray pass, in
-    blocks of at most _LANE_BUDGET chart points.  Each cell's lanes are cut
-    into chunks as a cell alone would cut them, and a block joins whole
-    chunks, first chunks first.  Every product that reduces over a lane's
-    row is taken chunk by chunk, so each cell has the bits it has alone.
-    A failing cell raises its error for the whole call.
+    Each point's chart, its chart directions and their ChartRays are built
+    once.  Every lane of every cell then goes through one boundary solve
+    and one ray pass, each over the cells' rays in cell order, cut into
+    blocks of at most _LANE_BUDGET chart points wherever the budget falls.
+    Every sum over a lane's row has a fixed order per lane: ChartRays are
+    products over a point's whole rule, and the K15 and G7 sums are einsum
+    contractions, never a BLAS product of a block.  So a cell has the bits
+    it has alone however its rays are cut.  A failing cell raises its error
+    for the whole call.
     """
     n = family.n
     sphere, w_fine, w_coarse, (nodes, kronrod, gap_rule) = _rules(n, settings.order_for(n))
     m, split = len(sphere), len(w_fine)
-    charts, rays = {}, {}  # per point: its chart, and its chart directions with their Jacobian
+    points = {}  # per point: its chart, chart directions with their Jacobian, and their ChartRays
     for p, _ in cells:
-        if id(p) not in charts:
-            charts[id(p)] = LocalChart(family, p)
-            rays[id(p)] = _chart_directions(p, sphere)
-    D = [rays[id(p)][0] for p, _ in cells]
+        if id(p) not in points:
+            chart = LocalChart(family, p)
+            U, jac = _chart_directions(p, sphere)
+            points[id(p)] = chart, U, jac, chart.rays(U)
+    at = [points[id(p)] for p, _ in cells]
     ts = [t for _, t in cells]
 
+    def piece(c: int, a: int, b: int):  # cell c's rays a..b: chart, t, chart directions, ChartRays
+        chart, U, _, geometry = at[c]
+        return chart, ts[c], U[a:b], geometry.take(slice(a, b))
+
     rho = [np.empty(m) for _ in cells]
-    for block in _blocks(_chunks(range(len(cells)), m, _LANE_BUDGET), lambda a, b: b - a):
-        counts = [b - a for _, a, b in block]
-        chart = LocalChart.joined([charts[id(cells[c][0])] for c, _, _ in block], counts)
-        radii = chart.boundary_radius(_cat([D[c][a:b] for c, a, b in block], axis=0),
-                                      _by_lane([ts[c] for c, _, _ in block], counts))
-        for (c, a, b), lo, hi in _bounds(block, counts):
-            rho[c][a:b] = radii[lo:hi]
+    for block in _blocks(range(len(cells)), m, _LANE_BUDGET):
+        charts, t, U, geometry = zip(*(piece(*cut) for cut in block))
+        counts = [len(u) for u in U]
+        radii = LocalChart.joined(charts, counts).boundary_radius(  # no name keeps the joined chart
+            _cat(U, axis=0), _by_lane(t, counts), ChartRays.join(geometry))
+        for (c, a, b), lanes in zip(block, _cuts(counts)):
+            rho[c][a:b] = radii[lanes]
     out: list[dict[str, MeasureResult]] = [{} for _ in cells]
 
     def finish(c: int, per_dir: np.ndarray, samples: int, radial_err: float = 0.0) -> MeasureResult:
-        jac = rays[id(cells[c][0])][1]
+        jac = at[c][2]
         total = jac * float(w_fine @ per_dir[:split])
         err = abs(total - jac * float(w_coarse @ per_dir[split:]))
         err = max(err, radial_err, _ERR_FLOOR * abs(total))
@@ -232,50 +242,40 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
 
         def ray_pass(todo: list[int], integrands) -> set[int]:
             # per ray the K15 sum, and per ray of the order-m rule the K15 - G7
-            # sum; returns the cells whose integrands declined a chunk, whose
-            # later chunks are then skipped
+            # sum; returns the cells whose integrands declined a piece, whose
+            # later rays are then skipped
             declined: set[int] = set()
 
             def reduce_block(block):  # its arrays die at return, before the next block's exist
-                args = [(cells[c][0], ts[c], D[c][a:b], rho[c][a:b, None] * nodes, slice(a, b))
-                        for c, a, b in block]
-                for (c, a, b), (*_, radii, _), vals in zip(block, args, integrands(args)):
-                    if c in declined:
-                        continue
+                args = [(*piece(c, a, b), rho[c][a:b, None] * nodes) for c, a, b in block]
+                for (c, a, b), (*_, radii), vals in zip(block, args, integrands(args)):
                     if vals is None:
                         declined.add(c)
                         continue
                     rpow = radii ** (n - 1)
-                    fine_end = max(a, min(b, split))
+                    fine = slice(a, max(a, min(b, split)))  # the rays of the order-m rule
                     for name, (kronrod_sums, gap_sums) in sums[c].items():
+                        # einsum sums each row in one order whatever the row count; BLAS does not
                         f = vals[name].reshape(b - a, -1) * rpow
-                        kronrod_sums[a:b] = rho[c][a:b] * (f @ kronrod)
-                        gap_sums[a:fine_end] = rho[c][a:fine_end] * (f[:fine_end - a] @ gap_rule)
+                        kronrod_sums[a:b] = rho[c][a:b] * np.einsum("ij,j->i", f, kronrod)
+                        gap_sums[fine] = rho[c][fine] * np.einsum("ij,j->i", f[:fine.stop - a], gap_rule)
 
-            chunks = _chunks(todo, m, max(1, _LANE_BUDGET // nodes.size))
-            for block in _blocks(chunks, lambda a, b: (b - a) * nodes.size, declined):
+            for block in _blocks(todo, m, max(1, _LANE_BUDGET // nodes.size), declined):
                 reduce_block(block)
             return declined
 
-        geometry = {}  # per point, the ChartRays of all its directions, which every block slices
-
-        def heights(chunks):
-            counts, points = [len(U) for _, _, U, *_ in chunks], [radii.size for *_, radii, _ in chunks]
-            for p, *_ in chunks:
-                if id(p) not in geometry:
-                    geometry[id(p)] = charts[id(p)].rays(rays[id(p)][0])
-            chart = LocalChart.joined([charts[id(p)] for p, *_ in chunks], counts)
-            ray_t = [t for _, t, *_ in chunks]
-            w = chart.height(_cat([U for _, _, U, *_ in chunks], axis=0), _by_lane(ray_t, counts),
-                             _cat([radii for *_, radii, _ in chunks], axis=0),
-                             ChartRays.join([geometry[id(p)].take(lanes) for p, *_, lanes in chunks]),
-                             lateral="lateral" in want)  # the nodes lie strictly inside the region
+        def heights(args):
+            charts, t, U, geometry, radii = zip(*args)
+            counts, sizes = [len(u) for u in U], [r.size for r in radii]
+            w = LocalChart.joined(charts, counts).height(
+                _cat(U, axis=0), _by_lane(t, counts), _cat(radii, axis=0), ChartRays.join(geometry),
+                lateral="lateral" in want)  # the nodes lie strictly inside the region
             values = {}
             if "lateral" in want:  # |grad g| / |<grad g, nu>| = sqrt(1 + |grad w|^2)
                 w, values["lateral"] = w
             if "volume" in want:
-                values["volume"] = _by_lane(ray_t, points) - w
-            return [{name: v[lo:hi] for name, v in values.items()} for _, lo, hi in _bounds(chunks, points)]
+                values["volume"] = _by_lane(t, sizes) - w
+            return [{name: v[lanes] for name, v in values.items()} for lanes in _cuts(sizes)]
 
         chords = [c for c, (p, _) in enumerate(cells) if family.sign == "minus" and p.k > 0]
         sliced = set(chords) - ray_pass(chords, _vertical_chords(family, want))
@@ -285,7 +285,7 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
             for name, (kronrod_sums, gap_sums) in sums[c].items():
                 # the two sphere orders share the radial rule, so their gap is
                 # blind to radial truncation: fold in the K15 - G7 difference too
-                radial_err = abs(rays[id(cells[c][0])][1] * float(w_fine @ gap_sums))
+                radial_err = abs(at[c][2] * float(w_fine @ gap_sums))
                 out[c][name] = finish(c, kronrod_sums, samples, radial_err)
     return out
 
@@ -303,31 +303,27 @@ def _rules(n: int, order: int):
     return sphere, w_fine, w_coarse, radial
 
 
-def _chunks(cells, m: int, size: int) -> list[tuple[int, int, int]]:
-    """Each cell's lanes 0..m in chunks (cell, a, b) of at most size, first chunks first."""
-    return [(c, a, min(a + size, m)) for a in range(0, m, size) for c in cells]
-
-
-def _blocks(chunks, lanes, skip=()):
-    """Runs of consecutive chunks with at most _LANE_BUDGET chart points each
-    (lanes(a, b) of a chunk); a chunk of a cell in skip, which may grow
-    between blocks, is left out."""
-    block, total = [], 0
-    for chunk in chunks:
-        size = lanes(chunk[1], chunk[2])
-        if block and total + size > _LANE_BUDGET:
-            yield block
-            block, total = [], 0
-        if chunk[0] not in skip:
-            block.append(chunk)
-            total += size
+def _blocks(cells, m: int, size: int, skip=()):
+    """The rays 0..m of each cell, in cell order, cut into blocks of at most
+    size rays: lists of (cell, a, b), the rays a..b of one cell each.  A cell
+    in skip, which may grow between blocks, is left out from there on."""
+    block, room = [], size
+    for c in cells:
+        a = 0
+        while a < m and c not in skip:
+            b = min(m, a + room)
+            block.append((c, a, b))
+            room, a = room - (b - a), b
+            if not room:
+                yield block
+                block, room = [], size
     if block:
         yield block
 
 
-def _bounds(items, counts):
-    """Each item with the [lo, hi) range of its lanes in the joined block."""
-    return [(item, hi - count, hi) for item, count, hi in zip(items, counts, accumulate(counts))]
+def _cuts(counts: list) -> list[slice]:
+    """The lanes of each of the runs of counts[i] lanes that a block joins."""
+    return [slice(hi - count, hi) for count, hi in zip(counts, accumulate(counts))]
 
 
 def _vertical_chords(family: LevelFamily, want: tuple[str, ...]):
@@ -337,40 +333,38 @@ def _vertical_chords(family: LevelFamily, want: tuple[str, ...]):
     chord from q to s = (q_x, Z(q_x)), where Z^alpha = k + f(q_x) >= k when
     f(q_x) >= 0.  Per unit of section area the cap then has volume
     |nu_z| |q_z - Z| and lateral area |nu_z| |grad g(s)| / |g_z(s)|: no
-    height solve.  The returned block function takes chunks (p, t, rays,
-    radii, lanes), lanes the slice of the cell's rays the chunk holds, and
-    evaluates f at all of their points at once; it gives each
-    chunk's values, or None where f < 0 at one of its points, so that cell
-    goes back to the chart heights.
+    height solve.  The returned block function takes pieces (chart, t,
+    directions, their ChartRays, radii) and evaluates f at all of their
+    points at once; it gives each piece's values, or None where f < 0 at
+    one of its points, so that cell goes back to the chart heights.
     """
     n, alpha = family.n, family.alpha
 
-    def chords(chunks):
-        rays_per = [len(rays) for _, _, rays, *_ in chunks]
+    def chords(args):
+        rays_per = [len(U) for _, _, U, *_ in args]
         # per ray: the section center, x velocity, z velocity, |nu_z| and k
-        center = _by_lane([p.ambient + t * p.normal for p, t, *_ in chunks], rays_per)
-        dirs = _cat([rays @ p.frame[:n].T for p, _, rays, *_ in chunks], axis=0)
-        radii = _cat([radii for *_, radii, _ in chunks], axis=0)
+        center = _by_lane([chart.origin + t * chart.normal for chart, t, *_ in args], rays_per)
+        dX = _cat([geometry.dX for *_, geometry, _ in args])
+        radii = _cat([radii for *_, radii in args], axis=0)
         if "lateral" in want:  # the points lane-last, so each coordinate is one contiguous row
-            X = radii * dirs.T[:, :, None]
+            X = radii * dX[:, :, None]
             X += center.T[:n, :, None]
             fv, fg = eval_value_grad(family.f, X.reshape(n, -1).T)
             del X
         else:
             def row(i):
-                return (center[:, i, None] + radii * dirs[:, i, None]).ravel(), 0.0
+                return (center[:, i, None] + radii * dX[i, :, None]).ravel(), 0.0
             fv, _ = eval_line(family.f, row, radii.size)
         points = [count * radii.shape[1] for count in rays_per]
-        keep = [np.all(fv[lo:hi] >= 0.0) for _, lo, hi in _bounds(chunks, points)]
+        keep = [np.all(fv[lanes] >= 0.0) for lanes in _cuts(points)]
         values = {}  # computed in place where it can be: a block is up to 2^14 points
-        with np.errstate(invalid="ignore", divide="ignore"):  # declined chunks may have f < 0
+        with np.errstate(invalid="ignore", divide="ignore"):  # declined pieces may have f < 0
             zpow = fv
-            zpow += _by_lane([p.k for p, *_ in chunks], points)  # Z^alpha
+            zpow += _by_lane([chart.k for chart, *_ in args], points)  # Z^alpha
             Z = zpow ** (1.0 / alpha)
-            nu_z = _by_lane([abs(p.normal[n]) for p, *_ in chunks], points)
+            nu_z = _by_lane([abs(chart.normal[n]) for chart, *_ in args], points)
             if "volume" in want:  # nu_z |q_z - Z|
-                dz = _cat([rays @ p.frame[n] for p, _, rays, *_ in chunks], axis=0)
-                volume = radii * dz[:, None]
+                volume = radii * _cat([geometry.dZ for *_, geometry, _ in args])[:, None]
                 volume += center[:, n, None]
                 volume = volume.ravel()
                 volume -= Z
@@ -387,8 +381,8 @@ def _vertical_chords(family: LevelFamily, want: tuple[str, ...]):
                 np.sqrt(lateral, out=lateral)
                 lateral *= nu_z
                 values["lateral"] = lateral
-        return [{name: v[lo:hi] for name, v in values.items()} if ok else None
-                for ok, (_, lo, hi) in zip(keep, _bounds(chunks, points))]
+        return [{name: v[lanes] for name, v in values.items()} if ok else None
+                for ok, lanes in zip(keep, _cuts(points))]
 
     return chords
 

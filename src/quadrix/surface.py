@@ -368,10 +368,11 @@ class LocalChart:
     LocalChart.joined puts the charts of several points of one level side
     by side: its lanes come in runs of directions, each run on one point's
     plane, and t may be one value per direction, so one call solves the
-    lanes of many cells.  A lane's root does not depend on the other lanes,
-    and the products with each point's frame are taken run by run, so
-    every lane has the bits it has on its own point's chart.  A chart keeps
-    no solver state, so threads may share it.
+    lanes of many cells.  A joined chart takes its directions' ChartRays
+    from the caller, each computed on its own point's chart by rays; past
+    that every step is elementwise per lane, so a lane's root and lateral
+    integrand do not depend on the other lanes or on how they were cut into
+    calls.  A chart keeps no solver state, so threads may share it.
     """
 
     def __init__(self, family: LevelFamily, p: SurfacePoint):
@@ -414,13 +415,6 @@ class LocalChart:
         """One column per run, lane-last."""
         return _by_lane(np.stack(columns, axis=1), [count for _, count in self._runs], axis=1)
 
-    def _by_run(self, A: np.ndarray):
-        """(chart, rows of A) for each run of lanes."""
-        if len(self._runs) == 1:
-            return [(self._runs[0][0], A)]
-        ends = list(accumulate(count for _, count in self._runs))
-        return [(chart, A[b - count:b]) for (chart, count), b in zip(self._runs, ends)]
-
     def _line_residual(self, X0, Z0, dX, dZ, s, idx, tau):
         """s * (g - k) and its tau-derivative at (X0 + tau dX, Z0 + tau dZ).
 
@@ -457,12 +451,10 @@ class LocalChart:
         return res, slope
 
     def rays(self, U: np.ndarray) -> ChartRays:
-        """The geometry of chart directions U, shape (M, n), run by run."""
+        """The geometry of chart directions U, shape (M, n), on this point's chart."""
         n = U.shape[1]
-        return ChartRays.join([
-            ChartRays(chart.frame[:n] @ rows.T, rows @ chart.frame[n],
-                      0.5 * np.einsum("mi,mi->m", rows @ chart.second_form, rows), rows @ chart._beta)
-            for chart, rows in self._by_run(U)])
+        return ChartRays(self.frame[:n] @ U.T, U @ self.frame[n],
+                         0.5 * np.einsum("mi,mi->m", U @ self.second_form, U), U @ self._beta)
 
     def _base(self, rays: ChartRays, r: np.ndarray):
         """Chart points p + r frame @ u at the radii r, (M, K), along each
@@ -490,7 +482,8 @@ class LocalChart:
         U is (M, n), and radii (M, K) holds K nodes along each direction;
         without radii each direction is one node at radius 1, so U holds
         chart offsets y.  t is one value or one per direction.  rays is U's
-        geometry as LocalChart.rays gives it, computed when None: a caller
+        geometry as LocalChart.rays gives it, computed when None; a joined
+        chart needs it, each run's from its own point's chart.  A caller
         that solves a point's directions in blocks passes slices of one
         rays call, so that a node's base point and model terms do not depend
         on its block.  Returns w, shape (M K,), direction after direction.
@@ -526,8 +519,7 @@ class LocalChart:
         t = _per_node(np.asarray(t, dtype=float), k)
         hi = np.full(m, t + 1e-9 * (1.0 + abs(t)))
         guess = _first_root(_per_node(self._gamma, k), yb.reshape(-1), -T.reshape(-1), T.reshape(-1))
-        tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess,
-                                              NEWTON_TOL * self._scale, np.arange(m))
+        tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess, NEWTON_TOL * self._scale)
         if unconverged.size:
             j = unconverged[0]
             raise RegionError(
@@ -550,27 +542,26 @@ class LocalChart:
         return tau, norm
 
     def gradient_at(self, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Exact chart gradient (M, n) of w at already-solved heights w(Y), implicitly:
-        -frame^T grad g / <grad g, normal>, grad g = (sf grad f, alpha z^(alpha-1)) at q(y, w)."""
+        """Exact chart gradient (M, n) of w at already-solved heights w(Y) on this point's
+        chart, implicitly: -frame^T grad g / <grad g, normal>, grad g = (sf grad f,
+        alpha z^(alpha-1)) at q(y, w)."""
         Y = np.atleast_2d(Y)
         n = Y.shape[1]
         X, Z = self._base(self.rays(Y), np.ones((len(Y), 1)))
         X += self._normals[:n] * w
         Z += self._normals[n] * w
-        out = []  # the products sum in the order the column-major grad g fixes
-        for chart, rows in self._by_run(self._grad_g(X, Z)):
-            slope = rows @ chart.frame
-            np.negative(slope, out=slope)
-            slope /= (rows @ chart.normal)[:, None]
-            out.append(slope)
-        return _cat(out, axis=0)
+        grad = self._grad_g(X, Z)  # the products sum in the order the column-major grad g fixes
+        slope = grad @ self.frame
+        np.negative(slope, out=slope)
+        slope /= (grad @ self.normal)[:, None]
+        return slope
 
-    def boundary_radius(self, U: np.ndarray, t) -> np.ndarray:
+    def boundary_radius(self, U: np.ndarray, t, rays=None) -> np.ndarray:
         """Radii rho with w(rho u) = t, solved on the section plane itself.
 
         U holds chart directions of any nonzero length, shape (M, n); rho is in
-        units of each direction's length.  Each lane starts from the
-        model's root with the bracket [0, +inf).  Raises RegionError when
+        units of each direction's length.  t and rays are as in height.  Each
+        lane starts from the model's root with the bracket [0, +inf).  Raises RegionError when
         t exceeds the cap height, when a lane finds no upper bound (the
         region escapes the chart), ends bracketed against an off-branch top
         (the section reaches the edge of the z > 0 branch) or stalls, or when
@@ -578,15 +569,15 @@ class LocalChart:
         """
         U = np.atleast_2d(np.asarray(U, dtype=float))
         m, n = U.shape
-        runs = self._by_run(U)
-        starts = np.array([0, *accumulate(len(rows) for _, rows in runs[:-1])])
+        starts = np.array([0, *accumulate(count for _, count in self._runs[:-1])])
 
         def t_at(lane):
             return float(np.broadcast_to(t, m)[lane])
 
-        base = self._per_lane([chart.origin + t_at(a) * chart.normal for (chart, _), a in zip(runs, starts)])
+        base = self._per_lane([chart.origin + t_at(a) * chart.normal
+                               for (chart, _), a in zip(self._runs, starts)])
         X0, Z0 = base[:n], base[n]
-        rays = self.rays(U)
+        rays = self.rays(U) if rays is None else rays
         dX, dZ = rays.dX, rays.dZ
         s = -self._signs  # negated to increase in rho: positive outside the section
 
@@ -601,12 +592,10 @@ class LocalChart:
             raise RegionError(f"offset t={t_at(lane):.6g} is not below the cap top at this point")
         # the model's g - k per unit of -<grad g, normal> along the line is
         # T rho^2 - t (u . beta) rho - (t + gamma t^2)
-        T, ub, gamma = rays.taylor, rays.beta, self._gamma
-        ub *= t  # rays is this call's own
-        guess = _first_root(T, -ub, -(t + gamma * t * t), np.sqrt(t / T))
+        T, gamma = rays.taylor, self._gamma
+        guess = _first_root(T, -(rays.beta * t), -(t + gamma * t * t), np.sqrt(t / T))
         hi = np.full(m, np.inf)  # the solve grows each lane's bracket from the guess
-        rho, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess,
-                                              NEWTON_TOL * self._scale, np.arange(m))
+        rho, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess, NEWTON_TOL * self._scale)
         if unconverged.size:
             lane = unconverged[0]
             if np.isinf(hi[unconverged]).any():
@@ -695,11 +684,12 @@ def _lanes(a, idx: np.ndarray):
     return a.take(idx, axis=-1)
 
 
-def _safeguarded_roots(residual, lo, hi, x0, tol, idx):
-    """Roots in [lo, hi] of residuals increasing in x, for the lanes idx; hi may be +inf.
+def _safeguarded_roots(residual, lo, hi, x0, tol):
+    """Roots in [lo, hi] of residuals increasing in x, one per lane; hi may be +inf.
 
-    residual(idx, x) gives the residual and its slope.  From x0 clipped into
-    the bracket, each iteration evaluates only the lanes not yet within tol.
+    residual(idx, x) gives the residual and its slope at the lanes idx.  From
+    x0 clipped into the bracket, each iteration evaluates only the lanes not
+    yet within tol, and narrows lo and hi in place.
     A negative residual moves lo up to the iterate; anything else, positive
     or NaN (off the branch), moves hi down to it.  The next iterate is the
     Newton step if the slope is positive and the step lands strictly inside
@@ -711,7 +701,7 @@ def _safeguarded_roots(residual, lo, hi, x0, tol, idx):
     back into hi.
     """
     x = np.clip(x0, lo, hi)
-    xa, la, ha = x[idx], lo[idx], hi[idx]
+    idx, xa, la, ha = np.arange(x.size), x, lo, hi
     growing = bool(np.isinf(ha).any())  # only boundary lanes start unbounded
     with np.errstate(**_QUIET):  # off-branch residuals, zero and NaN slopes
         for _ in range(CHART_MAXITER):

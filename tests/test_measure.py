@@ -388,9 +388,9 @@ class TestRadialRule:
             calls.append(chart_points(U, radii))
             return height(self, U, t, radii, *args, **kwargs)
 
-        def counting_boundary(self, U, t):
+        def counting_boundary(self, U, t, *args, **kwargs):
             boundary_calls.append(len(U))
-            return boundary_radius(self, U, t)
+            return boundary_radius(self, U, t, *args, **kwargs)
 
         monkeypatch.setattr(LocalChart, "height", counting)
         monkeypatch.setattr(LocalChart, "boundary_radius", counting_boundary)
@@ -402,11 +402,8 @@ class TestRadialRule:
         else:
             assert calls == [45] * (rays // 3) + [15 * (rays % 3)] * (rays % 3 > 0)
         assert boundary_calls == [45] * (rays // 45) + [rays % 45] * (rays % 45 > 0)
-        for name in ("area", "volume", "lateral"):
-            want, res = getattr(ref, name), getattr(got, name)
-            assert res.value == pytest.approx(want.value, rel=1e-13)
-            assert res.error_estimate == pytest.approx(want.error_estimate, rel=1e-13)
-            assert res.samples == want.samples
+        for name in ("area", "volume", "lateral"):  # value, estimate and samples, bit for bit
+            assert getattr(got, name) == getattr(ref, name), name
 
     def test_n6_high_order_cell_memory(self):
         # 13 200 rays x 15 nodes at order 8 (the symmetric rules of orders 8
@@ -494,12 +491,17 @@ class TestOneCellPath:
         for name in want:  # value, estimate and samples, bit for bit
             assert getattr(cell, name) == getattr(ref, name), name
 
+    # lane budgets that are not multiples of the 15 radial nodes, so the
+    # boundary pass cuts at other rays than the ray pass
+    RANDOM_BUDGETS = [int(b) for b in np.random.default_rng(2).integers(16, 600, 8) if b % 15][:3]
+
     @pytest.mark.parametrize("name, budget", [(name, None) for name in FAMILIES]
-                             + [("cosh", 3 * 15), ("expression", 3 * 15), ("ellipsoid", 3 * 15)])
+                             + [("cosh", 3 * 15), ("expression", 3 * 15), ("ellipsoid", 3 * 15)]
+                             + list(zip(("ellipsoid", "expression", "quartic"), RANDOM_BUDGETS)))
     def test_a_cell_has_the_bits_it_has_alone(self, monkeypatch, name, budget):
         # alone, in the level's table, with the points reversed or cut to a
-        # subset, and whichever measures are wanted.  A budget of three rays
-        # per block cuts each cell into chunks, and blocks join the cells' last ones
+        # subset, and whichever measures are wanted.  Small budgets cut blocks
+        # mid-cell, so one block holds the end of a cell and the start of the next
         if budget:
             monkeypatch.setattr(measure, "_LANE_BUDGET", budget)
         family, offsets = self.FAMILIES[name]
@@ -515,8 +517,8 @@ class TestOneCellPath:
     @pytest.mark.parametrize("name", ["ellipsoid", "ellipsoid_n5"])
     def test_a_chart_node_has_its_bits_in_any_block(self, monkeypatch, name):
         # a point's direction geometry comes from one LocalChart.rays call,
-        # so a node's height and lateral integrand depend on its radius
-        # alone, not on how the lane budget cuts its rays into blocks (BLAS
+        # so a node's boundary radius, height and lateral integrand do not
+        # depend on how the lane budget cuts its rays into blocks (BLAS
         # products of a few rows round unlike those of a thousand)
         family, offsets = self.FAMILIES[name]
         p = point_on_level(family, 1.0, seeded_xs(family.n, 1, 7, 0.4)[0])
@@ -539,10 +541,8 @@ class TestOneCellPath:
         (r_ref, *ref), blocks_ref = nodes(1 << 14)
         (r, *got), blocks = nodes(3 * 15)
         assert blocks > 10 * blocks_ref
-        same = r == r_ref  # the boundary solve's blocks follow the budget too
-        assert same.mean() > 0.99
-        for values, want in zip(got, ref):
-            assert np.array_equal(values[same], want[same])
+        for values, want in zip((r, *got), (r_ref, *ref)):
+            assert np.array_equal(values, want)
 
     @pytest.mark.filterwarnings("ignore:.*exceeds the target")  # deep caps
     def test_a_failing_cell_keeps_its_message_and_its_neighbours_bits(self):
@@ -610,7 +610,7 @@ class TestVerticalChords:
             assert calls == []
             # the same rays and radial nodes, integrated with chart heights
             with monkeypatch.context() as m:
-                m.setattr(measure, "_vertical_chords", lambda *args: lambda chunks: [None] * len(chunks))
+                m.setattr(measure, "_vertical_chords", lambda *args: lambda pieces: [None] * len(pieces))
                 heights = starred_measures(family, p, 0.5)
             assert calls and sum(calls) == heights.volume.samples
             calls.clear()
@@ -626,7 +626,7 @@ class TestVerticalChords:
         sm = starred_measures(family, p, 0.3)
         assert [(r.value, r.error_estimate) for r in (sm.area, sm.volume, sm.lateral)] == [
             (0.8024909265350485, 8.024909265350484e-12),
-            (0.04773304879524719, 4.773304879524719e-13),
+            (0.04773304879524718, 4.773304879524718e-13),
             (0.8528861283179805, 8.528861283179804e-12),
         ]
         # in blocks of three rays the chords decline a later block; the
@@ -637,8 +637,8 @@ class TestVerticalChords:
         def recording(*args):
             block = chords(*args)
 
-            def run(chunks):  # one chunk of rays per block here
-                values = block(chunks)
+            def run(pieces):  # one piece of one cell per block here
+                values = block(pieces)
                 declined.extend(v is None for v in values)
                 return values
 
