@@ -72,4 +72,4 @@ from .surface import (
 )
 from .verify import derivative_check, determinant_identity_residual
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

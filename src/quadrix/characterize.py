@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ._grids import halton
 from .errors import QuadrixError
-from .measure import CapMeasures, QuadratureSettings, starred_cells
+from .measure import CapMeasures, QuadratureSettings, _warn_targets, starred_cells
 from .quadrics import QUADRIC_KINDS
-from .surface import LevelFamily, SurfacePoint, curvature_invariant, point_on_level
+from .surface import LevelFamily, SurfacePoint, _lifts, curvature_invariant
 
 __all__ = [
     "ConstancyReport",
@@ -145,30 +146,49 @@ def sample_points(
     failed convexity certificate are skipped with a warning.  Fewer than
     two admissible points is an error.
     """
+    (draw,) = _draws(family, [k], count, seed, [box])
+    return draw.admit()
+
+
+class _Draw(NamedTuple):
+    """One level's lifted sample: its admissible points, and the warnings
+    sample_points gives for it, in order."""
+
+    k: float
+    points: list[SurfacePoint]
+    notes: list[str]
+
+    def admit(self) -> list[SurfacePoint]:
+        """The points, once the notes are warned; QuadrixError for fewer than
+        two.  Each warning names the line that called the caller."""
+        for note in self.notes:
+            warnings.warn(note, stacklevel=3)
+        if len(self.points) < 2:
+            raise QuadrixError(f"fewer than 2 admissible points at level k={self.k}")
+        return self.points
+
+
+def _draws(family: LevelFamily, ks: list[float], count: int, seed: int, boxes: list) -> list[_Draw]:
+    """sample_points' sample at every level ks[i] in boxes[i], the points of
+    all levels lifted as one batch (surface._lifts); nothing warns yet."""
     if count < 2:
         raise ValueError("count must be at least 2")
-    xs = sample_coordinates(family.n, count, seed, box)
-
-    points: list[SurfacePoint] = []
-    skipped = 0
-    for x in xs:
-        try:
-            p = point_on_level(family, k, x)
-        except QuadrixError:
-            skipped += 1
-            continue
-        if p.f_jet.value < 0:
-            warnings.warn(
-                f"f({x.tolist()}) = {p.f_jet.value:.6g} < 0: nonnegativity hypothesis fails",
-                stacklevel=2,
-            )
-        points.append(p)
-    if skipped:
-        warnings.warn(f"skipped {skipped} of {count} sampled points off the admissible set",
-                      stacklevel=2)
-    if len(points) < 2:
-        raise QuadrixError(f"fewer than 2 admissible points at level k={k}")
-    return points
+    xs = [sample_coordinates(family.n, count, seed, box) for box in boxes]
+    lifts = _lifts(family, [k for k in ks for _ in range(count)], np.concatenate(xs))
+    draws = []
+    for i, (k, x) in enumerate(zip(ks, xs)):
+        points: list[SurfacePoint] = []
+        notes: list[str] = []
+        for xi, p in zip(x, lifts[i * count:(i + 1) * count]):
+            if isinstance(p, QuadrixError):
+                continue
+            if p.f_jet.value < 0:
+                notes.append(f"f({xi.tolist()}) = {p.f_jet.value:.6g} < 0: nonnegativity hypothesis fails")
+            points.append(p)
+        if len(points) < count:
+            notes.append(f"skipped {count - len(points)} of {count} sampled points off the admissible set")
+        draws.append(_Draw(k, points, notes))
+    return draws
 
 
 def evaluate_cells(
@@ -178,15 +198,24 @@ def evaluate_cells(
     settings: QuadratureSettings | None = None,
     want: tuple[str, ...] = ("area", "volume", "lateral"),
 ) -> list[list[CapMeasures | str]]:
-    """starred_measures on every (point, offset) cell, the level's cells solved together.
+    """starred_measures on every (point, offset) cell, all cells solved together.
 
-    Returns a points x offsets table; entry [i][j] is the CapMeasures
-    of point i at offset j, or the message of the QuadrixError it raised.
-    One measure.starred_cells pass solves every cell once, and each cell
-    gets the bits and the message its own starred_measures call gets.
+    The points may lie on any levels.  Returns a points x offsets table;
+    entry [i][j] is the CapMeasures of point i at offset j, or the message
+    of the QuadrixError it raised.  One measure.starred_cells pass solves
+    every cell once, and each cell gets the bits and the message its own
+    starred_measures call gets; the cells warn in table order.
     """
-    return [[cell if isinstance(cell, CapMeasures) else str(cell) for cell in row]
-            for row in starred_cells(family, points, offsets, settings, want)]
+    offsets = list(offsets)
+    cells = starred_cells(family, [(p, h) for p in points for h in offsets], settings, want)
+    _warn_targets(cells)
+    return _table(cells, len(points), len(offsets))
+
+
+def _table(cells: list, rows: int, width: int) -> list[list[CapMeasures | str]]:
+    """The cells as a rows x width table, each failed cell as its message."""
+    cells = [cell if isinstance(cell, CapMeasures) else str(cell) for cell in cells]
+    return [cells[i * width:(i + 1) * width] for i in range(rows)]
 
 
 _MEASURE_OF = {"Vstar": "volume", "Astar": "area", "Sstar": "lateral"}
@@ -363,25 +392,36 @@ def classify(family: LevelFamily, k_list, config: ClassifyConfig | None = None) 
     A positive verdict needs the curvature invariant and both starred
     conditions (cap volume, normalized section area) constant at every
     level, together with the matching normal form (alpha, sign).  The
-    normalized lateral area is never used as positive evidence.  Both
-    starred reports of a level are read off one evaluate_cells table, so
-    each (point, offset) cell is solved once and a failed cell counts
-    against both.
+    normalized lateral area is never used as positive evidence.
+
+    The sampled points of all levels are lifted as one batch, and the
+    (point, offset) cells of all levels, each level with its own offsets,
+    are one measure.starred_cells pass: every cell is solved once, both
+    starred reports of a level read it, and a failed cell counts against
+    both.  Warnings come level by level, each level's sampling warnings
+    before its cells' warnings.
     """
     config = config or ClassifyConfig()
     k_list = [float(k) for k in k_list]
     if not k_list:
         raise ValueError("need at least one level")
+    boxes = [config.box if config.box is not None else default_box(family, k) for k in k_list]
+    draws = _draws(family, k_list, config.point_count, config.seed, boxes)
+    offsets = [[float(h) for h in (config.offsets or default_offsets(family, k))] for k in k_list]
+    cells = starred_cells(family, [(p, h) for draw, hs in zip(draws, offsets)
+                                   if len(draw.points) >= 2  # admit() raises for the others
+                                   for p in draw.points for h in hs],
+                          config.settings, want=("volume", "area"))
 
     evidence: list[ConstancyReport] = []
     matched: dict[float, float] = {}
     reasons: list[str] = []
     had_errors = False
-
-    for k in k_list:
-        box = config.box if config.box is not None else default_box(family, k)
+    at = 0
+    for draw, hs in zip(draws, offsets):
+        k = draw.k
         try:
-            points = sample_points(family, k, config.point_count, config.seed, box)
+            points = draw.admit()
         except QuadrixError as exc:
             reasons.append(f"k={k:.6g}: sampling failed: {exc}")
             had_errors = True
@@ -390,11 +430,12 @@ def classify(family: LevelFamily, k_list, config: ClassifyConfig | None = None) 
         evidence.append(inv)
         if inv.matched_constant is not None:
             matched[k] = inv.matched_constant
-        offsets = [float(h) for h in (config.offsets or default_offsets(family, k))]
-        cells = evaluate_cells(family, points, offsets, config.settings, want=("volume", "area"))
+        level, at = cells[at:at + len(points) * len(hs)], at + len(points) * len(hs)
+        _warn_targets(level)
+        table = _table(level, len(points), len(hs))
         for condition in ("Vstar", "Astar"):
             try:
-                rep = _starred_report(condition, k, offsets, points, cells, config.threshold)
+                rep = _starred_report(condition, k, hs, points, table, config.threshold)
             except QuadrixError as exc:
                 reasons.append(f"k={k:.6g} {condition}: {exc}")
                 had_errors = True

@@ -33,16 +33,16 @@ from .characterize import (
     DEFAULT_THRESHOLD,
     Classification,
     ClassifyConfig,
+    _draws,
     _normalize_box,
     classify,
     evaluate_cells,
     sample_coordinates,
-    sample_points,
 )
 from .errors import BranchError, ConfigError, ConvexityError, ParseError, QuadrixError
 from .funcspec import PerturbedQuadratic, QuadraticForm, parse_expression
 from .measure import QuadratureSettings
-from .surface import LevelFamily, curvature_invariant, gauss_kronecker, point_on_level
+from .surface import LevelFamily, _lifts, curvature_invariant, gauss_kronecker
 
 SCHEMA_VERSION = 1
 
@@ -240,15 +240,15 @@ def cmd_curvature(args) -> int:
     run = _read_config(args)
     family, n = run.family, run.family.n
     xs = sample_coordinates(n, run.count, run.seed, run.box)
+    ks = [k for k in run.levels for _ in xs]
     rows = []
-    for k in run.levels:
-        for x in xs:
-            try:
-                p = point_on_level(family, k, x)
-            except BranchError:
-                continue  # off the admissible set, not a certificate failure
-            rows.append([_fmt(v) for v in (k, *p.x, p.z, gauss_kronecker(family, p), p.grad_norm,
-                                           curvature_invariant(family, p))])
+    for k, p in zip(ks, _lifts(family, ks, np.tile(xs, (len(run.levels), 1)))):  # in (level, point) order
+        if isinstance(p, BranchError):
+            continue  # off the admissible set, not a certificate failure
+        if isinstance(p, QuadrixError):
+            raise p
+        rows.append([_fmt(v) for v in (k, *p.x, p.z, gauss_kronecker(family, p), p.grad_norm,
+                                       curvature_invariant(family, p))])
     _write_table(run, ["k", *(f"x{i+1}" for i in range(n)), "z", "K", "grad_norm", "invariant"], rows)
     return 0
 
@@ -270,11 +270,12 @@ def cmd_measures(args) -> int:
     family, settings, offsets = run.family, run.settings, run.offsets
     if not offsets:
         raise ConfigError("measures needs a nonempty offsets list")
-    level_points = [(k, sample_points(family, k, run.count, run.seed, run.box))
-                    for k in run.levels]
-    rows = []  # (k, h, point) order: each level's table read transposed
-    for k, points in level_points:
-        cells = evaluate_cells(family, points, offsets, settings)
+    draws = _draws(family, run.levels, run.count, run.seed, [run.box] * len(run.levels))
+    levels = [(draw.k, draw.admit()) for draw in draws]
+    table = evaluate_cells(family, [p for _, points in levels for p in points], offsets, settings)
+    rows, at = [], 0  # (k, h, point) order: each level's rows of the table read transposed
+    for k, points in levels:
+        cells, at = table[at:at + len(points)], at + len(points)
         rows += [(k, h, p, row[j]) for j, h in enumerate(offsets) for p, row in zip(points, cells)]
     header = "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err grad_norm seed error".split()
     _write_table(run, header, [
@@ -311,13 +312,13 @@ def cmd_sweep(args) -> int:
     family, settings, offsets = run.family, run.settings, run.offsets
     if not offsets:
         raise ConfigError("sweep needs a nonempty offsets list")
-    x = np.asarray(run.sweep_x)
+    lifts = _lifts(family, run.levels, np.tile(np.asarray(run.sweep_x), (len(run.levels), 1)))
+    table = iter(evaluate_cells(family, [p for p in lifts if not isinstance(p, QuadrixError)],
+                                offsets, settings))
     rows = []
-    for k in run.levels:
-        try:
-            cells = evaluate_cells(family, [point_on_level(family, k, x)], offsets, settings)[0]
-        except QuadrixError as exc:  # the lift failed: every offset row carries it
-            cells = [str(exc)] * len(offsets)
+    for k, p in zip(run.levels, lifts):
+        # a failed lift: every offset row carries its message
+        cells = [str(p)] * len(offsets) if isinstance(p, QuadrixError) else next(table)
         rows += [(k, h, cell) for h, cell in zip(offsets, cells)]
     _write_table(run, "k h t Vstar Vstar_err Astar Astar_err Sstar Sstar_err error".split(), [
         [_fmt(k), _fmt(h)] + _cell_fields(cell) + [cell if isinstance(cell, str) else ""]

@@ -35,14 +35,18 @@ sphere rule is the tensor rule at n <= 4 and the fully symmetric rule at
 n >= 5, which needs a sixth of the rays at n = 6 (`_grids.sphere_rule`).
 One K15 pass runs along each ray.
 
-The cells of a level are solved together (starred_cells, which
-characterize.evaluate_cells reads): one surface.parallel_tangents Newton
-loop for all tangencies, then one boundary solve and one ray pass over the
-rays of all the cells.  These run in blocks of at most _LANE_BUDGET chart
-points, each block reduced to per-ray sums before the next, so the working
-memory does not grow with the order or the number of cells.  A block is a
-run of consecutive rays of the cells, in cell order, cut wherever the
-budget falls: it may end inside one cell and start inside the next
+Cells are solved together, whatever their levels (starred_cells, which
+characterize.evaluate_cells and classify read): one
+surface.parallel_tangents Newton loop for all tangencies, then one
+boundary solve and one ray pass over the rays of all the cells, each lane
+on its own point's chart and level.  These run in blocks of at most
+_LANE_BUDGET chart points, each block reduced to per-ray sums before the
+next, so the working memory does not grow with the order or the number of
+cells; a boundary block takes half as many directions, as its checks
+evaluate two points per direction.  A pass holds about 64 + 16 n bytes
+per ray of each cell (_GROUP_BYTES bounds it).  A block is a run of
+consecutive rays of the cells, in cell order, cut wherever the budget
+falls: it may end inside one cell and start inside the next
 (LocalChart.joined).  Every sum over a lane's row has one fixed order per
 lane.  A point's direction geometry (LocalChart.rays) is one product over
 its whole sphere rule, which every block slices, the K15 and G7 sums over a
@@ -54,9 +58,10 @@ every one of its nodes: once a block finds f < 0 at one, the cell's later
 rays are skipped and it goes back to the chart heights, from its first ray.
 The radial nodes lie strictly inside the section, so every height
 converges; a block whose height solve fails raises its RegionError,
-counting that block's points.  A cell that fails raises for its whole
-group, and _each solves the group again in halves, down to that cell,
-which then gets its own message.
+counting that block's points.  A failing call is solved again in halves
+(_each), down to the failing cell, which then gets its own message; a
+failing boundary solve re-solves only boundaries, and the other cells go
+on to one ray pass.
 The error estimate is the larger of the gap to the sphere rule of order m - 2,
 solved in the same calls, and the radial gap |K15 - G7| of the embedded
 Gauss rule.  Partial sums reduce in a fixed order, so results are
@@ -99,7 +104,7 @@ __all__ = [
 _ERR_FLOOR = 1e-11  # relative floor covering boundary-solve tolerances
 _TARGET = 1e-4  # relative error estimate above which a radial measure warns
 _LANE_BUDGET = 1 << 14  # chart points per boundary or height solve: a block stays cache-sized
-_GROUP_RAYS = 1 << 20  # rays of the cells one pass holds: their results stay tens of MiB
+_GROUP_BYTES = 40 << 20  # what one pass holds for its cells' rays (starred_cells): tens of MiB
 
 
 def _keep_freed_heap() -> None:
@@ -186,7 +191,7 @@ def _chart_directions(p: SurfacePoint, nodes: np.ndarray) -> tuple[np.ndarray, f
 
 
 def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings,
-                  want: tuple[str, ...]) -> list[dict[str, MeasureResult]]:
+                  want: tuple[str, ...]) -> list[dict[str, MeasureResult] | QuadrixError]:
     """The wanted measures of the cap of every (p, t) cell, solved together.
 
     Each point's chart, its chart directions and their ChartRays are built
@@ -196,8 +201,11 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
     Every sum over a lane's row has a fixed order per lane: ChartRays are
     products over a point's whole rule, and the K15 and G7 sums are einsum
     contractions, never a BLAS product of a block.  So a cell has the bits
-    it has alone however its rays are cut.  A failing cell raises its error
-    for the whole call.
+    it has alone however its rays are cut.  A cell whose boundary solve
+    fails gets, in place of its measures, the error its one-cell call
+    raises: a failing boundary call is solved again in halves (_each), down
+    to that cell, and the ray pass skips it.  A failure in the ray pass
+    raises for the whole call.
     """
     n = family.n
     sphere, w_fine, w_coarse, (nodes, kronrod, gap_rule) = _rules(n, settings.order_for(n))
@@ -216,14 +224,22 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
         return chart, ts[c], U[a:b], geometry.take(slice(a, b))
 
     rho = [np.empty(m) for _ in cells]
-    for block in _blocks(range(len(cells)), m, _LANE_BUDGET):
-        charts, t, U, geometry = zip(*(piece(*cut) for cut in block))
-        counts = [len(u) for u in U]
-        radii = LocalChart.joined(charts, counts).boundary_radius(  # no name keeps the joined chart
-            _cat(U, axis=0), _by_lane(t, counts), ChartRays.join(geometry))
-        for (c, a, b), lanes in zip(block, _cuts(counts)):
-            rho[c][a:b] = radii[lanes]
-    out: list[dict[str, MeasureResult]] = [{} for _ in cells]
+
+    def boundaries(group: list[int]) -> list[None]:
+        # the boundary checks evaluate two chart points per direction
+        for block in _blocks(group, m, max(1, _LANE_BUDGET // 2)):
+            charts, t, U, geometry = zip(*(piece(*cut) for cut in block))
+            counts = [len(u) for u in U]
+            radii = LocalChart.joined(charts, counts).boundary_radius(  # no name keeps the joined chart
+                _cat(U, axis=0), _by_lane(t, counts), ChartRays.join(geometry))
+            for (c, a, b), lanes in zip(block, _cuts(counts)):
+                rho[c][a:b] = radii[lanes]
+        return [None] * len(group)
+
+    out: list = _each(boundaries, list(range(len(cells))))  # None where the radii were solved
+    live = [c for c, failed in enumerate(out) if failed is None]
+    for c in live:
+        out[c] = {}
 
     def finish(c: int, per_dir: np.ndarray, samples: int, radial_err: float = 0.0) -> MeasureResult:
         jac = at[c][2]
@@ -233,12 +249,12 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
         return MeasureResult(total, err, samples)
 
     if "area" in want:
-        for c in range(len(cells)):
+        for c in live:
             out[c]["area"] = finish(c, rho[c] ** n / n, m)
 
     along_rays = [name for name in ("volume", "lateral") if name in want]
     if along_rays:
-        sums = [{name: (np.empty(m), np.empty(split)) for name in along_rays} for _ in cells]
+        sums = {c: {name: (np.empty(m), np.empty(split)) for name in along_rays} for c in live}
 
         def ray_pass(todo: list[int], integrands) -> set[int]:
             # per ray the K15 sum, and per ray of the order-m rule the K15 - G7
@@ -277,11 +293,11 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
                 values["volume"] = _by_lane(t, sizes) - w
             return [{name: v[lanes] for name, v in values.items()} for lanes in _cuts(sizes)]
 
-        chords = [c for c, (p, _) in enumerate(cells) if family.sign == "minus" and p.k > 0]
+        chords = [c for c in live if family.sign == "minus" and cells[c][0].k > 0]
         sliced = set(chords) - ray_pass(chords, _vertical_chords(family, want))
-        ray_pass([c for c in range(len(cells)) if c not in sliced], heights)
+        ray_pass([c for c in live if c not in sliced], heights)
         samples = m * nodes.size
-        for c in range(len(cells)):
+        for c in live:
             for name, (kronrod_sums, gap_sums) in sums[c].items():
                 # the two sphere orders share the radial rule, so their gap is
                 # blind to radial truncation: fold in the K15 - G7 difference too
@@ -407,16 +423,25 @@ def _check_want(want: tuple[str, ...]) -> None:
 
 
 def _cap(out: dict[str, MeasureResult], t: float) -> CapMeasures:
-    """A cell's CapMeasures; a measure whose estimate misses the target warns."""
-    for name, res in out.items():
-        if res.value and res.error_estimate > _TARGET * abs(res.value):
-            rel = res.error_estimate / abs(res.value)
-            warnings.warn(
-                f"{name} relative error estimate {rel:.2e} exceeds the target "
-                f"{_TARGET:.0e}; increase the quadrature order",
-                stacklevel=3,
-            )
+    """A cell's CapMeasures from its measures."""
     return CapMeasures(out.get("area"), out.get("volume"), out.get("lateral"), t)
+
+
+def _warn_targets(cells: list) -> None:
+    """Warn, cell by cell, for each measure whose estimate misses the target;
+    a failed cell has none.  Each warning names the line that called the caller."""
+    for cell in cells:
+        if not isinstance(cell, CapMeasures):
+            continue
+        for name in _MEASURES:
+            res = getattr(cell, name)
+            if res is not None and res.value and res.error_estimate > _TARGET * abs(res.value):
+                rel = res.error_estimate / abs(res.value)
+                warnings.warn(
+                    f"{name} relative error estimate {rel:.2e} exceeds the target "
+                    f"{_TARGET:.0e}; increase the quadrature order",
+                    stacklevel=3,
+                )
 
 
 def _each(solve, cells: list) -> list:
@@ -444,39 +469,42 @@ def cap_measures(family: LevelFamily, p: SurfacePoint, t: float,
     _check_want(want)
     if t <= 0:
         raise ValueError("t must be positive")
-    return _cap(_radial_cells(family, [(p, t)], settings or DEFAULT_SETTINGS, want)[0], t)
+    (out,) = _radial_cells(family, [(p, t)], settings or DEFAULT_SETTINGS, want)
+    if isinstance(out, QuadrixError):
+        raise out
+    cap = _cap(out, t)
+    _warn_targets([cap])
+    return cap
 
 
-def starred_cells(family: LevelFamily, points: list[SurfacePoint], offsets,
-                  settings: QuadratureSettings | None = None,
-                  want: tuple[str, ...] = _MEASURES) -> list[list[CapMeasures | QuadrixError]]:
-    """starred_measures of every (point, offset) cell of one level, solved together.
+def starred_cells(family: LevelFamily, cells, settings: QuadratureSettings | None = None,
+                  want: tuple[str, ...] = _MEASURES) -> list[CapMeasures | QuadrixError]:
+    """starred_measures of every (point, offset) cell, of any levels, solved together.
 
     All tangencies are one parallel_tangents call, and all caps one
-    boundary solve and one ray pass.  Returns a points x offsets table of
-    CapMeasures, or of the QuadrixError a cell raised: the one its
-    starred_measures call raises, as every cell has the bits it has alone.
+    boundary solve and one ray pass, in groups of at most _GROUP_BYTES of
+    what a pass holds.  Returns per cell its CapMeasures, or the
+    QuadrixError it raised: the one its starred_measures call raises, as
+    every cell has the bits it has alone.  Nothing warns here: callers pass
+    the cells to _warn_targets.
     """
     _check_want(want)
     settings = settings or DEFAULT_SETTINGS
-    rays = len(_rules(family.n, settings.order_for(family.n))[0])
-    offsets = list(offsets)
-    cells = [(p, h) for p in points for h in offsets]
+    n = family.n
+    rays = len(_rules(n, settings.order_for(n))[0])
+    cells = list(cells)
     out = _each(lambda group: parallel_tangents(family, group), cells)
-    levels: dict[float, list[int]] = {}  # a joined chart holds one level
-    for i, res in enumerate(out):
-        if not isinstance(res, QuadrixError):
-            levels.setdefault(cells[i][0].k, []).append(i)
-    size = max(1, _GROUP_RAYS // rays)  # a pass holds about 40 bytes of per-ray sums per ray
-    caps = {}
-    for solved in levels.values():
-        for a in range(0, len(solved), size):
-            group = solved[a:a + size]
-            caps.update(zip(group, _each(lambda part: _radial_cells(family, part, settings, want),
-                                         [(cells[i][0], out[i].t) for i in group])))
-    for i in sorted(caps):  # warnings in cell order
-        out[i] = caps[i] if isinstance(caps[i], QuadrixError) else _cap(caps[i], out[i].t)
-    return [out[i * len(offsets):(i + 1) * len(offsets)] for i in range(len(points))]
+    solved = [i for i, res in enumerate(out) if not isinstance(res, QuadrixError)]
+    # per ray, a pass holds each cell's radius and per-ray sums (40 bytes)
+    # and its point's chart direction (8 n) and ChartRays (8 (n + 3))
+    size = max(1, _GROUP_BYTES // (rays * (40 + 8 * n + 8 * (n + 3))))
+    for a in range(0, len(solved), size):
+        group = solved[a:a + size]
+        caps = _each(lambda part: _radial_cells(family, part, settings, want),
+                     [(cells[i][0], out[i].t) for i in group])
+        for i, cap in zip(group, caps):
+            out[i] = cap if isinstance(cap, QuadrixError) else _cap(cap, out[i].t)
+    return out
 
 
 def starred_measures(family: LevelFamily, p: SurfacePoint, h: float,
@@ -484,7 +512,8 @@ def starred_measures(family: LevelFamily, p: SurfacePoint, h: float,
                      want: tuple[str, ...] = _MEASURES) -> CapMeasures:
     """cap_measures at the distance t of the parallel tangent plane of M_{k+h}:
     the one-cell call of starred_cells."""
-    cell = starred_cells(family, [p], [h], settings, want)[0][0]
+    (cell,) = starred_cells(family, [(p, h)], settings, want)
     if isinstance(cell, QuadrixError):
         raise cell
+    _warn_targets([cell])
     return cell

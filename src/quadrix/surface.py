@@ -5,13 +5,16 @@ a strictly convex hypersurface in R^{n+1}.  One graph jet, Z_c with its
 gradient and Hessian, is evaluated and lifted once per point: the lift
 computes the second fundamental form toward the convex side (read by the
 Cholesky convexity certificate, the normal orientation, K = det(form) and
-the invariant K |grad g|^{n+2}).  point_on_level lifts the jet at x;
-parallel_tangents, matching the slopes of M_k and M_{k+h}, lifts the one
-its Newton loop converged on.  That loop takes the (point, offset) cells of
-a level as lanes: one batch of graph jets and one stacked solve per step,
-with per-lane halving; z, g_z and g_zz are Python float arithmetic per
-lane, so a cell's iterates have the same bits in any batch.
-parallel_tangent is its one-cell call.
+the invariant K |grad g|^{n+2}).  _lifts lifts many (level, x) points as
+one batch: one batch of jets, then stacked products, one stacked QR for
+the frames and one stacked Cholesky for the certificates, so each point
+has the bits and the error of its own call, point_on_level.
+parallel_tangents, matching the slopes of M_k and M_{k+h}, lifts the jets
+its Newton loop converged on, all cells at once.  That loop takes (point,
+offset) cells of any levels as lanes: one batch of graph jets and one
+stacked solve per step, with per-lane halving; z, g_z and g_zz are Python
+float arithmetic per lane, so a cell's iterates have the same bits in any
+batch.  parallel_tangent is its one-cell call.
 
 Every solve starts from g's second-order model at the base point p,
 g(p + v) ~ k + grad g . v + v^T H v / 2 with H = blockdiag(sf Hess f, g_zz),
@@ -23,12 +26,12 @@ The tangent-plane chart serves the integration routines.  Both its solves,
 heights and section boundary radii, run one vectorized safeguarded solver:
 a per-lane bracket, guarded Newton steps, bisection when a step leaves the
 bracket, iterating only the unconverged lanes.  A joined chart gives the
-lanes of several points of one level their own base points, so one solve
-serves many cells.  Each lane starts from the smallest nonnegative root of
-the model along its line.  A boundary lane starts unbounded above and
-grows its bracket inside the same loop; an off-branch (NaN) residual
-bounds it like a positive one.  Every lane ends in a root or a
-RegionError.  The residual reads f along each lane's line with one
+lanes of several points, of any levels, their own base points and levels,
+so one solve serves many cells.  Each lane starts from the smallest
+nonnegative root of the model along its line.  A boundary lane starts
+unbounded above and grows its bracket inside the same loop; an off-branch
+(NaN) residual bounds it like a positive one.  Every lane ends in a root
+or a RegionError.  The residual reads f along each lane's line with one
 forward tangent (funcspec.eval_line), so an iteration allocates nothing n
 wide; the fold check reads its slope along the normal, and in the same
 call the convexity check reads its value at twice the boundary radius.
@@ -46,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BranchError, ConvexityError, RegionError, TangencyError
+from .errors import BranchError, ConvexityError, EvaluationError, QuadrixError, RegionError, TangencyError
 from .funcspec import FunctionSpec, Jet2, eval_jets, eval_line, eval_value_grad
 
 __all__ = [
@@ -177,26 +180,33 @@ def _is_positive_definite(m: np.ndarray) -> bool:
         return False
 
 
-def _complete_frame(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to a unit vector."""
-    d = normal.shape[0]
-    basis = np.eye(d)
-    # put the axis most aligned with the normal first so QR keeps full rank
-    pivot = int(np.argmax(np.abs(normal)))
-    basis[:, [0, pivot]] = basis[:, [pivot, 0]]
-    m = np.column_stack([normal, basis[:, 1:]])
-    q, _ = np.linalg.qr(m)
-    return q[:, 1:]
+def _positive_definite(forms: np.ndarray) -> np.ndarray:
+    """_is_positive_definite of each matrix of a stack: one stacked Cholesky,
+    and one per matrix only when the stack raises."""
+    try:
+        np.linalg.cholesky(forms)
+    except np.linalg.LinAlgError:
+        return np.array([_is_positive_definite(m) for m in forms], dtype=bool)
+    return np.isfinite(forms).all(axis=(1, 2))
 
 
-class _GraphJet(NamedTuple):
-    """M_c near x as the graph z = Z(x) of its branch (z > 0 unless alpha is odd), to second order."""
+def _complete_frames(normals: np.ndarray) -> np.ndarray:
+    """Orthonormal bases (M, d, d - 1) of the hyperplanes orthogonal to unit vectors (M, d).
 
-    f_jet: Jet2
-    z: float
-    gz: float  # g_z = alpha z^(alpha-1)
-    slope: np.ndarray  # grad Z = -sf grad f / g_z
-    hessian: np.ndarray  # Hess Z = -(sf Hess f + g_zz grad Z grad Z^T) / g_z
+    Each is Q's last d - 1 columns in the QR factorization of [normal, e_j
+    for j != pivot], pivot the axis most aligned with the normal, taken
+    first so that QR keeps full rank.  The stacked QR gives each matrix the
+    bits its own factorization gives.
+    """
+    m, d = normals.shape
+    lanes, pivot = np.arange(m), np.argmax(np.abs(normals), axis=1)
+    basis = np.zeros((m, d, d))
+    basis[:, :, 1:] = np.eye(d)[:, 1:]
+    basis[lanes, pivot, pivot] = 0.0  # column pivot holds e_0 instead
+    basis[lanes, 0, pivot] = 1.0
+    basis[:, :, 0] = normals  # over what pivot 0 wrote there
+    q, _ = np.linalg.qr(basis)
+    return q[:, :, 1:]
 
 
 def _branch(family: LevelFamily, c: float, fval: float) -> tuple[float, float, float]:
@@ -212,20 +222,18 @@ def _branch(family: LevelFamily, c: float, fval: float) -> tuple[float, float, f
 
 
 class _GraphJets(NamedTuple):
-    """_GraphJet at each of M points, lane-first; finite marks the lanes where it exists."""
+    """M_c near each of M points x as the graph z = Z(x) of its branch (z > 0
+    unless alpha is odd), to second order, lane-first; finite marks the
+    lanes where it exists."""
 
     value: np.ndarray  # f, (M,)
     gradient: np.ndarray  # grad f, (M, n)
     f_hessian: np.ndarray  # Hess f, (M, n, n)
     z: np.ndarray
-    gz: np.ndarray
-    slope: np.ndarray
-    hessian: np.ndarray
+    gz: np.ndarray  # g_z = alpha z^(alpha-1)
+    slope: np.ndarray  # grad Z = -sf grad f / g_z
+    hessian: np.ndarray  # Hess Z = -(sf Hess f + g_zz grad Z grad Z^T) / g_z
     finite: np.ndarray
-
-    def lane(self, i: int) -> _GraphJet:
-        return _GraphJet(Jet2(float(self.value[i]), self.gradient[i], self.f_hessian[i]),
-                         float(self.z[i]), float(self.gz[i]), self.slope[i], self.hessian[i])
 
     def take(self, sel) -> _GraphJets:
         return _GraphJets(*(a[sel] for a in self))
@@ -265,47 +273,92 @@ def _graph_jets(family: LevelFamily, c, X: np.ndarray) -> _GraphJets:
     return _GraphJets(vals, grads, hess, z, gz, slope, hessian, finite)
 
 
-def _graph_jet(family: LevelFamily, c: float, x: np.ndarray) -> _GraphJet:
-    """Z, grad Z and Hess Z of the branch of M_c over x; BranchError off the
-    branch, where g_z is 0, and where z or a derivative is beyond the floats."""
-    with np.errstate(**_QUIET):
-        jets = _graph_jets(family, (c,), x[None, :])
-    if not jets.finite[0]:
-        z, _, _ = _branch(family, c, float(jets.value[0]))  # raises off the branch
-        raise BranchError(f"no finite graph jet at level k={c}: z = {z:.6g} with alpha = {family.alpha:g}")
-    return jets.lane(0)
-
-
 def point_on_level(family: LevelFamily, k: float, x: np.ndarray) -> SurfacePoint:
     """Lift x to the z > 0 branch of M_k and certify convexity there.
 
     The second fundamental form toward the upward graph normal is
     A^T Hess Z A / sqrt(1 + |grad Z|^2), A the x-rows of the frame; the convex
     side is the orientation that makes it positive definite (Cholesky
-    certificate), and an indefinite form raises ConvexityError.
+    certificate), and an indefinite form raises ConvexityError.  The
+    one-point call of _lifts.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _lift(family, k, x, _graph_jet(family, k, x))
+    (p,) = _lifts(family, [k], x[None, :])
+    if isinstance(p, QuadrixError):
+        raise p
+    return p
 
 
-def _lift(family: LevelFamily, k: float, x: np.ndarray, graph: _GraphJet) -> SurfacePoint:
-    """The point of M_k over x from its graph jet there, as point_on_level describes."""
-    jet, z, gz, slope, hessian = graph
-    grad_g = np.concatenate([family.sf * jet.gradient, [gz]])
-    lift = np.sqrt(1.0 + slope @ slope)
-    up = np.concatenate([-slope, [1.0]]) / lift
-    frame = _complete_frame(up)  # the same basis for up and -up
-    form = frame[:-1].T @ hessian @ frame[:-1] / lift
-    if _is_positive_definite(form):
-        normal = up
-    elif _is_positive_definite(-form):
-        normal, form = -up, -form
-    else:
-        raise ConvexityError(
-            f"indefinite shape operator at x={x.tolist()}, k={k}: surface not strictly convex there"
-        )
-    return SurfacePoint(x=x, z=z, k=k, grad_g=grad_g, normal=normal, frame=frame,
-                        f_jet=jet, second_form=form)
+def _lifts(family: LevelFamily, ks: list, X: np.ndarray) -> list:
+    """point_on_level at every level ks[i] and point X[i], in one batch.
+
+    Returns each lane's SurfacePoint, or the QuadrixError its one-point call
+    raises: a BranchError off the branch, where g_z is 0, or where z or a
+    derivative is beyond the floats, and a ConvexityError where the form is
+    indefinite.  f's jets are one batch; an EvaluationError, which f raises
+    for a whole batch, sends each lane through its own call.
+    """
+    try:
+        with np.errstate(**_QUIET):
+            jets = _graph_jets(family, ks, X)
+    except EvaluationError as exc:
+        if len(ks) == 1:
+            return [exc]
+        return [lift for i in range(len(ks)) for lift in _lifts(family, ks[i:i + 1], X[i:i + 1])]
+    if jets.finite.all():
+        return _lift(family, ks, X, jets)
+    out: list = [None] * len(ks)
+    for i in np.flatnonzero(~jets.finite).tolist():
+        try:
+            z, _, _ = _branch(family, ks[i], float(jets.value[i]))  # raises off the branch
+            out[i] = BranchError(f"no finite graph jet at level k={ks[i]}: z = {z:.6g} "
+                                 f"with alpha = {family.alpha:g}")
+        except BranchError as exc:
+            out[i] = exc
+    good = np.flatnonzero(jets.finite)
+    for i, p in zip(good.tolist(), _lift(family, [ks[i] for i in good], X[good], jets.take(good))):
+        out[i] = p
+    return out
+
+
+def _lift(family: LevelFamily, ks: list, X: np.ndarray, jets: _GraphJets) -> list:
+    """The points of M_{ks[i]} over X[i] from their finite graph jets, as
+    point_on_level describes: each a SurfacePoint or a ConvexityError.
+
+    Stacked products, QR and Cholesky give every lane the bits its own
+    call gives.  The convex side is read off the sign of form[0, 0], the
+    only orientation that can be positive definite.  Every lane's rows are
+    contiguous, as in a one-point batch: numpy's dot sums a strided vector
+    in another order.
+    """
+    m, n = jets.slope.shape
+    slope, hessian = np.ascontiguousarray(jets.slope), np.ascontiguousarray(jets.hessian)
+    grad_g, up = np.empty((m, n + 1)), np.empty((m, n + 1))
+    np.multiply(jets.gradient, family.sf, out=grad_g[:, :n])
+    grad_g[:, n] = jets.gz
+    lift = np.sqrt(1.0 + (slope[:, None, :] @ slope[:, :, None])[:, 0, 0])
+    np.negative(slope, out=up[:, :n])
+    up[:, n] = 1.0
+    up /= lift[:, None]
+    frames = _complete_frames(up)  # the same basis for up and -up
+    A = frames[:, :-1]
+    form = A.transpose(0, 2, 1) @ hessian @ A
+    form /= lift[:, None, None]
+    side = np.copysign(1.0, form[:, 0, 0])
+    form *= side[:, None, None]
+    up *= side[:, None]
+    convex = _positive_definite(form)
+    f_grad, f_hess = np.ascontiguousarray(jets.gradient), np.ascontiguousarray(jets.f_hessian)
+    out = []
+    for i in range(m):
+        if convex[i]:
+            out.append(SurfacePoint(x=X[i], z=float(jets.z[i]), k=ks[i], grad_g=grad_g[i], normal=up[i],
+                                    frame=frames[i], f_jet=Jet2(float(jets.value[i]), f_grad[i], f_hess[i]),
+                                    second_form=form[i]))
+        else:
+            out.append(ConvexityError(f"indefinite shape operator at x={X[i].tolist()}, k={ks[i]}: "
+                                      "surface not strictly convex there"))
+    return out
 
 
 def gauss_kronecker(family: LevelFamily, p: SurfacePoint) -> float:
@@ -365,14 +418,15 @@ class LocalChart:
     ChartRays (LocalChart.rays): no per-node product with the frame or the
     second form.  Chart offsets y are the nodes at radius 1.
 
-    LocalChart.joined puts the charts of several points of one level side
-    by side: its lanes come in runs of directions, each run on one point's
-    plane, and t may be one value per direction, so one call solves the
-    lanes of many cells.  A joined chart takes its directions' ChartRays
-    from the caller, each computed on its own point's chart by rays; past
-    that every step is elementwise per lane, so a lane's root and lateral
-    integrand do not depend on the other lanes or on how they were cut into
-    calls.  A chart keeps no solver state, so threads may share it.
+    LocalChart.joined puts the charts of several points side by side,
+    whatever their levels: its lanes come in runs of directions, each run on
+    one point's plane and level, and t may be one value per direction, so
+    one call solves the lanes of many cells.  A joined chart takes its
+    directions' ChartRays from the caller, each computed on its own point's
+    chart by rays; past that every step is elementwise per lane, with the
+    lane's own k and tolerance, so a lane's root and lateral integrand do
+    not depend on the other lanes or on how they were cut into calls.  A
+    chart keeps no solver state, so threads may share it.
     """
 
     def __init__(self, family: LevelFamily, p: SurfacePoint):
@@ -396,14 +450,18 @@ class LocalChart:
 
     @classmethod
     def joined(cls, charts, counts) -> LocalChart:
-        """The charts of points of one level side by side, counts[i] directions on charts[i]."""
+        """The charts of points of one family side by side, counts[i] directions
+        on charts[i]; the points may lie on different levels, and k and the
+        solves' tolerance scale 1 + |k| become one value per direction."""
         if len(charts) == 1:
             return charts[0]
         first = charts[0]
-        if any(c.family is not first.family or c.k != first.k for c in charts):
-            raise ValueError("joined charts must share one family and one level")
+        if any(c.family is not first.family for c in charts):
+            raise ValueError("joined charts must share one family")
         chart = cls.__new__(cls)
-        chart.family, chart.k, chart._scale = first.family, first.k, first._scale
+        chart.family = first.family
+        chart.k = np.repeat([c.k for c in charts], counts)
+        chart._scale = np.repeat([c._scale for c in charts], counts)
         chart.p = chart.origin = chart.normal = chart.frame = chart.second_form = None
         chart._runs = tuple(zip(charts, counts))
         chart._normals = chart._per_lane([c.normal for c in charts])
@@ -415,13 +473,14 @@ class LocalChart:
         """One column per run, lane-last."""
         return _by_lane(np.stack(columns, axis=1), [count for _, count in self._runs], axis=1)
 
-    def _line_residual(self, X0, Z0, dX, dZ, s, idx, tau):
-        """s * (g - k) and its tau-derivative at (X0 + tau dX, Z0 + tau dZ).
+    def _line_residual(self, X0, Z0, dX, dZ, s, level, idx, tau):
+        """s * (g - level) and its tau-derivative at (X0 + tau dX, Z0 + tau dZ).
 
-        Lane-last: X0 and dX are (n, M) or (n, 1), Z0, dZ and the sign s
-        (M,), (1,) or scalars; the lanes idx are evaluated, at tau of shape
-        (idx.size,), taking their rows one coordinate at a time.  NaN flags
-        off-branch points; callers evaluate under np.errstate(**_QUIET).
+        Lane-last: X0 and dX are (n, M) or (n, 1), Z0, dZ, the sign s and
+        the level (M,), (1,) or scalars; the lanes idx are evaluated, at tau
+        of shape (idx.size,), taking their rows one coordinate at a time.
+        NaN flags off-branch points; callers evaluate under
+        np.errstate(**_QUIET).
         """
         fam = self.family
 
@@ -440,7 +499,7 @@ class LocalChart:
         Z = fam._on_branch(Z)
         res *= fam.sf
         res += Z ** fam.alpha
-        res -= self.k
+        res -= _lanes(level, idx)
         res *= s
         slope *= fam.sf
         z_slope = Z ** (fam.alpha - 1.0)
@@ -504,11 +563,11 @@ class LocalChart:
         r = np.ones((len(U), 1)) if radii is None else radii
         m, k, n = r.size, r.shape[1], U.shape[1]
         X0, Z0 = self._base(rays, r)
-        normals, signs = _per_node(self._normals, k), _per_node(self._signs, k)
+        normals, signs, level = (_per_node(a, k) for a in (self._normals, self._signs, self.k))
         dX, dZ = normals[:n], normals[n]
 
         def residual(idx, tau):
-            return self._line_residual(X0, Z0, dX, dZ, signs, idx, tau)
+            return self._line_residual(X0, Z0, dX, dZ, signs, level, idx, tau)
 
         # the model's g - k per unit of <grad g, normal> along the line is
         # gamma tau^2 + (1 + y . beta) tau - T, y = r u: T = r^2 (u^T S u / 2)
@@ -519,7 +578,8 @@ class LocalChart:
         t = _per_node(np.asarray(t, dtype=float), k)
         hi = np.full(m, t + 1e-9 * (1.0 + abs(t)))
         guess = _first_root(_per_node(self._gamma, k), yb.reshape(-1), -T.reshape(-1), T.reshape(-1))
-        tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess, NEWTON_TOL * self._scale)
+        tau, unconverged = _safeguarded_roots(residual, np.zeros(m), hi, guess,
+                                              NEWTON_TOL * _per_node(self._scale, k))
         if unconverged.size:
             j = unconverged[0]
             raise RegionError(
@@ -582,7 +642,7 @@ class LocalChart:
         s = -self._signs  # negated to increase in rho: positive outside the section
 
         def residual(idx, rho):
-            return self._line_residual(X0, Z0, dX, dZ, s, idx, rho)
+            return self._line_residual(X0, Z0, dX, dZ, s, self.k, idx, rho)
 
         # rho = 0 is the same point on every lane of a run
         with np.errstate(**_QUIET):
@@ -623,7 +683,7 @@ class LocalChart:
         with np.errstate(**_QUIET):
             res, slope = self._line_residual(points[:n], points[n], _twice(self._normals[:n]),
                                              _twice(self._normals[n]), _twice(self._signs),
-                                             np.arange(2 * m), np.zeros(2 * m))
+                                             _twice(self.k), np.arange(2 * m), np.zeros(2 * m))
         if not np.all(slope[:m] > 0):
             raise RegionError(f"section at t={t_at(np.argmin(slope[:m] > 0)):.6g} crosses the chart fold")
         if np.any(res[m:] > 0):
@@ -687,9 +747,10 @@ def _lanes(a, idx: np.ndarray):
 def _safeguarded_roots(residual, lo, hi, x0, tol):
     """Roots in [lo, hi] of residuals increasing in x, one per lane; hi may be +inf.
 
-    residual(idx, x) gives the residual and its slope at the lanes idx.  From
-    x0 clipped into the bracket, each iteration evaluates only the lanes not
-    yet within tol, and narrows lo and hi in place.
+    residual(idx, x) gives the residual and its slope at the lanes idx, and
+    tol is one value or one per lane.  From x0 clipped into the bracket,
+    each iteration evaluates only the lanes not yet within their tol, and
+    narrows lo and hi in place.
     A negative residual moves lo up to the iterate; anything else, positive
     or NaN (off the branch), moves hi down to it.  The next iterate is the
     Newton step if the slope is positive and the step lands strictly inside
@@ -701,18 +762,19 @@ def _safeguarded_roots(residual, lo, hi, x0, tol):
     back into hi.
     """
     x = np.clip(x0, lo, hi)
-    idx, xa, la, ha = np.arange(x.size), x, lo, hi
+    idx, xa, la, ha, ta = np.arange(x.size), x, lo, hi, tol
     growing = bool(np.isinf(ha).any())  # only boundary lanes start unbounded
     with np.errstate(**_QUIET):  # off-branch residuals, zero and NaN slopes
         for _ in range(CHART_MAXITER):
             if not idx.size:
                 break
             res, slope = residual(idx, xa)
-            done = np.abs(res) <= tol  # NaN is never done
+            done = np.abs(res) <= ta  # NaN is never done
             if done.any():
                 x[idx[done]] = xa[done]
                 keep = np.flatnonzero(~done)
                 idx, xa, la, ha, res, slope = (a[keep] for a in (idx, xa, la, ha, res, slope))
+                ta = ta[keep] if np.ndim(ta) else ta
             # xa lies inside [la, ha], so it becomes the new bound on its side
             below = res < 0
             np.copyto(la, xa, where=below)
@@ -796,13 +858,14 @@ def parallel_tangents(family: LevelFamily, cells) -> list[TangencyResult]:
     first = np.array([p.x + (h / float(p.grad_g @ p.normal)) * p.normal[:-1] for p, h in cells])
     with np.errstate(**_QUIET):
         starts = np.concatenate([_model_tangencies(family, cells, first), first])
-        final = _newton(family, cells, target, slope_p, tol, starts)
+        x, jets, iterations = _newton(family, cells, target, slope_p, tol, starts)
+    scales = (jets.gz / np.array([p.grad_g[-1] for p, _ in cells])).tolist()
     out = []
-    for (p, h), k, (xi, jet, iterations) in zip(cells, target, final):
-        scale = jet.gz / p.grad_g[-1]
+    for (p, h), vp, scale, its in zip(cells, _lift(family, target, x, jets), scales, iterations):
         if scale <= 0:
             raise TangencyError("wrong branch: tangency found with opposite gradient direction")
-        vp = _lift(family, k, xi, jet)
+        if isinstance(vp, QuadrixError):
+            raise vp
         # sine of the angle between the normals; arccos of the dot product
         # cannot resolve angles this small.  The sine is 0 for antiparallel
         # normals too, so the cosine must be positive
@@ -815,7 +878,7 @@ def parallel_tangents(family: LevelFamily, cells) -> list[TangencyResult]:
         t = float((vp.ambient - p.ambient) @ p.normal)
         if t <= 0:
             raise TangencyError("tangency distance came out nonpositive")
-        out.append(TangencyResult(v=vp, t=t, newton_iterations=iterations, scale=float(scale)))
+        out.append(TangencyResult(v=vp, t=t, newton_iterations=its, scale=scale))
     return out
 
 
@@ -844,9 +907,9 @@ def _model_tangencies(family, cells, first: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(X).all(axis=1)[:, None], X, first)
 
 
-def _newton(family, cells, target, slope_p, tol, starts) -> list:
-    """parallel_tangents' Newton loop: each cell's converged x, graph jet
-    and iteration count.
+def _newton(family, cells, target, slope_p, tol, starts):
+    """parallel_tangents' Newton loop: the cells' converged x (M, n), their
+    graph jets there and their iteration counts.
 
     starts holds two rows per cell, the model starts of all cells and then
     their first-order starts; one batch of jets reads both, and each cell
@@ -870,18 +933,25 @@ def _newton(family, cells, target, slope_p, tol, starts) -> list:
             raise TangencyError(f"no start on the z > 0 graph of level k={target[i]:.6g} "
                                 f"for h={cells[i][1]:.6g}")
     # the live lanes' iterates X, jets J, slope gaps and their norms,
-    # compacted whenever lanes converge
-    final = [None] * len(cells)
-    lanes, X, J, P, T, C = np.arange(len(cells)), x, jets, slope_p, tol, target
+    # compacted whenever lanes converge; a converged lane's x, jets and
+    # count are written back into x, jets and iterations, which X and J
+    # are until the first step or compaction
+    iterations = [0] * m
+    lanes, X, J, P, T, C = np.arange(m), x, jets, slope_p, tol, target
     gap = J.slope - P
     size = _norms(gap)
     for it in range(1, NEWTON_MAXITER + 1):
         done = np.abs(gap).max(axis=1) <= T
         if done.any():
-            for j in np.flatnonzero(done).tolist():
-                final[lanes[j]] = X[j], J.lane(j), it
+            at = lanes[done]
+            if X is not x:
+                x[at] = X[done]
+                for final, live in zip(jets, J):
+                    final[at] = live[done]
+            for j in at.tolist():
+                iterations[j] = it
             if done.all():
-                return final
+                return x, jets, iterations
             keep = ~done
             lanes, X, P, T, gap, size, J = (lanes[keep], X[keep], P[keep], T[keep], gap[keep],
                                             size[keep], J.take(keep))

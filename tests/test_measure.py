@@ -401,7 +401,8 @@ class TestRadialRule:
             assert calls == []
         else:
             assert calls == [45] * (rays // 3) + [15 * (rays % 3)] * (rays % 3 > 0)
-        assert boundary_calls == [45] * (rays // 45) + [rays % 45] * (rays % 45 > 0)
+        # the boundary checks evaluate two chart points per direction: 22 directions per block
+        assert boundary_calls == [22] * (rays // 22) + [rays % 22] * (rays % 22 > 0)
         for name in ("area", "volume", "lateral"):  # value, estimate and samples, bit for bit
             assert getattr(got, name) == getattr(ref, name), name
 
@@ -469,7 +470,7 @@ class TestRadialRule:
 
 
 class TestOneCellPath:
-    """evaluate_cells solves a level's cells together; starred_measures is its one-cell call."""
+    """evaluate_cells solves its cells together, whatever their levels; starred_measures is its one-cell call."""
 
     FAMILIES = {
         "quadratic": (LevelFamily(QuadraticForm((1.0, 1.7, 0.8)), 2.0, "minus"), (0.5, 1.0)),
@@ -499,13 +500,14 @@ class TestOneCellPath:
                              + [("cosh", 3 * 15), ("expression", 3 * 15), ("ellipsoid", 3 * 15)]
                              + list(zip(("ellipsoid", "expression", "quartic"), RANDOM_BUDGETS)))
     def test_a_cell_has_the_bits_it_has_alone(self, monkeypatch, name, budget):
-        # alone, in the level's table, with the points reversed or cut to a
-        # subset, and whichever measures are wanted.  Small budgets cut blocks
-        # mid-cell, so one block holds the end of a cell and the start of the next
+        # alone, in a table whose points span three levels, with the points
+        # reversed or cut to a one-level subset, and whichever measures are
+        # wanted.  Small budgets cut blocks mid-cell, so one block holds the
+        # end of a cell and the start of the next, on another level
         if budget:
             monkeypatch.setattr(measure, "_LANE_BUDGET", budget)
         family, offsets = self.FAMILIES[name]
-        points = [point_on_level(family, 1.0, x) for x in seeded_xs(family.n, 4, 7, 0.4)]
+        points = [point_on_level(family, k, x) for k, x in zip((1.0, 1.5, 1.0, 2.0), seeded_xs(family.n, 4, 7, 0.4))]
         alone = [[starred_measures(family, p, h) for h in offsets] for p in points]
         for want in (("area", "volume", "lateral"), ("volume", "area")):
             for order in (range(4), range(3, -1, -1), (2, 0)):
@@ -545,7 +547,7 @@ class TestOneCellPath:
             assert np.array_equal(values, want)
 
     @pytest.mark.filterwarnings("ignore:.*exceeds the target")  # deep caps
-    def test_a_failing_cell_keeps_its_message_and_its_neighbours_bits(self):
+    def test_a_failing_cell_keeps_its_message_and_its_neighbours_bits(self, monkeypatch):
         # on this ellipsoid the section at h = -0.95 from x = (0.9, 0.05)
         # crosses the chart fold (RegionError), and a point of the level
         # k = 0.2 has no level k + h left (TangencyError)
@@ -553,7 +555,13 @@ class TestOneCellPath:
         points = [point_on_level(family, 1.0, np.array(x)) for x in ([0.0, 0.0], [0.9, 0.05], [0.05, -0.02])]
         low = point_on_level(family, 0.2, np.array([0.1, 0.1]))
         offsets = [-0.8, -0.95]
+        calls, radial = [], measure._radial_cells
+        monkeypatch.setattr(measure, "_radial_cells", lambda family, cells, *args: calls.append(len(cells))
+                            or radial(family, cells, *args))
         table = evaluate_cells(family, points[:2] + [low] + points[2:], offsets)
+        # the six cells whose tangencies solve are one call: the fold cell
+        # fails in its boundary solve, and the other five take one ray pass
+        assert calls == [6]
         failing = {(1, 1): RegionError, (2, 0): TangencyError, (2, 1): TangencyError}
         for (i, j), error in failing.items():
             p = (points[:2] + [low] + points[2:])[i]

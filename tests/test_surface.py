@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from quadrix import (
     BranchError,
     ConvexityError,
+    EvaluationError,
     LevelFamily,
     PerturbedQuadratic,
     QuadraticForm,
@@ -138,6 +140,33 @@ class TestPointOnLevel:
         family = LevelFamily(parse_expression("x1^2 - x2^2", 2), alpha=1.0, sign="minus")
         with pytest.raises(ConvexityError):
             point_on_level(family, 0.0, np.array([0.3, 0.1]))
+
+    @pytest.mark.parametrize("log_lane", [False, True], ids=["stacked", "evaluation-error"])
+    def test_batched_lift_matches_one_point_lifts(self, log_lane):
+        # good lanes at three levels, beside an off-branch lane and a non-convex
+        # lane; with log_lane, f's jets raise for the whole batch and every
+        # lane is lifted alone.  Each good lane is point_on_level's point, bit
+        # for bit and as contiguous, and each bad lane its one-point error
+        family = LevelFamily(parse_expression("x1^2 + x2^2 - 0.3*x2^4 + 0.1*log(x1 + 3)", 2), 2.0, "minus")
+        lanes = [(1.0, [0.1, 0.2]), (1.0, [0.0, 2.5]), (0.5, [0.5, -0.3]), (1.0, [0.2, 1.2]),
+                 (2.0, [-0.4, 0.6]), (1.0, [0.3, -1.1])] + [(1.0, [-3.5, 0.0])] * log_lane
+        ks = [k for k, _ in lanes]
+        lifts = surface._lifts(family, ks, np.array([x for _, x in lanes]))
+        kinds = []
+        for (k, x), got in zip(lanes, lifts):
+            try:
+                want = point_on_level(family, k, np.array(x))
+            except (BranchError, ConvexityError, EvaluationError) as exc:
+                assert type(got) is type(exc) and str(got) == str(exc)
+                kinds.append(type(exc).__name__)
+                continue
+            kinds.append("point")
+            assert (got.z, got.k, got.f_jet.value) == (want.z, want.k, want.f_jet.value)
+            for name in ("x", "grad_g", "normal", "frame", "second_form", "f_jet.gradient", "f_jet.hessian"):
+                a, b = map(attrgetter(name), (got, want))
+                assert np.array_equal(a, b) and a.strides == b.strides, name
+        assert kinds == ["point", "BranchError", "point", "ConvexityError", "point", "ConvexityError"] + \
+            ["EvaluationError"] * log_lane
 
 
 class TestCurvature:
@@ -460,11 +489,11 @@ class TestParallelTangent:
         # an antiparallel tangency has sine 0 between the normals, as a
         # parallel one has; only the sign of the cosine tells them apart
         p = point_on_level(unit_sphere2, 1.0, np.array([0.2, 0.1]))
-        lift = surface._lift  # parallel_tangent lifts the jet it converged on
+        lift = surface._lift  # parallel_tangent lifts the jets it converged on
 
-        def flipped(family, k, x, jet):
-            q = lift(family, k, x, jet)
-            return dataclasses.replace(q, normal=-q.normal) if k != p.k else q
+        def flipped(family, ks, X, jets):
+            return [dataclasses.replace(q, normal=-q.normal) if k != p.k else q
+                    for k, q in zip(ks, lift(family, ks, X, jets))]
 
         monkeypatch.setattr(surface, "_lift", flipped)
         with pytest.raises(TangencyError, match="opposite"):
@@ -678,10 +707,10 @@ class TestChartSolver:
         calls = []
         inner = chart._line_residual
 
-        def recording(X0, Z0, dX, dZ, s, idx, tau):
+        def recording(X0, Z0, dX, dZ, s, level, idx, tau):
             if start is None or np.array_equal(X0, start):
                 calls.append((idx.copy(), np.array(tau, copy=True)))
-            return inner(X0, Z0, dX, dZ, s, idx, tau)
+            return inner(X0, Z0, dX, dZ, s, level, idx, tau)
 
         monkeypatch.setattr(chart, "_line_residual", recording)
         return calls
