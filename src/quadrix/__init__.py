@@ -35,6 +35,7 @@ from .funcspec import (
     eval_jet2,
     eval_line,
     eval_value_grad,
+    eval_values,
     parse_expression,
 )
 from .measure import (
@@ -72,4 +73,4 @@ from .surface import (
 )
 from .verify import derivative_check, determinant_identity_residual
 
-__version__ = "0.15.0"
+__version__ = "0.15.1"

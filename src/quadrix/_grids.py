@@ -68,6 +68,10 @@ _GAUSS_WEIGHTS = (
 )
 
 
+# numbers in a draw that _small_draws keeps: its 8 draws hold at most 256 KiB
+_SMALL_DRAW = 1 << 12
+
+
 @lru_cache(maxsize=1)
 def halton(n: int, count: int, seed: int) -> np.ndarray:
     """The first count points of the n-dimensional scrambled Halton set, shape (count, n), read-only.
@@ -75,8 +79,15 @@ def halton(n: int, count: int, seed: int) -> np.ndarray:
     Each digit of each coordinate goes through its own random permutation of
     the base's digits, drawn in SciPy's order from
     `np.random.default_rng(seed)`.  Digits are summed in SciPy's order too,
-    which is what makes the points equal bit for bit.
+    which is what makes the points equal bit for bit.  The last draw is
+    kept, whatever its size, and so are the last 8 draws of at most
+    _SMALL_DRAW numbers, so a process that samples families of a few
+    dimensions in turn draws each once, while no two large draws stay alive.
     """
+    return (_small_draws if n * count <= _SMALL_DRAW else _scrambled_halton)(n, count, seed)
+
+
+def _scrambled_halton(n: int, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     out = np.zeros((n, count))
     for d, base in enumerate(_PRIMES[:n]):
@@ -90,6 +101,9 @@ def halton(n: int, count: int, seed: int) -> np.ndarray:
     out = out.T
     out.setflags(write=False)  # classify samples every level from the same set
     return out
+
+
+_small_draws = lru_cache(maxsize=8)(_scrambled_halton)
 
 
 @lru_cache(maxsize=32)

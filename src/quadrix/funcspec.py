@@ -10,16 +10,19 @@ batch evaluator, forward mode over a tangent of k directions.
 eval_value_grad, eval_jets and its one-point call eval_jet2 seed the n
 unit directions, so the tangent is the gradient; eval_line seeds one
 direction per lane, the derivative along that lane's line, and takes the
-points one coordinate row at a time, so none of its arrays is n wide.
-Every evaluator works lane by lane, so a point's bits do not depend on
-its batch.  The built-in families share one closed form between the two
-seeds, summed one coordinate at a time.  An expression parses to a postfix
-program, which one loop runs on (value, tangent, hessian) triples, so an
-expression may be of any length; nesting deeper than the interpreter's
-recursion limit is a ParseError.  The parser folds every subexpression
-without a variable into one constant, rewrites a / b as a * b^-1, a
-power with a constant exponent (x1^-2, x1^(1+1)) as a constant power,
-and any other a ^ b as exp(log(a) * b), so the program needs only the
+points one coordinate row at a time, so none of its arrays is n wide;
+eval_values seeds none (k = 0), the plain value pass, on the same rows:
+no derivative is taken, and every tangent is None.  Every evaluator works
+lane by lane, so a point's bits do not depend on its batch, and every
+seed computes the values with the same operations in the same order, so
+they have the same bits.  The built-in families share one closed form
+between the seeds, summed one coordinate at a time.  An expression parses
+to a postfix program, which one loop runs on (value, tangent, hessian)
+triples, so an expression may be of any length; nesting deeper than the
+interpreter's recursion limit is a ParseError.  The parser folds every
+subexpression without a variable into one constant, rewrites a / b as
+a * b^-1, a power with a constant exponent (x1^-2, x1^(1+1)) as a constant
+power, and any other a ^ b as exp(log(a) * b), so the program needs only the
 sum, difference and product rules and one chain rule for its unary ops.
 All evaluators are pure, so specs can be shared freely between threads.
 """
@@ -48,6 +51,7 @@ __all__ = [
     "eval_jets",
     "eval_value_grad",
     "eval_line",
+    "eval_values",
 ]
 
 
@@ -172,9 +176,10 @@ def _separable(seed, a2: np.ndarray, formula, want_hessian: bool):
     and the second partial derivatives on coordinates x with coefficients
     a2.  A batch seeded with the unit directions takes every coordinate at
     once, shape (M, n), so the partials are the gradient; a line seed takes
-    one coordinate row at a time, each partial times the row's tangent.
-    Both add the terms one coordinate at a time, in order, so a lane's
-    value has the same bits whichever seed and whichever batch computes it.
+    one coordinate row at a time, each partial times the row's tangent, and
+    the value seed (a row's tangent None) calls no partial.  All add the
+    terms one coordinate at a time, in order, so a lane's value has the
+    same bits whichever seed and whichever batch computes it.
     A batch's terms are freed before its gradient is taken, so no two
     (M, n) arrays are live at once.
     """
@@ -196,12 +201,17 @@ def _separable(seed, a2: np.ndarray, formula, want_hessian: bool):
     for i in range(seed.n):
         x, dx = seed.coord(i)
         v, slope, _ = formula(x, a2[i])
-        slope = slope()
-        slope *= dx  # the formula's own array
         if vals is None:
-            vals, tangent = v, slope
+            vals = v
         else:
             vals += v
+        if dx is None:
+            continue
+        slope = slope()
+        slope *= dx  # the formula's own array
+        if tangent is None:
+            tangent = slope
+        else:
             tangent += slope
     return vals, tangent, None
 
@@ -420,12 +430,14 @@ def _run(code, rows, seed, want_h: bool):
 
     rows[i] is variable i's row, shape (M,), and its tangent, which
     broadcasts to (k, M); every tangent follows the same shapes and every
-    hessian has shape (k, k, M), None when want_h is false.  The program has
-    three kinds of instruction: constants and variables; the sum, difference
-    and product rules; and one chain rule, g = phi' g_u and
+    hessian has shape (k, k, M), None when want_h is false.  The value seed
+    (k = 0) has the tangent None, and then no rule takes a derivative.  The
+    program has three kinds of instruction: constants and variables; the
+    sum, difference and product rules; and one chain rule, g = phi' g_u and
     h = phi' h_u + phi'' g_u g_u^T, for every unary op phi(u).  Each rule
     keeps the hessian exactly symmetric, and results are exact up to roundoff.
     """
+    want_g = seed.zero is not None
     zero_h = seed.zero_hessian if want_h else None
     stack = []
     push, pop = stack.append, stack.pop
@@ -438,15 +450,15 @@ def _run(code, rows, seed, want_h: bool):
             w, gw, hw = pop()
             u, gu, hu = stack[-1]
             if op == "+":
-                stack[-1] = u + w, gu + gw, (hu + hw if want_h else None)
+                stack[-1] = u + w, (gu + gw if want_g else None), (hu + hw if want_h else None)
             elif op == "-":
-                stack[-1] = u - w, gu - gw, (hu - hw if want_h else None)
+                stack[-1] = u - w, (gu - gw if want_g else None), (hu - hw if want_h else None)
             else:
                 h = None
                 if want_h:
                     h = u * hw + w * hu
                     h += _outer(gu, gw) + _outer(gw, gu)
-                stack[-1] = u * w, u * gw + w * gu, h
+                stack[-1] = u * w, (u * gw + w * gu if want_g else None), h
                 del h
             # free the operands now, as a returning call would: arrays held
             # to the next instruction slowed 5 000 lanes by 10-15%
@@ -454,10 +466,12 @@ def _run(code, rows, seed, want_h: bool):
         else:
             u, gu, hu = stack[-1]
             v, d1, d2 = _phi(op, arg, u)
-            g = d1 * gu
-            h = None
-            if want_h:
-                h = d1 * hu if d2 is None else d1 * hu + d2() * _outer(gu, gu)
+            g = h = None
+            if want_g:
+                d1 = d1()
+                g = d1 * gu
+                if want_h:
+                    h = d1 * hu if d2 is None else d1 * hu + d2() * _outer(gu, gu)
             _check_finite(v, g, h)
             stack[-1] = v, g, h
             del u, gu, hu, v, d1, d2, g, h
@@ -465,8 +479,9 @@ def _run(code, rows, seed, want_h: bool):
 
 
 def _phi(op: str, c: float, u):
-    """phi(u), phi'(u) and a callable for phi''(u), None where phi'' is zero,
-    of a unary op (c the exponent of "^"), once its domain check passes."""
+    """phi(u) and callables for phi'(u) and phi''(u), the second None where
+    phi'' is zero, of a unary op (c the exponent of "^"), once its domain
+    check passes; a derivative is computed only when it is called."""
     if op == "^":
         if not c.is_integer() and np.any(u <= 0):
             raise EvaluationError("fractional power of non-positive base")
@@ -474,13 +489,13 @@ def _phi(op: str, c: float, u):
             raise EvaluationError("division by zero")
         # a zero coefficient gives a zero term, not 0 * inf at u = 0;
         # otherwise 0^0 = 1 and 0^j = 0 are exact, so x^2 has curvature 2 at 0
-        d1 = c * u ** (c - 1.0) if c else np.zeros_like(u)
+        d1 = (lambda: c * u ** (c - 1.0)) if c else (lambda: np.zeros_like(u))
         d2 = (lambda: c * (c - 1.0) * u ** (c - 2.0)) if c * (c - 1.0) else None
         return u ** c, d1, d2
     phi, dphi, d2phi, positive = _FN_TABLE[op]
     if positive and np.any(u <= 0):
         raise EvaluationError(f"{op} of non-positive argument")
-    return phi(u), dphi(u), (None if d2phi is None else lambda: d2phi(u))
+    return phi(u), lambda: dphi(u), (None if d2phi is None else lambda: d2phi(u))
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +532,14 @@ class _LineTangents:
     """Rows on demand from row(i) -> (x_i, dx_i / dtau), seeded with one direction.
 
     Every tangent is one value per lane (or one shared scalar), the
-    derivative along that lane's line.
+    derivative along that lane's line.  With zero None it is the value seed
+    (k = 0): every dx_i is None, and no derivative is taken.
     """
 
     batch = None
-    zero = 0.0
 
-    def __init__(self, row, n: int):
-        self._row, self.n = row, n
+    def __init__(self, row, n: int, zero=0.0):
+        self._row, self.n, self.zero = row, n, zero
 
     def coord(self, i: int):
         x, dx = self._row(i)
@@ -581,13 +596,34 @@ def eval_line(spec: FunctionSpec, row, m: int) -> tuple[np.ndarray, np.ndarray]:
     Rows are asked for on demand, one at a time, so no array is n wide;
     the result equals eval_value_grad's values and its gradients times the
     line directions, and the same inputs raise the same EvaluationError.
-    Both arrays are the caller's own: no input shares them.
+    Both arrays are the caller's own: no input shares them.  A read of the
+    values alone takes eval_values, the same pass with no tangent.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals, slopes, _ = spec._eval(_LineTangents(row, spec.n), want_hessian=False)
     vals, slopes = _own(vals, (m,)), _own(slopes, (m,))
     _check_finite(vals, slopes)
     return vals, slopes
+
+
+def eval_values(spec: FunctionSpec, row, m: int) -> np.ndarray:
+    """f at m points, shape (m,): eval_line's pass seeded with no direction (k = 0).
+
+    row(i) returns coordinate i of the points, shape (m,), asked for on
+    demand as in eval_line.  The values are eval_line's bit for bit (the
+    same operations in the same order, less the tangent work), and the
+    array is the caller's own.  The same inputs raise the same
+    EvaluationError, with one exception: a derivative that overflows where
+    f and every step of it are finite fails eval_line but not this read,
+    which never takes the derivative; log(x1) at x1 = 1e-310, where
+    1 / x1 = inf, is one.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals, _, _ = spec._eval(_LineTangents(lambda i: (row(i), None), spec.n, zero=None),
+                                want_hessian=False)
+    vals = _own(vals, (m,))
+    _check_finite(vals)
+    return vals
 
 
 def _own(a, shape: tuple) -> np.ndarray:

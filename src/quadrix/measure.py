@@ -88,7 +88,7 @@ import numpy as np
 
 from ._grids import DEFAULT_ORDER, radial_nodes, sphere_rule
 from .errors import QuadrixError
-from .funcspec import eval_line, eval_value_grad
+from .funcspec import eval_value_grad, eval_values
 from .surface import ChartRays, LevelFamily, LocalChart, SurfacePoint, _by_lane, _cat, parallel_tangents
 
 __all__ = [
@@ -181,13 +181,19 @@ class QuadratureSettings:
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
-def _chart_directions(p: SurfacePoint, nodes: np.ndarray) -> tuple[np.ndarray, float]:
-    """Chart directions L^{-T} e for unit sphere nodes e, where S = L L^T at p.
+def _chart_directions(points: list[SurfacePoint], nodes: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """Chart directions L^{-T} e for unit sphere nodes e, where S = L L^T at each point.
 
-    Returns them, shape (N, n), with the Jacobian 1 / sqrt(det S) of the map.
+    One stacked Cholesky factorization and one stacked solve, the nodes
+    broadcast, serve all the points; LAPACK solves each point's matrix as
+    it would alone, so the bits are those of one-point calls.  Returns per
+    point its directions, shape (N, n), the transpose of its own contiguous
+    block (the strides of a one-point solve, so every product over them
+    keeps its bits), with the Jacobian 1 / sqrt(det S) of the map.
     """
-    L = np.linalg.cholesky(p.second_form)
-    return np.linalg.solve(L.T, nodes.T).T, 1.0 / float(np.prod(np.diag(L)))
+    L = np.linalg.cholesky(np.array([p.second_form for p in points]))
+    U = np.linalg.solve(L.transpose(0, 2, 1), nodes.T)
+    return [(u.T, 1.0 / float(np.prod(np.diag(l)))) for u, l in zip(U, L)]
 
 
 def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings,
@@ -195,9 +201,11 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
     """The wanted measures of the cap of every (p, t) cell, solved together.
 
     Each point's chart, its chart directions and their ChartRays are built
-    once.  Every lane of every cell then goes through one boundary solve
-    and one ray pass, each over the cells' rays in cell order, cut into
-    blocks of at most _LANE_BUDGET chart points wherever the budget falls.
+    once, the directions of all the points in one stacked solve
+    (_chart_directions).  Every lane of every cell then goes through one
+    boundary solve and one ray pass, each over the cells' rays in cell
+    order, cut into blocks of at most _LANE_BUDGET chart points wherever
+    the budget falls.
     Every sum over a lane's row has a fixed order per lane: ChartRays are
     products over a point's whole rule, and the K15 and G7 sums are einsum
     contractions, never a BLAS product of a block.  So a cell has the bits
@@ -210,12 +218,11 @@ def _radial_cells(family: LevelFamily, cells: list, settings: QuadratureSettings
     n = family.n
     sphere, w_fine, w_coarse, (nodes, kronrod, gap_rule) = _rules(n, settings.order_for(n))
     m, split = len(sphere), len(w_fine)
+    unique = list({id(p): p for p, _ in cells}.values())
     points = {}  # per point: its chart, chart directions with their Jacobian, and their ChartRays
-    for p, _ in cells:
-        if id(p) not in points:
-            chart = LocalChart(family, p)
-            U, jac = _chart_directions(p, sphere)
-            points[id(p)] = chart, U, jac, chart.rays(U)
+    for p, (U, jac) in zip(unique, _chart_directions(unique, sphere)):
+        chart = LocalChart(family, p)
+        points[id(p)] = chart, U, jac, chart.rays(U)
     at = [points[id(p)] for p, _ in cells]
     ts = [t for _, t in cells]
 
@@ -352,7 +359,10 @@ def _vertical_chords(family: LevelFamily, want: tuple[str, ...]):
     height solve.  The returned block function takes pieces (chart, t,
     directions, their ChartRays, radii) and evaluates f at all of their
     points at once; it gives each piece's values, or None where f < 0 at
-    one of its points, so that cell goes back to the chart heights.
+    one of its points, so that cell goes back to the chart heights.  The
+    volume needs f's values alone, which it reads with the value seed
+    (funcspec.eval_values), one coordinate row at a time: no derivative of
+    f is taken.  The lateral area needs grad f, from eval_value_grad.
     """
     n, alpha = family.n, family.alpha
 
@@ -369,8 +379,10 @@ def _vertical_chords(family: LevelFamily, want: tuple[str, ...]):
             del X
         else:
             def row(i):
-                return (center[:, i, None] + radii * dX[i, :, None]).ravel(), 0.0
-            fv, _ = eval_line(family.f, row, radii.size)
+                x = radii * dX[i, :, None]
+                x += center[:, i, None]
+                return x.ravel()
+            fv = eval_values(family.f, row, radii.size)
         points = [count * radii.shape[1] for count in rays_per]
         keep = [np.all(fv[lanes] >= 0.0) for lanes in _cuts(points)]
         values = {}  # computed in place where it can be: a block is up to 2^14 points

@@ -23,7 +23,7 @@ def monte_carlo_measures(family: LevelFamily, p: SurfacePoint, t: float, seed: i
     """Area, volume and lateral area of the cap at plane distance t from samples points."""
     chart = LocalChart(family, p)
     n = family.n
-    D, _ = _chart_directions(p, sphere_rule(n, DEFAULT_ORDER[n])[0])
+    ((D, _),) = _chart_directions([p], sphere_rule(n, DEFAULT_ORDER[n])[0])
     extent = chart.boundary_radius(D, t) * np.linalg.norm(D, axis=1)
     bound = 1.3 * float(np.max(extent))
 

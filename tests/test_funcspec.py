@@ -15,6 +15,7 @@ from quadrix import (
     eval_jet2,
     eval_line,
     eval_value_grad,
+    eval_values,
     parse_expression,
 )
 from quadrix import funcspec
@@ -346,6 +347,44 @@ def test_line_evaluator_matches_value_grad(spec):
         with pytest.raises(EvaluationError) as line:
             eval_line(err_spec, _rows(X, np.ones(err_spec.n)), len(X))
         assert str(line.value) == str(batch.value)
+
+
+@pytest.mark.parametrize("spec", LINE_SPECS, ids=lambda s: getattr(s, "source", type(s).__name__))
+def test_value_seed_matches_line_values(spec):
+    # the value seed (no tangent) gives eval_line's values to the last bit,
+    # as an array of the caller's own
+    X = np.random.default_rng(20261021).uniform(0.1, 1.5, (11, spec.n))
+    rows = _rows(X, np.ones(spec.n))
+    vals = eval_values(spec, lambda i: rows(i)[0], len(X))
+    assert vals.shape == (len(X),)
+    assert vals.tobytes() == eval_line(spec, rows, len(X))[0].tobytes()
+    X0 = X.copy()
+    vals *= 2.0
+    assert np.array_equal(X, X0)
+
+
+def test_value_seed_raises_as_line_seed():
+    # the same EvaluationError message on domain errors, overflow and
+    # non-finite input, whether the program reads that input or not
+    cases = [(parse_expression(src, 1), [x]) for src, x in DOMAIN_ERRORS + [OVERFLOW]]
+    cases += [(parse_expression("x1^2", 1), [[np.nan]]), (parse_expression("x1^2", 2), [[0.5, np.inf]]),
+              (QuadraticForm((1.0, 2.0)), [[np.inf, 0.5]]), (PerturbedQuadratic((1.0,), 0.5, "cosh"), [800.0])]
+    for spec, X in cases:
+        X = np.asarray(X, dtype=float).reshape(-1, spec.n)
+        with pytest.raises(EvaluationError) as line:
+            eval_line(spec, _rows(X, np.ones(spec.n)), len(X))
+        with pytest.raises(EvaluationError) as values:
+            eval_values(spec, lambda i: X[:, i].copy(), len(X))
+        assert str(values.value) == str(line.value)
+
+
+def test_value_seed_reads_past_an_overflowing_derivative():
+    # log(x1) is finite at x1 = 1e-310, but its derivative 1 / x1 is inf:
+    # eval_line, which takes it, raises; the value read never takes it
+    spec, X = parse_expression("log(x1)", 1), np.array([[1e-310]])
+    with pytest.raises(EvaluationError, match="overflow or invalid value"):
+        eval_line(spec, _rows(X, np.ones(1)), 1)
+    assert eval_values(spec, lambda i: X[:, i].copy(), 1).tolist() == [math.log(1e-310)]
 
 
 EXPRESSION_LINE_SPECS = [spec for spec in LINE_SPECS if isinstance(spec, ExpressionSpec)]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.stats import qmc
 
 from quadrix import unit_sphere_area
+from quadrix import _grids
 from quadrix._grids import DEFAULT_ORDER, _gegenbauer, halton, sphere_rule, tensor_rule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,6 +46,22 @@ class TestHalton:
             [0.7769746935384481, 0.7804379161155163],
             [0.27697469353844806, 0.11377124944884977],
         ]
+
+
+    def test_alternating_dimensions_draw_once_and_large_draws_are_not_kept(self):
+        # classify on families of n = 2, 3, 4 in turn draws each small set
+        # once; a draw past _SMALL_DRAW numbers is kept only until the next
+        halton.cache_clear()
+        _grids._small_draws.cache_clear()
+        draws = [[halton(n, 6, 1) for n in (2, 3, 4)] for _ in range(3)]
+        assert _grids._small_draws.cache_info().misses == 3
+        assert all(a is b for a, b in zip(draws[0], draws[2]))
+        count = _grids._SMALL_DRAW // 6 + 1
+        large = weakref.ref(halton(6, count, 1))
+        assert halton(6, count, 1) is large()  # the last draw is kept
+        halton(6, count + 1, 1)
+        assert large() is None
+        assert _grids._small_draws.cache_info().currsize == 3
 
 
 def sphere_moment(alpha) -> float:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadrix import measure
+from quadrix import funcspec, measure
 from quadrix import (
     CapMeasures,
     LevelFamily,
@@ -625,6 +625,60 @@ class TestVerticalChords:
             for name in ("volume", "lateral"):
                 got, want = getattr(chords, name), getattr(heights, name)
                 assert abs(got.value - want.value) <= max(got.error_estimate, want.error_estimate)
+
+    @pytest.mark.parametrize("f", [
+        parse_expression("x1^2 + 2.25*x2^2 + 0.3*(cosh(x1) - 1) + sqrt(x2^2 + 1)", 2),
+        PerturbedQuadratic((1.0, 1.5), 0.5, "cosh"),
+    ], ids=["expression", "perturbed"])
+    def test_volume_chords_take_no_derivative(self, monkeypatch, f):
+        # a volume-only table reads f's values alone on its chords: no
+        # derivative of a unary op (_phi) and no slope of a built-in family
+        # runs in the chord pass.  With the lateral area it reads the gradient
+        family = LevelFamily(f, 2.0, "minus")
+        points = [point_on_level(family, k, x) for k, x in zip((1.0, 2.0), seeded_xs(2, 2, 5, 0.5))]
+        derivatives, passes, in_chords = [], [], []
+        phi, separable, chords = funcspec._phi, funcspec._separable, measure._vertical_chords
+
+        def counted(derivative, what):
+            def call():
+                if in_chords:
+                    derivatives.append(what)
+                return derivative()
+            return call
+
+        def spy_phi(op, c, u):
+            v, d1, d2 = phi(op, c, u)
+            return v, counted(d1, op), d2
+
+        def spy_separable(seed, a2, formula, want_hessian):
+            def spied(x, a2):
+                terms, slope, curvature = formula(x, a2)
+                return terms, counted(slope, "slope"), curvature
+            return separable(seed, a2, spied, want_hessian)
+
+        def spy_chords(*args):
+            block = chords(*args)
+
+            def run(pieces):
+                passes.append(len(pieces))
+                in_chords.append(True)
+                try:
+                    return block(pieces)
+                finally:
+                    in_chords.pop()
+
+            return run
+
+        monkeypatch.setattr(funcspec, "_phi", spy_phi)
+        monkeypatch.setattr(funcspec, "_separable", spy_separable)
+        monkeypatch.setattr(measure, "_vertical_chords", spy_chords)
+        heights = self.count_heights(monkeypatch)
+        for want, gradient in ((("volume", "area"), False), (("area", "volume", "lateral"), True)):
+            derivatives.clear()
+            passes.clear()
+            evaluate_cells(family, points, (0.5, 1.0), want=want)
+            assert passes and heights == []  # every cell took chords
+            assert bool(derivatives) == gradient, (want, derivatives)
 
     def test_negative_f_falls_back_to_chart_heights(self, monkeypatch):
         # f < 0 on part of the section: the whole cell is integrated with

@@ -306,7 +306,7 @@ class TestRayPass:
         p = point_on_level(family, 1.0, np.asarray(x))
         t = parallel_tangent(family, p, h).t
         chart = LocalChart(family, p)
-        U, _ = _chart_directions(p, sphere_rule(family.n, DEFAULT_ORDER[family.n])[0])
+        ((U, _),) = _chart_directions([p], sphere_rule(family.n, DEFAULT_ORDER[family.n])[0])
         return chart, t, U, chart.boundary_radius(U, t)[:, None] * radial_nodes()[0]
 
     @staticmethod
