@@ -72,19 +72,18 @@ _GAUSS_WEIGHTS = (
 _SMALL_DRAW = 1 << 12
 
 
-@lru_cache(maxsize=1)
 def halton(n: int, count: int, seed: int) -> np.ndarray:
     """The first count points of the n-dimensional scrambled Halton set, shape (count, n), read-only.
 
     Each digit of each coordinate goes through its own random permutation of
     the base's digits, drawn in SciPy's order from
     `np.random.default_rng(seed)`.  Digits are summed in SciPy's order too,
-    which is what makes the points equal bit for bit.  The last draw is
-    kept, whatever its size, and so are the last 8 draws of at most
-    _SMALL_DRAW numbers, so a process that samples families of a few
-    dimensions in turn draws each once, while no two large draws stay alive.
+    which is what makes the points equal bit for bit.  The last 8 draws of
+    at most _SMALL_DRAW numbers are kept (_small_draws), so a process that
+    samples families of a few dimensions in turn draws each once, and of
+    larger draws only the last (_large_draw), so no two stay alive.
     """
-    return (_small_draws if n * count <= _SMALL_DRAW else _scrambled_halton)(n, count, seed)
+    return (_small_draws if n * count <= _SMALL_DRAW else _large_draw)(n, count, seed)
 
 
 def _scrambled_halton(n: int, count: int, seed: int) -> np.ndarray:
@@ -104,6 +103,7 @@ def _scrambled_halton(n: int, count: int, seed: int) -> np.ndarray:
 
 
 _small_draws = lru_cache(maxsize=8)(_scrambled_halton)
+_large_draw = lru_cache(maxsize=1)(_scrambled_halton)
 
 
 @lru_cache(maxsize=32)

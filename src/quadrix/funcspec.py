@@ -533,7 +533,7 @@ class _LineTangents:
 
     Every tangent is one value per lane (or one shared scalar), the
     derivative along that lane's line.  With zero None it is the value seed
-    (k = 0): every dx_i is None, and no derivative is taken.
+    (k = 0): row(i) -> x_i, every dx_i is None, and no derivative is taken.
     """
 
     batch = None
@@ -542,7 +542,7 @@ class _LineTangents:
         self._row, self.n, self.zero = row, n, zero
 
     def coord(self, i: int):
-        x, dx = self._row(i)
+        x, dx = (self._row(i), None) if self.zero is None else self._row(i)
         if not np.isfinite(x).all():
             raise EvaluationError("non-finite input point")
         return x, dx
@@ -619,8 +619,7 @@ def eval_values(spec: FunctionSpec, row, m: int) -> np.ndarray:
     1 / x1 = inf, is one.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals, _, _ = spec._eval(_LineTangents(lambda i: (row(i), None), spec.n, zero=None),
-                                want_hessian=False)
+        vals, _, _ = spec._eval(_LineTangents(row, spec.n, zero=None), want_hessian=False)
     vals = _own(vals, (m,))
     _check_finite(vals)
     return vals

@@ -192,7 +192,8 @@ def _chart_directions(points: list[SurfacePoint], nodes: np.ndarray) -> list[tup
     keeps its bits), with the Jacobian 1 / sqrt(det S) of the map.
     """
     L = np.linalg.cholesky(np.array([p.second_form for p in points]))
-    U = np.linalg.solve(L.transpose(0, 2, 1), nodes.T)
+    # b as a stack of one matrix: numpy 1.x would read a 2-D b as a stack of vectors
+    U = np.linalg.solve(L.transpose(0, 2, 1), nodes.T[None])
     return [(u.T, 1.0 / float(np.prod(np.diag(l)))) for u, l in zip(U, L)]
 
 

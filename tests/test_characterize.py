@@ -48,11 +48,11 @@ class TestSamplePoints:
 
     def test_levels_share_one_halton_draw(self):
         # classify samples each level from the same (n, count, seed) set
-        _grids.halton.cache_clear()
+        _grids._small_draws.cache_clear()
         family = trio()["elliptic_hyperboloid"]
         for k in (0.5, 1.0, 2.0):
             sample_points(family, k, 6, 5)
-        info = _grids.halton.cache_info()
+        info = _grids._small_draws.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert not _grids.halton(2, 6, 5).flags.writeable
 

@@ -51,7 +51,7 @@ class TestHalton:
     def test_alternating_dimensions_draw_once_and_large_draws_are_not_kept(self):
         # classify on families of n = 2, 3, 4 in turn draws each small set
         # once; a draw past _SMALL_DRAW numbers is kept only until the next
-        halton.cache_clear()
+        _grids._large_draw.cache_clear()
         _grids._small_draws.cache_clear()
         draws = [[halton(n, 6, 1) for n in (2, 3, 4)] for _ in range(3)]
         assert _grids._small_draws.cache_info().misses == 3
